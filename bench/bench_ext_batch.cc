@@ -4,8 +4,8 @@
 // (per-query memo reset, per-query summary probes), on the same workload.
 // The batch path's wins are structural: cross-query dedup answers repeated
 // queries once, the batch-scoped memo shares every sub-twig across the
-// batch, the grouped probe pass hits the summary table in slot order with
-// prefetch, and all scratch comes from a monotonic arena reset per batch.
+// batch, and per-batch staging comes from a monotonic arena reset per
+// batch.
 //
 // Bit-identity gate: before any timing, every batch size is checked to
 // produce the exact bits of the sequential path on every query — memo

@@ -92,20 +92,22 @@ BurstResult RunBurst(serve::SnapshotHolder* snapshots,
   BurstResult result;
   {
     serve::Server server(
-        snapshots, options, [&](const serve::ServeResponse& response) {
-          size_t slot = static_cast<size_t>(response.id - 1);
+        snapshots, options, [&](serve::ServeBatchResponse response) {
+          const serve::ServeResponse& item = response.items.front();
+          size_t slot = static_cast<size_t>(item.id - 1);
           latencies[slot] = std::chrono::duration<double, std::micro>(
                                 Clock::now() - submitted[slot])
                                 .count();
-          degraded_flags[slot] = response.degraded ? 1 : 0;
+          degraded_flags[slot] = item.degraded ? 1 : 0;
         });
     WallTimer timer;
     for (int i = 0; i < n; ++i) {
-      serve::ServeRequest request;
-      request.id = static_cast<uint64_t>(i + 1);
-      request.query = queries[static_cast<size_t>(i) % queries.size()];
+      serve::ServeBatch line;
+      line.items.resize(1);
+      line.items[0].id = static_cast<uint64_t>(i + 1);
+      line.items[0].query = queries[static_cast<size_t>(i) % queries.size()];
       submitted[static_cast<size_t>(i)] = Clock::now();
-      server.Submit(std::move(request));
+      server.Submit(std::move(line));
     }
     server.Shutdown();  // drains: every latency slot is filled after this
     result.wall_seconds = timer.ElapsedSeconds();

@@ -1,16 +1,10 @@
 #include "core/batch_estimator.h"
 
-#include <cstdint>
-
-#include "core/estimator_metrics.h"
 #include "util/hash.h"
 
 namespace treelattice {
 
 namespace {
-
-/// Sentinel for "no representative yet" in the dedup table.
-constexpr uint32_t kNoIndex = static_cast<uint32_t>(-1);
 
 /// Round `want` up to a power of two >= 16.
 size_t SlotCount(size_t want) {
@@ -21,12 +15,51 @@ size_t SlotCount(size_t want) {
 
 }  // namespace
 
+void QueryDedup::Group(std::span<const Twig> queries) {
+  const size_t n = queries.size();
+  group_.assign(n, kNoGroup);
+  distinct_.clear();
+  if (n == 1) {
+    // A lone query is its own group: no table to build.
+    if (!queries[0].empty()) {
+      group_[0] = 0;
+      distinct_.push_back(0);
+    }
+    return;
+  }
+  slots_.assign(SlotCount(n), Slot{});
+  const size_t slot_mask = slots_.size() - 1;
+  for (size_t i = 0; i < n; ++i) {
+    if (queries[i].empty()) continue;
+    // The batch-wide one-time canonicalization pass: everything after
+    // runs on the cached code/hash.
+    const uint64_t hash = queries[i].CanonicalHash();  // tl-lint: allow(canonical-in-loop)
+    const std::string& code = queries[i].CanonicalCode();  // tl-lint: allow(canonical-in-loop)
+    size_t idx = static_cast<size_t>(Mix64(hash)) & slot_mask;
+    for (;;) {
+      Slot& slot = slots_[idx];
+      if (slot.group == kNoGroup) {
+        slot = Slot{hash, static_cast<uint32_t>(distinct_.size())};
+        group_[i] = slot.group;
+        distinct_.push_back(static_cast<uint32_t>(i));
+        break;
+      }
+      if (slot.hash == hash &&
+          queries[distinct_[slot.group]].CanonicalCode() == code) {  // tl-lint: allow(canonical-in-loop)
+        group_[i] = slot.group;
+        break;
+      }
+      idx = (idx + 1) & slot_mask;
+    }
+  }
+}
+
 BatchEstimator::BatchEstimator(const LatticeSummary* summary)
     : BatchEstimator(summary, RecursiveDecompositionEstimator::Options()) {}
 
 BatchEstimator::BatchEstimator(const LatticeSummary* summary,
                                RecursiveDecompositionEstimator::Options options)
-    : summary_(summary), estimator_(summary, options) {}
+    : estimator_(summary, options) {}
 
 Status* BatchEstimator::StageStatuses(size_t n) {
   status_staging_.assign(n, Status::OK());
@@ -44,104 +77,29 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
   if (n == 0) return Status::OK();
   arena_.Reset();
 
-  // Stage 1+2: canonicalize every query and dedup identical ones through a
-  // flat open-addressing table (hash -> first index, full code verified).
-  // rep[i] is the index of the first query identical to queries[i].
-  struct DedupSlot {
-    uint64_t hash = 0;
-    uint32_t index = kNoIndex;
-  };
-  const size_t slot_count = SlotCount(n);
-  const size_t slot_mask = slot_count - 1;
-  DedupSlot* slots = arena_.AllocateArray<DedupSlot>(slot_count);
-  for (size_t s = 0; s < slot_count; ++s) slots[s] = DedupSlot{};
-  uint32_t* rep = arena_.AllocateArray<uint32_t>(n);
-  uint32_t* distinct = arena_.AllocateArray<uint32_t>(n);
-  size_t num_distinct = 0;
+  // Stage 1: group identical queries; only the first of each group is
+  // estimated.
+  dedup_.Group(queries);
+  const std::span<const uint32_t> distinct = dedup_.distinct();
   size_t memo_budget = 0;  // sum of size^2 over distinct queries
-  for (size_t i = 0; i < n; ++i) {
-    if (queries[i].empty()) {
-      rep[i] = static_cast<uint32_t>(i);
-      continue;
-    }
-    // The batch-wide one-time canonicalization pass: everything after
-    // runs on the cached code/hash.
-    const uint64_t hash = queries[i].CanonicalHash();  // tl-lint: allow(canonical-in-loop)
-    const std::string& code = queries[i].CanonicalCode();  // tl-lint: allow(canonical-in-loop)
-    size_t idx = static_cast<size_t>(Mix64(hash)) & slot_mask;
-    for (;;) {
-      DedupSlot& slot = slots[idx];
-      if (slot.index == kNoIndex) {
-        slot.hash = hash;
-        slot.index = static_cast<uint32_t>(i);
-        rep[i] = static_cast<uint32_t>(i);
-        distinct[num_distinct++] = static_cast<uint32_t>(i);
-        const size_t size = static_cast<size_t>(queries[i].size());
-        memo_budget += size * size;
-        break;
-      }
-      if (slot.hash == hash &&
-          queries[slot.index].CanonicalCode() == code) {  // tl-lint: allow(canonical-in-loop)
-        rep[i] = slot.index;
-        break;
-      }
-      idx = (idx + 1) & slot_mask;
-    }
+  for (uint32_t first : distinct) {
+    const size_t size = static_cast<size_t>(queries[first].size());
+    memo_budget += size * size;
   }
 
   EstimateScratch* scratch =
       options.scratch != nullptr ? options.scratch : &scratch_;
   ScopedBatchScratch batch_guard(scratch, memo_budget);
 
-  // Stage 3: one grouped probe pass answers every distinct query the
-  // summary holds (exact counts) and every provably-zero one, seeding the
-  // memo so the recursion below memo-hits instead of re-probing. The memo
-  // values equal what EstimateImpl would compute for those codes, so this
-  // pre-pass cannot change any result.
-  LatticeSummary::ProbeKey* keys =
-      arena_.AllocateArray<LatticeSummary::ProbeKey>(num_distinct);
-  LatticeSummary::ProbeResult* probe_results =
-      arena_.AllocateArray<LatticeSummary::ProbeResult>(num_distinct);
-  uint32_t* order = arena_.AllocateArray<uint32_t>(num_distinct);
-  for (size_t d = 0; d < num_distinct; ++d) {
-    const Twig& query = queries[distinct[d]];
-    // Cached after the stage-1 pass: these re-read the twig's cache.
-    keys[d] = LatticeSummary::ProbeKey{query.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
-                                       query.CanonicalCode()};  // tl-lint: allow(canonical-in-loop)
-  }
-  summary_->LookupBatch(keys, num_distinct, order, probe_results);
-
-  // answered[d] marks distinct queries settled by the pre-pass; their
-  // values live in staged[d]. The rest go through the recursion.
-  bool* answered = arena_.AllocateArray<bool>(num_distinct);
-  double* staged = arena_.AllocateArray<double>(num_distinct);
-  EstimatorMetrics& metrics = EstimatorMetrics::Get();
-  for (size_t d = 0; d < num_distinct; ++d) {
-    const Twig& query = queries[distinct[d]];
-    answered[d] = false;
-    staged[d] = 0.0;
-    if (probe_results[d].found) {
-      metrics.summary_hits->Increment();
-      staged[d] = static_cast<double>(probe_results[d].count);
-      answered[d] = true;
-    } else if (query.size() <= summary_->complete_through_level() ||
-               query.size() < 3) {
-      metrics.exhaustive_zeros->Increment();
-      answered[d] = true;  // staged 0.0: provably absent (DESIGN.md §5)
-    }
-    if (answered[d]) {
-      scratch->memo().Insert(keys[d].hash, keys[d].code, staged[d]);
-    }
-  }
-
-  // Stage 4: shared-memo recursion over the remaining distinct queries.
-  // One governor covers the whole batch; queries visited after a budget
-  // trip fail fast with the trip status on their first Charge().
+  // Stage 2: shared-memo recursion over the distinct queries. One governor
+  // covers the whole batch; queries visited after a budget trip fail fast
+  // with the trip status on their first Charge().
   CostGovernor governor = options.MakeGovernor();
   CostGovernor* governor_ptr = options.governed() ? &governor : nullptr;
-  Status* staged_status = StageStatuses(num_distinct);
-  for (size_t d = 0; d < num_distinct; ++d) {
-    if (answered[d]) continue;
+  double* staged = arena_.AllocateArray<double>(distinct.size());
+  Status* staged_status = StageStatuses(distinct.size());
+  for (size_t d = 0; d < distinct.size(); ++d) {
+    staged[d] = 0.0;
     Result<double> result = estimator_.EstimateWithGovernor(
         queries[distinct[d]], governor_ptr, scratch);
     if (result.ok()) {
@@ -154,19 +112,14 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
     *options.work_steps += governor.steps();
   }
 
-  // Scatter: every query takes its representative's staged outcome.
-  // Distinct index of a representative is recovered via the dedup table.
-  uint32_t* distinct_of = arena_.AllocateArray<uint32_t>(n);
-  for (size_t d = 0; d < num_distinct; ++d) {
-    distinct_of[distinct[d]] = static_cast<uint32_t>(d);
-  }
+  // Scatter: every query takes its group's staged outcome.
   for (size_t i = 0; i < n; ++i) {
-    if (queries[i].empty()) {
+    const uint32_t d = dedup_.group(i);
+    if (d == QueryDedup::kNoGroup) {
       results[i].status = Status::InvalidArgument("Estimate: empty query");
       results[i].estimate = 0.0;
       continue;
     }
-    const uint32_t d = distinct_of[rep[i]];
     results[i].status = staged_status[d];
     results[i].estimate = staged[d];
   }

@@ -96,50 +96,6 @@ std::optional<double> EstimateCache::Get(int64_t snapshot_version,
   return std::nullopt;
 }
 
-void EstimateCache::GetBatch(int64_t snapshot_version,
-                             const uint64_t* code_hashes,
-                             const std::string_view* codes, size_t n,
-                             std::optional<double>* results) {
-  if (n == 0) return;
-  const bool timed = obs::Enabled();
-  const std::chrono::steady_clock::time_point probe_start =
-      timed ? std::chrono::steady_clock::now()
-            : std::chrono::steady_clock::time_point();
-  ProbeTimer probe_timer(timed, probe_start);
-  uint64_t batch_hits = 0;
-  // Shard-grouped pass: lock each shard once and answer every key that
-  // maps to it. The scan per shard is linear in n, but the shard count is
-  // a small constant, so the whole filter is O(shards * n) comparisons
-  // and exactly `shards` lock acquisitions in the worst case.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    bool shard_has_keys = false;
-    for (size_t i = 0; i < n && !shard_has_keys; ++i) {
-      const uint64_t key = KeyFor(code_hashes[i]);
-      shard_has_keys = (static_cast<size_t>(key >> 48) & shard_mask_) == s;
-    }
-    if (!shard_has_keys) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    SyncShardVersion(shard, snapshot_version);
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t key = KeyFor(code_hashes[i]);
-      if ((static_cast<size_t>(key >> 48) & shard_mask_) != s) continue;
-      results[i] = std::nullopt;
-      auto it = shard.index.find(key);
-      if (it != shard.index.end() && it->second->code == codes[i]) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
-        results[i] = it->second->estimate;
-        ++batch_hits;
-      }
-    }
-  }
-  hits_.fetch_add(batch_hits, std::memory_order_relaxed);
-  misses_.fetch_add(n - batch_hits, std::memory_order_relaxed);
-  CacheMetrics& metrics = CacheMetrics::Get();
-  metrics.hits->Increment(batch_hits);
-  metrics.misses->Increment(n - batch_hits);
-}
-
 void EstimateCache::Put(int64_t snapshot_version, uint64_t code_hash,
                         std::string_view code, double estimate) {
   const uint64_t key = KeyFor(code_hash);

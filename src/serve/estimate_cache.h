@@ -91,15 +91,6 @@ class EstimateCache {
   TL_HOT std::optional<double> Get(int64_t snapshot_version,
                                    uint64_t code_hash, std::string_view code);
 
-  /// Batch hit-filter (DESIGN.md §14): probes `n` keys in one pass,
-  /// visiting each shard at most once (one lock acquisition per shard per
-  /// batch, not per query). results[i] receives the cached estimate for
-  /// (code_hashes[i], codes[i]) or nullopt. One cache.probe_micros sample
-  /// covers the whole pass; hits/misses count per key.
-  TL_HOT void GetBatch(int64_t snapshot_version, const uint64_t* code_hashes,
-                       const std::string_view* codes, size_t n,
-                       std::optional<double>* results);
-
   /// Caches `estimate` for `code` under `snapshot_version` (overwriting any
   /// entry for the same code), evicting the least recently used entry of
   /// the shard when full.

@@ -82,8 +82,12 @@ std::string ServeResponse::ToJsonLine() const {
 
 namespace {
 
-/// Shared envelope decoding for single lines and batch array elements.
+/// Decodes one query envelope: a scalar line's object or an array line's
+/// object element.
 Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
+  // Ids and step caps are uint64; 2^64 and above cannot be represented
+  // (a double-to-uint64 cast of such a value is undefined).
+  constexpr double kUint64Limit = 18446744073709551616.0;
   if (!parsed.is_object()) {
     return Status::InvalidArgument("request JSON must be an object");
   }
@@ -106,11 +110,17 @@ Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
       return Status::InvalidArgument(
           "\"max_steps\" must be a non-negative number");
     }
+    if (steps->number_value >= kUint64Limit) {
+      return Status::InvalidArgument("\"max_steps\" must be below 2^64");
+    }
     request.max_work_steps = static_cast<uint64_t>(steps->number_value);
   }
   if (const JsonValue* id = parsed.Find("id")) {
     if (!id->is_number() || id->number_value < 0.0) {
       return Status::InvalidArgument("\"id\" must be a non-negative number");
+    }
+    if (id->number_value >= kUint64Limit) {
+      return Status::InvalidArgument("\"id\" must be below 2^64");
     }
     request.id = static_cast<uint64_t>(id->number_value);
   }
@@ -119,39 +129,31 @@ Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
 
 }  // namespace
 
-Result<ServeRequest> ParseRequestLine(std::string_view line) {
+Status ParseRequestLine(std::string_view line, size_t max_items,
+                        ServeBatch* batch) {
   std::string_view trimmed = Trimmed(line);
+  batch->items.clear();
+  batch->scalar = trimmed.empty() || trimmed.front() != '[';
   if (trimmed.empty()) {
     return Status::InvalidArgument("empty request line");
   }
-  ServeRequest request;
-  if (trimmed.front() != '{') {
+  if (trimmed.front() != '{' && trimmed.front() != '[') {
+    ServeRequest request;
     request.query = std::string(trimmed);
-    return request;
+    batch->items.push_back(std::move(request));
+    return Status::OK();
   }
   Result<JsonValue> parsed = ParseJson(trimmed);
   if (!parsed.ok()) {
-    return Status::InvalidArgument("malformed request JSON: " +
+    return Status::InvalidArgument((batch->scalar ? "malformed request JSON: "
+                                                  : "malformed batch JSON: ") +
                                    parsed.status().message());
   }
-  return ParseRequestEnvelope(*parsed);
-}
-
-bool IsBatchRequestLine(std::string_view line) {
-  std::string_view trimmed = Trimmed(line);
-  return !trimmed.empty() && trimmed.front() == '[';
-}
-
-Result<ServeBatch> ParseBatchRequestLine(std::string_view line,
-                                         size_t max_items) {
-  std::string_view trimmed = Trimmed(line);
-  Result<JsonValue> parsed = ParseJson(trimmed);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("malformed batch JSON: " +
-                                   parsed.status().message());
-  }
-  if (!parsed->is_array()) {
-    return Status::InvalidArgument("batch request must be a JSON array");
+  if (batch->scalar) {
+    Result<ServeRequest> request = ParseRequestEnvelope(*parsed);
+    if (!request.ok()) return request.status();
+    batch->items.push_back(std::move(*request));
+    return Status::OK();
   }
   if (parsed->array.empty()) {
     return Status::InvalidArgument("batch request array must not be empty");
@@ -161,8 +163,7 @@ Result<ServeBatch> ParseBatchRequestLine(std::string_view line,
         "batch request carries " + std::to_string(parsed->array.size()) +
         " queries; the limit is " + std::to_string(max_items));
   }
-  ServeBatch batch;
-  batch.items.reserve(parsed->array.size());
+  batch->items.reserve(parsed->array.size());
   for (const JsonValue& element : parsed->array) {
     if (element.is_string()) {
       if (element.string_value.empty()) {
@@ -171,17 +172,18 @@ Result<ServeBatch> ParseBatchRequestLine(std::string_view line,
       }
       ServeRequest request;
       request.query = element.string_value;
-      batch.items.push_back(std::move(request));
+      batch->items.push_back(std::move(request));
       continue;
     }
     Result<ServeRequest> request = ParseRequestEnvelope(element);
     if (!request.ok()) return request.status();
-    batch.items.push_back(std::move(*request));
+    batch->items.push_back(std::move(*request));
   }
-  return batch;
+  return Status::OK();
 }
 
 std::string ServeBatchResponse::ToJsonLine() const {
+  if (scalar) return items.front().ToJsonLine();
   JsonWriter w;
   w.BeginArray();
   for (const ServeResponse& item : items) w.Raw(item.ToJsonLine());
@@ -189,12 +191,32 @@ std::string ServeBatchResponse::ToJsonLine() const {
   return w.TakeString();
 }
 
+RequestOutcome OutcomeOf(const ServeBatchResponse& response) {
+  RequestOutcome outcome;
+  outcome.ok = true;
+  for (const ServeResponse& item : response.items) {
+    if (!item.ok && outcome.error_code.empty()) {
+      outcome.ok = false;
+      outcome.error_code = item.error_code;
+    }
+    outcome.degraded = outcome.degraded || item.degraded;
+    outcome.cached = outcome.cached || item.cached;
+    outcome.snapshot_version = item.snapshot_version;
+  }
+  if (response.scalar) {
+    outcome.query = response.items.front().query;
+    outcome.rung = response.items.front().rung;
+  } else {
+    outcome.query = "[batch:" + std::to_string(response.items.size()) + "]";
+  }
+  return outcome;
+}
+
 Server::Server(SnapshotHolder* snapshots, ServerOptions options,
-               ResponseSink sink, BatchResponseSink batch_sink)
+               ResponseSink sink)
     : snapshots_(snapshots),
       options_(std::move(options)),
-      sink_(std::move(sink)),
-      batch_sink_(std::move(batch_sink)) {
+      sink_(std::move(sink)) {
   if (options_.enable_estimate_cache && options_.estimate_cache_capacity > 0) {
     EstimateCache::Options cache_options;
     cache_options.capacity = options_.estimate_cache_capacity;
@@ -212,54 +234,18 @@ Server::Server(SnapshotHolder* snapshots, ServerOptions options,
 
 Server::~Server() { Shutdown(); }
 
-bool Server::Submit(ServeRequest request) {
-  ServeMetrics& metrics = ServeMetrics::Get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!stopping_ && queued_queries_ < options_.queue_capacity) {
-      request.trace.StampAdmitted();
-      Work work;
-      work.single = std::move(request);
-      queue_.push_back(std::move(work));
-      ++queued_queries_;
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      metrics.requests->Increment();
-      metrics.queue_depth_peak->SetMax(static_cast<int64_t>(queued_queries_));
-      metrics.queue_depth->Set(static_cast<int64_t>(queued_queries_));
-      work_available_.notify_one();
-      return true;
-    }
-  }
-  // Shed: answer immediately (from the submitting thread) so every
-  // request gets exactly one response even under overload.
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  metrics.shed->Increment();
-  ServeResponse response;
-  response.id = request.id;
-  response.req = request.trace.req_id;
-  response.trace = request.trace;
-  response.query = request.query;
-  response.ok = false;
-  response.error_code =
-      std::string(StatusCodeToString(StatusCode::kResourceExhausted));
-  response.error_message = "admission queue full; request shed";
-  Emit(response);
-  return false;
-}
-
-bool Server::SubmitBatch(ServeBatch batch) {
+bool Server::Submit(ServeBatch batch) {
   ServeMetrics& metrics = ServeMetrics::Get();
   const size_t queries = batch.items.size();
+  batch.trace.batch_size = batch.scalar ? 0 : static_cast<uint32_t>(queries);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // All-or-nothing admission: a batch needs one slot per query so a
-    // burst of batch lines cannot oversubscribe the queue N-fold.
+    // All-or-nothing admission: a line needs one slot per query so a
+    // burst of array lines cannot oversubscribe the queue N-fold.
     if (!stopping_ && queries > 0 &&
         queued_queries_ + queries <= options_.queue_capacity) {
       batch.trace.StampAdmitted();
-      Work work;
-      work.batch = std::make_unique<ServeBatch>(std::move(batch));
-      queue_.push_back(std::move(work));
+      queue_.push_back(std::move(batch));
       queued_queries_ += queries;
       submitted_.fetch_add(queries, std::memory_order_relaxed);
       metrics.requests->Increment(queries);
@@ -269,13 +255,14 @@ bool Server::SubmitBatch(ServeBatch batch) {
       return true;
     }
   }
-  // Shed the whole batch: one ResourceExhausted response per query,
-  // delivered as one batch response — exactly-once per query, never a
-  // partially answered batch.
+  // Shed the whole line: one ResourceExhausted response per query,
+  // answered immediately from the submitting thread — exactly-once per
+  // query even under overload, never a partially answered line.
   shed_.fetch_add(queries, std::memory_order_relaxed);
   metrics.shed->Increment(queries);
-  BatchMetrics::Get().shed_queries->Increment(queries);
+  if (!batch.scalar) BatchMetrics::Get().shed_queries->Increment(queries);
   ServeBatchResponse response;
+  response.scalar = batch.scalar;
   response.trace = batch.trace;
   response.items.reserve(queries);
   for (const ServeRequest& item : batch.items) {
@@ -286,10 +273,11 @@ bool Server::SubmitBatch(ServeBatch batch) {
     shed.ok = false;
     shed.error_code =
         std::string(StatusCodeToString(StatusCode::kResourceExhausted));
-    shed.error_message = "admission queue full; batch shed";
+    shed.error_message = batch.scalar ? "admission queue full; request shed"
+                                      : "admission queue full; batch shed";
     response.items.push_back(std::move(shed));
   }
-  EmitBatch(std::move(response));
+  Emit(std::move(response));
   return false;
 }
 
@@ -326,20 +314,15 @@ Server::Stats Server::GetStats() const {
 }
 
 void Server::WorkerLoop() {
-  // Per-worker caches, rebuilt whenever the serving snapshot changes:
-  // the estimator binds to the snapshot's summary, and the dictionary is
-  // a private copy because query compilation interns labels (a label the
-  // snapshot has never seen gets a fresh id that misses every summary
-  // lookup, yielding the natural estimate of zero).
-  std::shared_ptr<const SummarySnapshot> snapshot;
-  std::unique_ptr<DegradingEstimator> estimator;
-  std::unique_ptr<LabelDict> dict;
-  // Worker-lifetime scratch: the estimator memo and split buffers stay
-  // warm across every request this thread answers.
-  EstimateScratch scratch;
-
+  // The estimator binds to the snapshot's summary and is rebuilt whenever
+  // the serving snapshot changes; the dictionary is a private copy because
+  // query compilation interns labels (a label the snapshot has never seen
+  // gets a fresh id that misses every summary lookup, yielding the natural
+  // estimate of zero). The scratch, dedup table and twig buffer stay warm
+  // across every line this thread answers.
+  Worker worker;
   for (;;) {
-    Work work;
+    ServeBatch batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(lock,
@@ -347,28 +330,24 @@ void Server::WorkerLoop() {
                              return stopping_ || !queue_.empty();
                            });
       if (queue_.empty()) return;  // stopping_ && drained
-      work = std::move(queue_.front());
+      batch = std::move(queue_.front());
       queue_.pop_front();
-      queued_queries_ -= work.queries();
-      if (work.batch != nullptr) {
-        work.batch->trace.StampDequeued();
-      } else {
-        work.single.trace.StampDequeued();
-      }
+      queued_queries_ -= batch.items.size();
+      batch.trace.StampDequeued();
       ServeMetrics::Get().queue_depth->Set(
           static_cast<int64_t>(queued_queries_));
     }
 
     std::shared_ptr<const SummarySnapshot> current = snapshots_->Get();
-    if (current != snapshot) {
-      snapshot = std::move(current);
-      if (snapshot != nullptr) {
-        dict = std::make_unique<LabelDict>(snapshot->dict);
-        estimator = std::make_unique<DegradingEstimator>(&snapshot->summary,
-                                                         options_.estimator);
+    if (current != worker.snapshot) {
+      worker.snapshot = std::move(current);
+      if (worker.snapshot != nullptr) {
+        worker.dict = std::make_unique<LabelDict>(worker.snapshot->dict);
+        worker.estimator = std::make_unique<DegradingEstimator>(
+            &worker.snapshot->summary, options_.estimator);
       } else {
-        dict.reset();
-        estimator.reset();
+        worker.dict.reset();
+        worker.estimator.reset();
       }
     }
 
@@ -377,142 +356,44 @@ void Server::WorkerLoop() {
           options_.worker_delay_millis));
     }
 
-    const int64_t version = snapshot != nullptr ? snapshot->version : 0;
-    if (work.batch != nullptr) {
-      EmitBatch(ProcessBatch(*work.batch, estimator.get(), dict.get(),
-                             version, &scratch));
-    } else {
-      Emit(Process(work.single, estimator.get(), dict.get(), version,
-                   &scratch));
-    }
+    Emit(Process(batch, &worker));
   }
 }
 
-ServeResponse Server::Process(const ServeRequest& request,
-                              DegradingEstimator* estimator, LabelDict* dict,
-                              int64_t snapshot_version,
-                              EstimateScratch* scratch) {
-  const auto start = std::chrono::steady_clock::now();
-  ServeResponse response;
-  response.id = request.id;
-  response.req = request.trace.req_id;
-  response.trace = request.trace;
-  response.query = request.query;
-  response.snapshot_version = snapshot_version;
-
-  Status error = Status::OK();
-  if (estimator == nullptr || dict == nullptr) {
-    error = Status::NotFound("no summary snapshot loaded");
-  } else {
-    Result<Twig> query = ParseQueryText(request.query, dict);
-    if (!query.ok()) {
-      error = query.status();
-    } else {
-      if (response.trace.active) {
-        // Twig shape features: the slow-query log keys on them.
-        response.trace.twig_size = static_cast<uint32_t>(query->size());
-        uint32_t depth = 0, fanout = 0;
-        for (int i = 0; i < query->size(); ++i) {
-          depth = std::max(depth, static_cast<uint32_t>(query->Depth(i)));
-          fanout =
-              std::max(fanout, static_cast<uint32_t>(query->children(i).size()));
-        }
-        response.trace.twig_depth = depth;
-        response.trace.twig_fanout = fanout;
-      }
-      const double deadline_millis = request.deadline_millis > 0.0
-                                         ? request.deadline_millis
-                                         : options_.default_deadline_millis;
-      EstimateOptions estimate_options;
-      if (deadline_millis > 0.0) {
-        estimate_options = EstimateOptions::WithDeadlineMillis(deadline_millis);
-      }
-      estimate_options.max_work_steps = request.max_work_steps > 0
-                                            ? request.max_work_steps
-                                            : options_.default_max_work_steps;
-      estimate_options.scratch = scratch;
-      if (response.trace.active) {
-        estimate_options.work_steps = &response.trace.work_steps;
-      }
-      // Budget-governed means the *value* may depend on the budget (a
-      // deadline or step cap can truncate work). A cancel token alone
-      // does not: a run that completes despite being cancellable produced
-      // the exact answer, so it stays cacheable.
-      const bool governed = estimate_options.governed();
-      estimate_options.cancel = request.cancel.get();
-      if (cache_ != nullptr) {
-        // Any request may read the cache: entries are exact full-effort
-        // primary answers, so a governed request served from cache gets a
-        // strictly better result than its budget could buy.
-        if (std::optional<double> hit =
-                cache_->Get(snapshot_version, query->CanonicalHash(),
-                            query->CanonicalCode())) {
-          response.ok = true;
-          response.estimate = *hit;
-          response.rung = std::string(
-              DegradingEstimator::RungName(DegradingEstimator::Rung::kPrimary));
-          response.degraded = false;
-          response.cached = true;
-        }
-      }
-      if (!response.cached) {
-        Result<DegradingEstimator::DegradedEstimate> estimate =
-            estimator->EstimateDegraded(*query, estimate_options);
-        if (!estimate.ok()) {
-          error = estimate.status();
-        } else {
-          response.ok = true;
-          response.estimate = estimate->estimate;
-          response.rung =
-              std::string(DegradingEstimator::RungName(estimate->rung));
-          response.degraded = estimate->degraded;
-          // Insert policy: only exact answers. A governed run — even one
-          // that finished on the primary rung — may have been lucky with
-          // its budget; replaying it later is fine, but the cheap and
-          // airtight rule is to cache ungoverned primary results only.
-          if (cache_ != nullptr && !governed && !estimate->degraded &&
-              estimate->rung == DegradingEstimator::Rung::kPrimary) {
-            cache_->Put(snapshot_version, query->CanonicalHash(),
-                        query->CanonicalCode(), estimate->estimate);
-          }
-        }
-      }
-    }
-  }
-  if (!response.ok) {
-    response.error_code = std::string(StatusCodeToString(error.code()));
-    response.error_message = error.message();
-  }
-  response.wall_micros =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  response.trace.StampEstimated();
-  return response;
-}
-
-ServeBatchResponse Server::ProcessBatch(const ServeBatch& batch,
-                                        DegradingEstimator* estimator,
-                                        LabelDict* dict,
-                                        int64_t snapshot_version,
-                                        EstimateScratch* scratch) {
-  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
+  // Worker time is split into laps, one clock read each, so every stretch
+  // of the line's processing is charged to exactly one query.
+  std::chrono::steady_clock::time_point lap_start =
+      std::chrono::steady_clock::now();
+  auto lap = [&lap_start] {
+    const std::chrono::steady_clock::time_point now =
+        std::chrono::steady_clock::now();
+    const double micros =
+        std::chrono::duration<double, std::micro>(now - lap_start).count();
+    lap_start = now;
+    return micros;
+  };
   const size_t n = batch.items.size();
+  const int64_t snapshot_version =
+      worker->snapshot != nullptr ? worker->snapshot->version : 0;
   BatchMetrics& batch_metrics = BatchMetrics::Get();
-  batch_metrics.lines->Increment();
-  batch_metrics.queries->Increment(n);
-  batch_metrics.size->Record(n);
+  if (!batch.scalar) {
+    batch_metrics.lines->Increment();
+    batch_metrics.queries->Increment(n);
+    batch_metrics.size->Record(n);
+  }
 
   ServeBatchResponse out;
+  out.scalar = batch.scalar;
   out.trace = batch.trace;
-  out.trace.batch_size = static_cast<uint32_t>(n);
   out.items.resize(n);
 
   // Per-item parse. Parse failures (and the no-snapshot case) answer
-  // immediately; everything else yields a compiled twig.
-  std::vector<Twig> twigs;
-  twigs.reserve(n);
-  std::vector<uint32_t> twig_of(n, kNone);
+  // here and leave an empty twig, which every later stage skips.
+  std::vector<Twig>& twigs = worker->twigs;
+  twigs.clear();
+  twigs.resize(n);
+  size_t parsed = 0;
   for (size_t i = 0; i < n; ++i) {
     const ServeRequest& item = batch.items[i];
     ServeResponse& response = out.items[i];
@@ -521,152 +402,137 @@ ServeBatchResponse Server::ProcessBatch(const ServeBatch& batch,
     response.query = item.query;
     response.snapshot_version = snapshot_version;
     Status error = Status::OK();
-    if (estimator == nullptr || dict == nullptr) {
+    if (worker->estimator == nullptr) {
       error = Status::NotFound("no summary snapshot loaded");
+    } else if (Result<Twig> query = ParseQueryText(item.query,
+                                                   worker->dict.get());
+               !query.ok()) {
+      error = query.status();
     } else {
-      Result<Twig> query = ParseQueryText(item.query, dict);
-      if (!query.ok()) {
-        error = query.status();
-      } else {
-        twig_of[i] = static_cast<uint32_t>(twigs.size());
-        twigs.push_back(std::move(*query));
-      }
+      twigs[i] = std::move(*query);
+      ++parsed;
     }
     if (!error.ok()) {
       response.error_code = std::string(StatusCodeToString(error.code()));
       response.error_message = error.message();
     }
+    response.wall_micros = lap();
+  }
+  if (batch.scalar && out.trace.active && !twigs[0].empty()) {
+    // Twig shape features: the slow-query log keys on them.
+    const Twig& query = twigs[0];
+    out.trace.twig_size = static_cast<uint32_t>(query.size());
+    for (int i = 0; i < query.size(); ++i) {
+      out.trace.twig_depth = std::max(out.trace.twig_depth,
+                                      static_cast<uint32_t>(query.Depth(i)));
+      out.trace.twig_fanout =
+          std::max(out.trace.twig_fanout,
+                   static_cast<uint32_t>(query.children(i).size()));
+    }
   }
 
-  // Within-batch dedup on the canonical (hash, code): rep_of[i] names the
-  // first item with an identical twig; only representatives reach the
-  // cache and the estimator (serve.batch.dup_queries counts the rest).
-  std::vector<uint32_t> rep_of(n, kNone);
-  std::unordered_map<uint64_t, std::vector<uint32_t>> by_hash;
-  uint64_t dup_queries = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (twig_of[i] == kNone) continue;
-    const Twig& twig = twigs[twig_of[i]];
-    const uint64_t hash = twig.CanonicalHash();  // tl-lint: allow(canonical-in-loop)
-    std::vector<uint32_t>& bucket = by_hash[hash];
-    for (uint32_t candidate : bucket) {
-      if (twigs[twig_of[candidate]].CanonicalCode() == twig.CanonicalCode()) {  // tl-lint: allow(canonical-in-loop)
-        rep_of[i] = candidate;
-        break;
+  // Dedup on the canonical code: only the first item of each group reaches
+  // the cache and the estimator (serve.batch.dup_queries counts the rest).
+  worker->dedup.Group(twigs);
+  const std::span<const uint32_t> distinct = worker->dedup.distinct();
+  if (!batch.scalar) {
+    batch_metrics.dup_queries->Increment(parsed - distinct.size());
+  }
+
+  // Cache read: any query may be answered from the cache, since entries
+  // are exact full-effort primary answers (a governed query served from it
+  // gets a strictly better result than its budget could buy).
+  size_t misses = 0;
+  size_t memo_budget = 0;  // sum of size^2 over the misses
+  uint64_t cache_hits = 0;
+  for (uint32_t first : distinct) {
+    const Twig& twig = twigs[first];
+    ServeResponse& response = out.items[first];
+    if (cache_ != nullptr) {
+      std::optional<double> hit = cache_->Get(
+          snapshot_version, twig.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
+          twig.CanonicalCode());  // tl-lint: allow(canonical-in-loop)
+      response.wall_micros += lap();
+      if (hit.has_value()) {
+        response.ok = true;
+        response.estimate = *hit;
+        response.rung = std::string(
+            DegradingEstimator::RungName(DegradingEstimator::Rung::kPrimary));
+        response.cached = true;
+        ++cache_hits;
+        continue;
       }
     }
-    if (rep_of[i] == kNone) {
-      rep_of[i] = static_cast<uint32_t>(i);
-      bucket.push_back(static_cast<uint32_t>(i));
-    } else {
-      ++dup_queries;
-    }
-  }
-  batch_metrics.dup_queries->Increment(dup_queries);
-
-  // Cache hit-filter: one grouped probe over the representatives, so only
-  // misses reach the estimator (a cached entry is always the exact
-  // ungoverned primary answer — see ServerOptions::enable_estimate_cache).
-  std::vector<uint32_t> reps;
-  reps.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (twig_of[i] != kNone && rep_of[i] == static_cast<uint32_t>(i)) {
-      reps.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  std::vector<bool> answered(reps.size(), false);
-  if (cache_ != nullptr && !reps.empty()) {
-    std::vector<uint64_t> hashes(reps.size());
-    std::vector<std::string_view> codes(reps.size());
-    std::vector<std::optional<double>> cached(reps.size());
-    for (size_t r = 0; r < reps.size(); ++r) {
-      const Twig& twig = twigs[twig_of[reps[r]]];
-      hashes[r] = twig.CanonicalHash();  // tl-lint: allow(canonical-in-loop)
-      codes[r] = twig.CanonicalCode();  // tl-lint: allow(canonical-in-loop)
-    }
-    cache_->GetBatch(snapshot_version, hashes.data(), codes.data(),
-                     reps.size(), cached.data());
-    uint64_t batch_cache_hits = 0;
-    for (size_t r = 0; r < reps.size(); ++r) {
-      if (!cached[r].has_value()) continue;
-      ServeResponse& response = out.items[reps[r]];
-      response.ok = true;
-      response.estimate = *cached[r];
-      response.rung = std::string(
-          DegradingEstimator::RungName(DegradingEstimator::Rung::kPrimary));
-      response.degraded = false;
-      response.cached = true;
-      answered[r] = true;
-      ++batch_cache_hits;
-    }
-    batch_metrics.cache_hits->Increment(batch_cache_hits);
-  }
-
-  // Estimate the remaining representatives with one batch-scoped memo:
-  // every sub-twig shared across the batch is probed and voted exactly
-  // once. Memo entries are exact per-code values inserted only after full
-  // computation, so sharing cannot change any result (DESIGN.md §14);
-  // fallback rungs deliberately drop back to a fresh per-call memo.
-  size_t memo_budget = 0;
-  for (size_t r = 0; r < reps.size(); ++r) {
-    if (answered[r]) continue;
-    const size_t size =
-        static_cast<size_t>(twigs[twig_of[reps[r]]].size());
+    ++misses;
+    const size_t size = static_cast<size_t>(twig.size());
     memo_budget += size * size;
   }
-  ScopedBatchScratch batch_guard(scratch, memo_budget);
-  for (size_t r = 0; r < reps.size(); ++r) {
-    if (answered[r]) continue;
-    const auto item_start = std::chrono::steady_clock::now();
-    const ServeRequest& item = batch.items[reps[r]];
-    ServeResponse& response = out.items[reps[r]];
-    const Twig& twig = twigs[twig_of[reps[r]]];
-    const double deadline_millis = item.deadline_millis > 0.0
-                                       ? item.deadline_millis
-                                       : options_.default_deadline_millis;
-    EstimateOptions estimate_options;
-    if (deadline_millis > 0.0) {
-      estimate_options = EstimateOptions::WithDeadlineMillis(deadline_millis);
-    }
-    estimate_options.max_work_steps = item.max_work_steps > 0
-                                          ? item.max_work_steps
-                                          : options_.default_max_work_steps;
-    estimate_options.scratch = scratch;
-    if (out.trace.active) {
-      estimate_options.work_steps = &out.trace.work_steps;
-    }
-    // Same cacheability rule as Process: a cancel token alone does not
-    // make the value budget-dependent.
-    const bool governed = estimate_options.governed();
-    estimate_options.cancel = batch.cancel.get();
-    Result<DegradingEstimator::DegradedEstimate> estimate =
-        estimator->EstimateDegraded(twig, estimate_options);
-    if (!estimate.ok()) {
-      response.error_code =
-          std::string(StatusCodeToString(estimate.status().code()));
-      response.error_message = estimate.status().message();
-    } else {
-      response.ok = true;
-      response.estimate = estimate->estimate;
-      response.rung =
-          std::string(DegradingEstimator::RungName(estimate->rung));
-      response.degraded = estimate->degraded;
-      if (cache_ != nullptr && !governed && !estimate->degraded &&
-          estimate->rung == DegradingEstimator::Rung::kPrimary) {
-        cache_->Put(snapshot_version, twig.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
-                    twig.CanonicalCode(), estimate->estimate);  // tl-lint: allow(canonical-in-loop)
+  if (!batch.scalar) batch_metrics.cache_hits->Increment(cache_hits);
+
+  if (misses > 0) {
+    // Estimate the misses with one line-scoped memo: every sub-twig shared
+    // across the line is probed and voted exactly once. Memo entries are
+    // exact per-code values inserted only after full computation, so
+    // sharing cannot change any result (DESIGN.md §14); fallback rungs
+    // deliberately drop back to a fresh per-call memo.
+    ScopedBatchScratch batch_guard(&worker->scratch, memo_budget);
+    for (uint32_t first : distinct) {
+      ServeResponse& response = out.items[first];
+      if (response.cached) continue;
+      const ServeRequest& item = batch.items[first];
+      const Twig& twig = twigs[first];
+      const double deadline_millis = item.deadline_millis > 0.0
+                                         ? item.deadline_millis
+                                         : options_.default_deadline_millis;
+      EstimateOptions estimate_options;
+      if (deadline_millis > 0.0) {
+        estimate_options = EstimateOptions::WithDeadlineMillis(deadline_millis);
       }
+      estimate_options.max_work_steps = item.max_work_steps > 0
+                                            ? item.max_work_steps
+                                            : options_.default_max_work_steps;
+      estimate_options.scratch = &worker->scratch;
+      if (out.trace.active) {
+        estimate_options.work_steps = &out.trace.work_steps;
+      }
+      // Budget-governed means the *value* may depend on the budget (a
+      // deadline or step cap can truncate work). A cancel token alone
+      // does not: a run that completes despite being cancellable produced
+      // the exact answer, so it stays cacheable.
+      const bool governed = estimate_options.governed();
+      estimate_options.cancel = batch.cancel.get();
+      Result<DegradingEstimator::DegradedEstimate> estimate =
+          worker->estimator->EstimateDegraded(twig, estimate_options);
+      if (!estimate.ok()) {
+        response.error_code =
+            std::string(StatusCodeToString(estimate.status().code()));
+        response.error_message = estimate.status().message();
+      } else {
+        response.ok = true;
+        response.estimate = estimate->estimate;
+        response.rung =
+            std::string(DegradingEstimator::RungName(estimate->rung));
+        response.degraded = estimate->degraded;
+        // Insert policy: only exact answers. A governed run — even one
+        // that finished on the primary rung — may have been lucky with
+        // its budget; the cheap and airtight rule is to cache ungoverned
+        // primary results only.
+        if (cache_ != nullptr && !governed && !estimate->degraded &&
+            estimate->rung == DegradingEstimator::Rung::kPrimary) {
+          cache_->Put(snapshot_version, twig.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
+                      twig.CanonicalCode(), estimate->estimate);  // tl-lint: allow(canonical-in-loop)
+        }
+      }
+      response.wall_micros += lap();
     }
-    response.wall_micros = std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - item_start)
-                               .count();
   }
 
-  // Scatter representative outcomes to their duplicates (the per-item id
-  // and query text stay the duplicate's own).
+  // Scatter each group's outcome to its duplicates (the per-item id and
+  // query text stay the duplicate's own).
   for (size_t i = 0; i < n; ++i) {
-    if (twig_of[i] == kNone || rep_of[i] == static_cast<uint32_t>(i)) continue;
-    const ServeResponse& from = out.items[rep_of[i]];
+    const uint32_t group = worker->dedup.group(i);
+    if (group == QueryDedup::kNoGroup || distinct[group] == i) continue;
+    const ServeResponse& from = out.items[distinct[group]];
     ServeResponse& to = out.items[i];
     to.ok = from.ok;
     to.estimate = from.estimate;
@@ -682,7 +548,7 @@ ServeBatchResponse Server::ProcessBatch(const ServeBatch& batch,
   return out;
 }
 
-void Server::EmitBatch(ServeBatchResponse response) {
+void Server::Emit(ServeBatchResponse response) {
   ServeMetrics& metrics = ServeMetrics::Get();
   for (const ServeResponse& item : response.items) {
     if (item.ok) {
@@ -697,30 +563,7 @@ void Server::EmitBatch(ServeBatchResponse response) {
         item.wall_micros > 0.0 ? static_cast<uint64_t>(item.wall_micros) : 0);
   }
   std::lock_guard<std::mutex> lock(sink_mu_);
-  if (batch_sink_ != nullptr) {
-    batch_sink_(std::move(response));
-  } else {
-    for (const ServeResponse& item : response.items) sink_(item);
-  }
-}
-
-void Server::Emit(const ServeResponse& response) {
-  ServeMetrics& metrics = ServeMetrics::Get();
-  if (response.ok) {
-    ok_.fetch_add(1, std::memory_order_relaxed);
-    metrics.responses_ok->Increment();
-    if (response.degraded) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics.responses_error->Increment();
-  }
-  metrics.latency_micros->Record(
-      response.wall_micros > 0.0 ? static_cast<uint64_t>(response.wall_micros)
-                                 : 0);
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  sink_(response);
+  sink_(std::move(response));
 }
 
 }  // namespace serve

@@ -13,43 +13,39 @@
 #include <thread>
 #include <vector>
 
+#include "core/batch_estimator.h"
 #include "core/degrading_estimator.h"
+#include "core/estimate_scratch.h"
 #include "serve/estimate_cache.h"
 #include "serve/request_trace.h"
 #include "serve/snapshot.h"
+#include "twig/twig.h"
 #include "util/deadline.h"
-#include "util/result.h"
+#include "util/status.h"
 #include "util/thread_annotations.h"
+#include "xml/label_dict.h"
 
 namespace treelattice {
 namespace serve {
 
-/// One estimation request, as admitted to the queue.
+/// One query of a request line.
 struct ServeRequest {
   uint64_t id = 0;
   /// Query text: twig syntax "a(b,c)" or the XPath subset "/a/b[c]"
   /// (anything containing '/' or '[' is treated as XPath).
   std::string query;
-  /// Per-request deadline; <= 0 uses the server default.
+  /// Per-query deadline; <= 0 uses the server default.
   double deadline_millis = 0.0;
-  /// Per-request work-step cap; 0 uses the server default.
+  /// Per-query work-step cap; 0 uses the server default.
   uint64_t max_work_steps = 0;
-  /// Cooperative cancellation, shared with the submitter (the TCP
-  /// transport cancels a connection's in-flight requests when the peer
-  /// resets). Null = not cancellable. Shared ownership keeps the token
-  /// alive even after the connection that spawned it is gone.
-  std::shared_ptr<CancelToken> cancel;
-  /// Stage timeline, stamped as the request moves through the pipeline
-  /// (serve/request_trace.h). Begin() it at framing; the server stamps
-  /// admitted/dequeued/estimated and hands it back on the response.
-  RequestTrace trace;
 };
 
-/// One response, delivered to the sink exactly once per submitted request.
+/// The answer to one query.
 struct ServeResponse {
   uint64_t id = 0;
-  /// Process-unique request id (RequestTrace::req_id), echoed as "req" in
-  /// the wire JSON — the correlation key across logs, traces, and /slowz.
+  /// Process-unique request id (RequestTrace::req_id) of the line, echoed
+  /// as "req" in the wire JSON — the correlation key across logs, traces,
+  /// and /slowz.
   uint64_t req = 0;
   std::string query;
   bool ok = false;
@@ -63,56 +59,66 @@ struct ServeResponse {
   bool cached = false;
   std::string error_code;     // StatusCodeToString(code) when !ok
   std::string error_message;  // human detail when !ok
+  /// Worker time spent on this query: parsing it, probing the cache and,
+  /// on a miss, estimating it. A duplicate inside an array line reports
+  /// its first occurrence's time.
   double wall_micros = 0.0;
   /// Version of the snapshot that served the request (0 if none).
   int64_t snapshot_version = 0;
-  /// The request's stage timeline, carried back for the final stamps
-  /// (serialized, flushed) and terminal accounting by the sink's owner.
-  RequestTrace trace;
 
   /// The newline-free JSON wire rendering of this response.
   std::string ToJsonLine() const;
 };
 
-/// Parses one request line of the serve protocol: either a bare query
-/// string, or a JSON envelope
-///   {"query": "a(b,c)", "deadline_ms": 50, "max_steps": 100000, "id": 7}
-/// with every field but "query" optional. Lines are trimmed; the id, when
-/// absent, is left 0 for the caller to assign.
-Result<ServeRequest> ParseRequestLine(std::string_view line);
-
-/// A batch of queries admitted and answered as one unit: one JSON array
-/// request line carrying N queries, one JSON array response line carrying
-/// their N results in the same order (DESIGN.md §14).
+/// One request line, admitted and answered as one unit. A scalar line (a
+/// bare query or a JSON envelope) carries one query; an array line carries
+/// N queries and is answered by one array of N results in the same order
+/// (DESIGN.md §14).
 struct ServeBatch {
   std::vector<ServeRequest> items;
-  /// One timeline for the whole line; batch_size records the query count.
+  /// True for a bare query or envelope line, false for a JSON array line.
+  bool scalar = true;
+  /// One timeline for the whole line; batch_size records the query count
+  /// of an array line.
   RequestTrace trace;
-  /// Cancels every query of the batch (the transport ties it to the
-  /// submitting connection).
+  /// Cancels every query of the line (the transport ties it to the
+  /// submitting connection). Null = not cancellable.
   std::shared_ptr<CancelToken> cancel;
 };
 
-/// The response to one batch line; items are positional (items[i] answers
-/// the batch's i-th query).
+/// The response to one request line; items are positional (items[i]
+/// answers the line's i-th query).
 struct ServeBatchResponse {
   std::vector<ServeResponse> items;
+  bool scalar = true;
+  /// The line's stage timeline, carried back for the final stamps
+  /// (serialized, flushed) and terminal accounting by the sink's owner.
   RequestTrace trace;
 
-  /// The newline-free JSON wire rendering: an array of the per-item
-  /// response objects.
+  /// The newline-free JSON wire rendering: the one response object of a
+  /// scalar line, or an array of the per-item objects.
   std::string ToJsonLine() const;
 };
 
-/// True when a trimmed request line is a batch envelope (leading '[').
-bool IsBatchRequestLine(std::string_view line);
+/// Parses one request line of the serve protocol into `batch->items`:
+///   * a bare query, or a JSON envelope
+///       {"query": "a(b,c)", "deadline_ms": 50, "max_steps": 100000, "id": 7}
+///     with every field but "query" optional, is a scalar line of one
+///     query;
+///   * a JSON array whose elements are query strings or envelopes is an
+///     array line. Empty arrays and, when `max_items` > 0, arrays of more
+///     than `max_items` elements are rejected.
+/// Lines are trimmed; absent ids are left 0 for the caller to assign.
+/// `batch->scalar` is set even for a rejected line, so the caller can echo
+/// a rejected scalar line in its error response.
+Status ParseRequestLine(std::string_view line, size_t max_items,
+                        ServeBatch* batch);
 
-/// Parses a batch request line: a JSON array whose elements are query
-/// strings or per-query envelopes (the same shapes ParseRequestLine
-/// accepts). Rejects empty arrays and, when `max_items` > 0, arrays with
-/// more than `max_items` elements.
-Result<ServeBatch> ParseBatchRequestLine(std::string_view line,
-                                         size_t max_items = 0);
+/// The slice of a response the trace finalizer keeps (serve/
+/// request_trace.h): a scalar line's query and outcome; for an array line
+/// the query "[batch:N]", ok only when every item succeeded, cached or
+/// degraded when any item was, and the first error's code.
+RequestOutcome OutcomeOf(const ServeBatchResponse& response);
 
 struct ServerOptions {
   /// Worker threads answering queries.
@@ -151,33 +157,25 @@ struct ServerOptions {
 /// snapshot they started with.
 class Server {
  public:
-  using ResponseSink = std::function<void(const ServeResponse&)>;
-  using BatchResponseSink = std::function<void(ServeBatchResponse)>;
+  using ResponseSink = std::function<void(ServeBatchResponse)>;
 
   /// `snapshots` must outlive the server and should hold a snapshot
   /// before the first Submit (requests answered with no snapshot fail
-  /// with kNotFound ... the server itself never crashes). `sink` is
-  /// invoked exactly once per submitted request, possibly from a worker
-  /// thread; invocations are serialized by the server. `batch_sink`, when
-  /// given, receives exactly one ServeBatchResponse per SubmitBatch; when
-  /// null, a batch's items fan out through `sink` individually.
-  Server(SnapshotHolder* snapshots, ServerOptions options, ResponseSink sink,
-         BatchResponseSink batch_sink = nullptr);
+  /// with kNotFound ... the server itself never crashes). `sink` receives
+  /// exactly one response per submitted line, possibly from a worker
+  /// thread; invocations are serialized by the server.
+  Server(SnapshotHolder* snapshots, ServerOptions options, ResponseSink sink);
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Admits a request. When the queue is at capacity (or the server is
-  /// shutting down) the request is shed: the sink immediately receives a
-  /// kResourceExhausted error response and Submit returns false.
-  bool Submit(ServeRequest request);
-
-  /// Admits a whole batch as one queue entry. Capacity is accounted
-  /// per-query: a batch of N queries needs N free slots, or the whole
-  /// batch is shed with one kResourceExhausted response per query
-  /// (exactly-once per query, never a partial batch).
-  bool SubmitBatch(ServeBatch batch);
+  /// Admits a request line as one queue entry. Capacity is accounted per
+  /// query: a line of N queries needs N free slots. Otherwise (or once
+  /// shutdown has begun) the whole line is shed: the sink immediately
+  /// receives one kResourceExhausted response per query — never a
+  /// partially answered line — and Submit returns false.
+  bool Submit(ServeBatch batch);
 
   /// Stops admission, waits for every queued request to be answered, and
   /// joins the workers. Idempotent.
@@ -198,32 +196,25 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
-  /// One admission-queue entry: a single request, or a whole batch
-  /// (batch != nullptr). A batch occupies one entry but `queued_queries_`
-  /// slots, so queue_capacity bounds queries, not lines.
-  struct Work {
-    ServeRequest single;
-    std::unique_ptr<ServeBatch> batch;
-    size_t queries() const { return batch != nullptr ? batch->items.size() : 1; }
+  /// One worker thread's state: the estimator and private label dict bound
+  /// to its current snapshot, and buffers that stay warm across lines.
+  struct Worker {
+    std::shared_ptr<const SummarySnapshot> snapshot;
+    std::unique_ptr<DegradingEstimator> estimator;
+    std::unique_ptr<LabelDict> dict;
+    EstimateScratch scratch;
+    QueryDedup dedup;
+    std::vector<Twig> twigs;
   };
 
   void WorkerLoop();
-  ServeResponse Process(const ServeRequest& request,
-                        DegradingEstimator* estimator, LabelDict* dict,
-                        int64_t snapshot_version, EstimateScratch* scratch);
-  ServeBatchResponse ProcessBatch(const ServeBatch& batch,
-                                  DegradingEstimator* estimator,
-                                  LabelDict* dict, int64_t snapshot_version,
-                                  EstimateScratch* scratch);
-  void Emit(const ServeResponse& response);
-  /// Per-item terminal accounting plus exactly one batch-sink invocation
-  /// (or a per-item fan-out through sink_ when no batch sink is set).
-  void EmitBatch(ServeBatchResponse response);
+  ServeBatchResponse Process(const ServeBatch& batch, Worker* worker);
+  /// Per-query terminal accounting plus exactly one sink invocation.
+  void Emit(ServeBatchResponse response);
 
   SnapshotHolder* const snapshots_;
   const ServerOptions options_;
   const ResponseSink sink_;
-  const BatchResponseSink batch_sink_;
   /// Shared by all workers; internally sharded. Null when disabled.
   // tl-analyze: allow(guard-coverage) -- pointer set in the constructor and
   // immutable afterwards; the cache itself locks per shard
@@ -231,9 +222,8 @@ class Server {
 
   mutable std::mutex mu_;
   std::condition_variable work_available_;
-  std::deque<Work> queue_ TL_GUARDED_BY(mu_);
-  /// Queries across all queued entries (== queue_.size() when no batches
-  /// are queued); the admission-capacity unit.
+  std::deque<ServeBatch> queue_ TL_GUARDED_BY(mu_);
+  /// Queries across all queued lines; the admission-capacity unit.
   size_t queued_queries_ TL_GUARDED_BY(mu_) = 0;
   bool stopping_ TL_GUARDED_BY(mu_) = false;
 

@@ -34,38 +34,6 @@ constexpr double kAdminIdleMillis = 10000.0;
 /// Largest admin request head we will buffer before answering 400.
 constexpr size_t kAdminMaxHeadBytes = 16384;
 
-/// The response-side slice of a ServeResponse that the trace finalizer
-/// keeps (serve/request_trace.h).
-RequestOutcome OutcomeOf(const ServeResponse& response) {
-  RequestOutcome outcome;
-  outcome.query = response.query;
-  outcome.rung = response.rung;
-  outcome.error_code = response.error_code;
-  outcome.ok = response.ok;
-  outcome.cached = response.cached;
-  outcome.degraded = response.degraded;
-  outcome.snapshot_version = response.snapshot_version;
-  return outcome;
-}
-
-/// The trace-finalizer slice of a whole batch line: ok only when every
-/// item succeeded, degraded/cached when any item was, first error wins.
-RequestOutcome OutcomeOfBatch(const ServeBatchResponse& response) {
-  RequestOutcome outcome;
-  outcome.query = "[batch:" + std::to_string(response.items.size()) + "]";
-  outcome.ok = true;
-  for (const ServeResponse& item : response.items) {
-    if (!item.ok && outcome.error_code.empty()) {
-      outcome.ok = false;
-      outcome.error_code = item.error_code;
-    }
-    outcome.degraded = outcome.degraded || item.degraded;
-    outcome.cached = outcome.cached || item.cached;
-    outcome.snapshot_version = item.snapshot_version;
-  }
-  return outcome;
-}
-
 }  // namespace
 
 Transport::Transport(SnapshotHolder* snapshots, ServerOptions server_options,
@@ -76,31 +44,17 @@ Transport::Transport(SnapshotHolder* snapshots, ServerOptions server_options,
       poller_(options_.force_poll),
       io_(options_.faults) {
   started_ = Clock::now();
-  // The server's sink runs on worker threads: it only copies the response
+  // The server's sink runs on worker threads: it only moves the response
   // into the completion queue and nudges the loop — sockets stay owned by
-  // the loop thread.
+  // the loop thread. Every line routes by its process-unique request id.
   server_ = std::make_unique<Server>(
       snapshots, std::move(server_options),
-      [this](const ServeResponse& response) {
-        bool was_empty;
-        {
-          std::lock_guard<std::mutex> lock(completion_mu_);
-          was_empty = completions_.empty();
-          completions_.push_back(Completion{response.id, response, nullptr});
-        }
-        if (was_empty) wake_.Wake();
-      },
       [this](ServeBatchResponse response) {
-        // Batch lines route by the trace's process-unique request id; the
-        // whole array is one completion unit.
-        const uint64_t internal_id = response.trace.req_id;
         bool was_empty;
         {
           std::lock_guard<std::mutex> lock(completion_mu_);
           was_empty = completions_.empty();
-          completions_.push_back(Completion{
-              internal_id, ServeResponse{},
-              std::make_unique<ServeBatchResponse>(std::move(response))});
+          completions_.push_back(std::move(response));
         }
         if (was_empty) wake_.Wake();
       });
@@ -498,51 +452,37 @@ void Transport::HandleFrame(Conn* conn, NdjsonFramer::Event event) {
     return;
   }
   // The internal id doubles as the process-unique request id ("req" in
-  // the response): Begin the trace before parsing so parse time lands in
-  // the admit stage.
+  // the response) and routes the answer back: Begin the trace before
+  // parsing so parse time lands in the admit stage.
   const uint64_t internal_id = ++next_internal_id_;
   RequestTrace trace = RequestTrace::Begin(internal_id);
-  if (IsBatchRequestLine(line)) {
-    // Batch envelope: one line in, one array line out. Admission is
-    // per-query (the Server sheds the whole batch atomically when the
-    // queue cannot take all of it), so is conservation: the route records
-    // the query count and DrainCompletions accounts every one.
-    Result<ServeBatch> batch =
-        ParseBatchRequestLine(line, server_->options().queue_capacity);
-    if (!batch.ok()) {
-      EnqueueErrorLine(conn, ++conn->next_client_id, internal_id, "",
-                       batch.status().code(), batch.status().message());
-      return;
-    }
-    const uint32_t queries = static_cast<uint32_t>(batch->items.size());
-    trace.batch_size = queries;
-    batch->trace = trace;
-    batch->cancel = conn->cancel;
-    routes_[internal_id] =
-        Route{conn->id, /*client_id=*/0, queries};
-    ++conn->in_flight;
-    requests_admitted_.fetch_add(queries, std::memory_order_relaxed);
-    server_->SubmitBatch(std::move(*batch));
+  ServeBatch batch;
+  if (Status parsed = ParseRequestLine(
+          line, server_->options().queue_capacity, &batch);
+      !parsed.ok()) {
+    EnqueueErrorLine(conn, ++conn->next_client_id, internal_id,
+                     batch.scalar ? std::string_view(line) : "",
+                     parsed.code(), parsed.message());
     return;
   }
-  Result<ServeRequest> request = ParseRequestLine(line);
-  uint64_t client_id = ++conn->next_client_id;
-  if (!request.ok()) {
-    EnqueueErrorLine(conn, client_id, internal_id, line,
-                     request.status().code(), request.status().message());
-    return;
+  // A scalar line without a client id answers with the connection's next
+  // sequence number; array items echo their ids as given.
+  if (batch.scalar) {
+    const uint64_t client_id = ++conn->next_client_id;
+    if (batch.items[0].id == 0) batch.items[0].id = client_id;
   }
-  if (request->id != 0) client_id = request->id;
-  routes_[internal_id] = Route{conn->id, client_id};
-  request->id = internal_id;
-  request->trace = trace;
-  request->cancel = conn->cancel;
+  batch.trace = trace;
+  batch.cancel = conn->cancel;
+  // Conservation is per query: the route records the line's query count
+  // and DrainCompletions accounts every one.
+  const uint32_t queries = static_cast<uint32_t>(batch.items.size());
+  routes_[internal_id] = Route{conn->id, queries};
   ++conn->in_flight;
-  requests_admitted_.fetch_add(1, std::memory_order_relaxed);
+  requests_admitted_.fetch_add(queries, std::memory_order_relaxed);
   // A full admission queue sheds synchronously: the sink fires before
   // Submit returns and the completion path below answers it like any
-  // other response — exactly one response per admitted frame, always.
-  server_->Submit(std::move(*request));
+  // other response — exactly one response per admitted line, always.
+  server_->Submit(std::move(batch));
 }
 
 void Transport::HandleControlLine(Conn* conn, const std::string& line) {
@@ -679,14 +619,14 @@ void Transport::CloseConn(Conn* conn, bool abortive) {
 }
 
 void Transport::DrainCompletions() {
-  std::vector<Completion> batch;
+  std::vector<ServeBatchResponse> batch;
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
     batch.swap(completions_);
   }
   NetMetrics& metrics = NetMetrics::Get();
-  for (Completion& completion : batch) {
-    auto route_it = routes_.find(completion.internal_id);
+  for (ServeBatchResponse& response : batch) {
+    auto route_it = routes_.find(response.trace.req_id);
     if (route_it == routes_.end()) continue;  // should not happen
     const Route route = route_it->second;
     routes_.erase(route_it);
@@ -695,38 +635,19 @@ void Transport::DrainCompletions() {
       // The connection died before its answer was ready. Not silent: the
       // work was cancelled at close and the drop is counted here — and the
       // trace finalizes with its last real stamp (never serialized).
-      // Conservation is per-query: a dead batch line orphans every query
+      // Conservation is per-query: a dead array line orphans every query
       // it carried.
       responses_orphaned_.fetch_add(route.queries, std::memory_order_relaxed);
       metrics.responses_orphaned->Increment(route.queries);
-      if (completion.batch != nullptr) {
-        FinalizeRequestTrace(completion.batch->trace,
-                             OutcomeOfBatch(*completion.batch),
-                             options_.slow_log);
-      } else {
-        FinalizeRequestTrace(completion.response.trace,
-                             OutcomeOf(completion.response), options_.slow_log);
-      }
+      FinalizeRequestTrace(response.trace, OutcomeOf(response),
+                           options_.slow_log);
       continue;
     }
     Conn* conn = conns_.at(fd_it->second).get();
     --conn->in_flight;
     responses_delivered_.fetch_add(route.queries, std::memory_order_relaxed);
-    RequestTrace trace;
-    std::string line;
-    RequestOutcome outcome;
-    if (completion.batch != nullptr) {
-      // One array line answers the whole batch; per-item ids are whatever
-      // the client put in its envelopes (positional matching otherwise).
-      trace = completion.batch->trace;
-      line = completion.batch->ToJsonLine();
-      outcome = OutcomeOfBatch(*completion.batch);
-    } else {
-      completion.response.id = route.client_id;
-      trace = completion.response.trace;
-      line = completion.response.ToJsonLine();
-      outcome = OutcomeOf(completion.response);
-    }
+    RequestTrace trace = response.trace;
+    const std::string line = response.ToJsonLine();
     trace.StampSerialized();
     EnqueueLine(conn, line);
     if (trace.active) {
@@ -735,7 +656,7 @@ void Transport::DrainCompletions() {
       Conn::PendingFinalize marker;
       marker.bytes_end = conn->total_enqueued;
       marker.trace = trace;
-      marker.outcome = std::move(outcome);
+      marker.outcome = OutcomeOf(response);
       conn->pending_finalize.push_back(std::move(marker));
     }
     // Opportunistic flush: saves one poller round-trip per response and

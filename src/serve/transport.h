@@ -143,18 +143,10 @@ class Transport {
  private:
   struct Route {
     uint64_t conn_id = 0;
-    uint64_t client_id = 0;
-    /// Queries the routed line carries (1 for a single request, N for a
-    /// batch envelope). Conservation is per-query: delivering or orphaning
+    /// Queries the routed line carries (1 for a scalar line, N for an
+    /// array line). Conservation is per-query: delivering or orphaning
     /// the line accounts all of them (DESIGN.md §14).
     uint32_t queries = 1;
-  };
-  struct Completion {
-    uint64_t internal_id = 0;
-    ServeResponse response;
-    /// Non-null for a batch line: the whole array response, delivered (or
-    /// orphaned) as one unit. `response` is unused then.
-    std::unique_ptr<ServeBatchResponse> batch;
   };
 
   // Event-loop internals; all run on the loop thread.
@@ -231,7 +223,7 @@ class Transport {
   uint64_t metered_faults_ = 0;
 
   std::mutex completion_mu_;
-  std::vector<Completion> completions_ TL_GUARDED_BY(completion_mu_);
+  std::vector<ServeBatchResponse> completions_ TL_GUARDED_BY(completion_mu_);
 
   // Counters; loop thread writes, any thread reads via GetStats.
   std::atomic<uint64_t> accepted_{0}, rejected_{0}, active_{0}, frames_{0},

@@ -116,52 +116,6 @@ std::optional<uint64_t> LatticeSummary::LookupHashed(
   return entries_[slots_[idx].id].count;
 }
 
-void LatticeSummary::LookupBatch(const ProbeKey* keys, size_t n,
-                                 uint32_t* order,
-                                 ProbeResult* results) const {
-  if (n == 0) return;
-  if (slots_.empty()) {
-    for (size_t i = 0; i < n; ++i) results[i] = ProbeResult{};
-    return;
-  }
-  // Group probes by start slot so the pass walks the table roughly in
-  // order instead of bouncing across it per query.
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order, order + n, [&](uint32_t a, uint32_t b) {
-    return (static_cast<size_t>(Mix64(keys[a].hash)) & slot_mask_) <
-           (static_cast<size_t>(Mix64(keys[b].hash)) & slot_mask_);
-  });
-  // Prefetch distance: far enough to cover a DRAM load, near enough that
-  // the line is still resident when the probe arrives.
-  constexpr size_t kPrefetchAhead = 8;
-  for (size_t k = 0; k < n; ++k) {
-    if (k + kPrefetchAhead < n) {
-      const size_t ahead = static_cast<size_t>(
-                               Mix64(keys[order[k + kPrefetchAhead]].hash)) &
-                           slot_mask_;
-      __builtin_prefetch(&slots_[ahead], /*rw=*/0, /*locality=*/1);
-    }
-    const ProbeKey& key = keys[order[k]];
-    ProbeResult& out = results[order[k]];
-    out = ProbeResult{};
-    // Hash-lane-only probe loop: scan the linear-probe block comparing the
-    // stored 64-bit hashes, deferring code verification until a lane
-    // matches. Tombstones are skipped; an empty slot ends the chain.
-    size_t idx = static_cast<size_t>(Mix64(key.hash)) & slot_mask_;
-    for (;;) {
-      const Slot& slot = slots_[idx];
-      if (slot.id == kSlotEmpty) break;
-      if (slot.id != kSlotTombstone && slot.hash == key.hash &&
-          entries_[slot.id].code == key.code) {
-        out.count = entries_[slot.id].count;
-        out.found = true;
-        break;
-      }
-      idx = (idx + 1) & slot_mask_;
-    }
-  }
-}
-
 PatternId LatticeSummary::FindId(uint64_t hash, std::string_view code) const {
   if (slots_.empty()) return kInvalidPatternId;
   size_t idx = ProbeSlot(hash, code);

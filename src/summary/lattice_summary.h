@@ -71,26 +71,6 @@ class LatticeSummary {
   /// Interned id for a pattern code, or kInvalidPatternId when absent.
   TL_HOT PatternId FindId(uint64_t hash, std::string_view code) const;
 
-  /// One probe of a grouped batch lookup (see LookupBatch).
-  struct ProbeKey {
-    uint64_t hash = 0;        ///< HashBytes(code)
-    std::string_view code;    ///< canonical code backing the hash
-  };
-  struct ProbeResult {
-    uint64_t count = 0;
-    bool found = false;
-  };
-
-  /// Grouped flat-hash probe: answers `n` lookups in one pass. Probes are
-  /// visited in ascending start-slot order (via the caller-provided `order`
-  /// scratch of `n` uint32 indices) so consecutive probes touch nearby
-  /// cache lines, and each probe prefetches the start slot of the probe a
-  /// fixed distance ahead. The probe loop compares the 64-bit hash lane
-  /// stored in the slots before ever touching an entry's code string.
-  /// Results land at results[i] for keys[i]. Allocation-free.
-  TL_HOT void LookupBatch(const ProbeKey* keys, size_t n, uint32_t* order,
-                          ProbeResult* results) const;
-
   /// Count for a live interned id (id must come from FindId).
   TL_HOT uint64_t CountOf(PatternId id) const { return entries_[id].count; }
 

@@ -25,13 +25,20 @@ class Deadline {
   static Deadline Infinite() { return Deadline(); }
 
   /// A deadline `millis` milliseconds from now. Non-positive values expire
-  /// immediately.
+  /// immediately; values past the end of the clock's range (about 9.2e12
+  /// ms) saturate to Infinite() instead of overflowing into the past.
   static Deadline After(double millis) {
-    Deadline d;
-    d.when_ = Clock::now() +
-              std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(millis));
-    return d;
+    const Clock::time_point now = Clock::now();
+    if (!(millis > 0.0)) return At(now);
+    const Clock::duration headroom = Clock::time_point::max() - now;
+    const double ticks = std::chrono::duration<double, Clock::period>(
+                             std::chrono::duration<double, std::milli>(millis))
+                             .count();
+    // Compared as doubles first: casting an out-of-range double to the
+    // clock's integer ticks is undefined.
+    if (ticks >= static_cast<double>(headroom.count())) return Infinite();
+    const Clock::duration wait(static_cast<Clock::rep>(ticks));
+    return wait >= headroom ? Infinite() : At(now + wait);
   }
 
   static Deadline At(Clock::time_point when) {

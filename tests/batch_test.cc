@@ -1,15 +1,16 @@
-// Batched estimation suite (DESIGN.md §14): the monotonic arena, the
-// grouped summary probe, BatchEstimator's bit-identity with the
-// sequential path (including under governed budgets and cancellation),
-// the batch-aware estimate cache, the batch request-line protocol, and
-// the Server's whole-batch admission/shed semantics.
+// Batched estimation suite (DESIGN.md §14): the monotonic arena,
+// BatchEstimator's bit-identity with the sequential path (including under
+// governed budgets and cancellation), the array request-line protocol,
+// and the Server's whole-line admission/shed semantics.
 
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include "core/estimate_scratch.h"
 #include "core/recursive_estimator.h"
 #include "io/env.h"
-#include "serve/estimate_cache.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "summary/lattice_summary.h"
@@ -26,7 +26,6 @@
 #include "twig/twig.h"
 #include "util/arena.h"
 #include "util/deadline.h"
-#include "util/hash.h"
 #include "util/json.h"
 #include "xml/label_dict.h"
 
@@ -114,44 +113,6 @@ TEST(MonotonicArenaTest, ZeroSizedAllocationIsSafe) {
   // Must not fault on the empty arena's null bump pointer.
   (void)arena.AllocateArray<int>(0);
   (void)arena.Allocate(0, 1);
-}
-
-TEST(LookupBatchTest, AgreesWithSingleLookupsInAnyOrder) {
-  LabelDict dict;
-  LatticeSummary summary(2);
-  FillTestSummary(&summary, &dict);
-
-  std::vector<Twig> probes = ParseAll(
-      {"a(b)", "nosuch", "b(c)", "a(t3)", "c", "a(b,c)", "a(t3)", "t11"},
-      &dict);
-  std::vector<LatticeSummary::ProbeKey> keys;
-  for (const Twig& twig : probes) {
-    keys.push_back({twig.CanonicalHash(), twig.CanonicalCode()});
-  }
-  std::vector<uint32_t> order(keys.size());
-  std::vector<LatticeSummary::ProbeResult> results(keys.size());
-  summary.LookupBatch(keys.data(), keys.size(), order.data(), results.data());
-
-  for (size_t i = 0; i < probes.size(); ++i) {
-    std::optional<uint64_t> single = summary.Lookup(probes[i]);
-    EXPECT_EQ(results[i].found, single.has_value()) << i;
-    if (single.has_value()) {
-      EXPECT_EQ(results[i].count, *single) << i;
-    }
-  }
-}
-
-TEST(LookupBatchTest, EmptySummaryAndEmptyBatch) {
-  LatticeSummary summary(2);
-  LabelDict dict;
-  Result<Twig> twig = Twig::Parse("a(b)", &dict);
-  ASSERT_TRUE(twig.ok());
-  LatticeSummary::ProbeKey key{twig->CanonicalHash(), twig->CanonicalCode()};
-  uint32_t order = 0;
-  LatticeSummary::ProbeResult result;
-  summary.LookupBatch(&key, 1, &order, &result);
-  EXPECT_FALSE(result.found);
-  summary.LookupBatch(nullptr, 0, nullptr, nullptr);  // no-op, no crash
 }
 
 class BatchEstimatorTest : public ::testing::Test {
@@ -312,78 +273,46 @@ TEST_F(BatchEstimatorTest, GovernedValuesMatchSequentialWhenBudgetSuffices) {
   }
 }
 
-TEST(EstimateCacheBatchTest, GetBatchAgreesWithSingleGets) {
-  serve::EstimateCache cache(serve::EstimateCache::Options{});
-  const std::vector<std::string> codes = {"0(1)", "0(2)", "1(2)", "2(3)"};
-  for (size_t i = 0; i < codes.size(); ++i) {
-    cache.Put(1, HashBytes(codes[i]), codes[i],
-              static_cast<double>(i) + 0.5);
-  }
-  // Probe a mix of present and absent keys through both paths.
-  std::vector<std::string> probe_codes = codes;
-  probe_codes.push_back("9(9)");
-  probe_codes.push_back("0(1)");
-  std::vector<uint64_t> hashes;
-  std::vector<std::string_view> views;
-  for (const std::string& code : probe_codes) {
-    hashes.push_back(HashBytes(code));
-    views.push_back(code);
-  }
-  std::vector<std::optional<double>> batched(probe_codes.size());
-  cache.GetBatch(1, hashes.data(), views.data(), probe_codes.size(),
-                 batched.data());
-  for (size_t i = 0; i < probe_codes.size(); ++i) {
-    std::optional<double> single = cache.Get(1, hashes[i], views[i]);
-    EXPECT_EQ(batched[i].has_value(), single.has_value()) << probe_codes[i];
-    if (single.has_value()) {
-      EXPECT_EQ(*batched[i], *single) << probe_codes[i];
-    }
-  }
-}
-
-TEST(EstimateCacheBatchTest, GetBatchHonorsTheVersionFence) {
-  serve::EstimateCache cache(serve::EstimateCache::Options{});
-  const std::string code = "0(1)";
-  const uint64_t hash = HashBytes(code);
-  cache.Put(1, hash, code, 42.0);
-  std::string_view view = code;
-  std::optional<double> result;
-  cache.GetBatch(2, &hash, &view, 1, &result);  // new snapshot: stale entry
-  EXPECT_FALSE(result.has_value());
-}
-
 TEST(BatchRequestLineTest, DetectsAndParsesStringsAndEnvelopes) {
-  EXPECT_TRUE(serve::IsBatchRequestLine(R"json(["a(b)"])json"));
-  EXPECT_TRUE(serve::IsBatchRequestLine("  [1]"));
-  EXPECT_FALSE(serve::IsBatchRequestLine(R"({"query":"a"})"));
-  EXPECT_FALSE(serve::IsBatchRequestLine("a(b)"));
+  const char* line =
+      R"json( ["a(b)", {"query":"b(c)","deadline_ms":5,)json"
+      R"json("max_steps":100,"id":7}])json";
+  serve::ServeBatch batch;
+  ASSERT_TRUE(serve::ParseRequestLine(line, 0, &batch).ok());
+  EXPECT_FALSE(batch.scalar);
+  ASSERT_EQ(batch.items.size(), 2u);
+  EXPECT_EQ(batch.items[0].query, "a(b)");
+  EXPECT_EQ(batch.items[1].query, "b(c)");
+  EXPECT_DOUBLE_EQ(batch.items[1].deadline_millis, 5.0);
+  EXPECT_EQ(batch.items[1].max_work_steps, 100u);
+  EXPECT_EQ(batch.items[1].id, 7u);
 
-  Result<serve::ServeBatch> batch = serve::ParseBatchRequestLine(
-      R"json(["a(b)", {"query":"b(c)","deadline_ms":5,"max_steps":100,"id":7}])json");
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->items.size(), 2u);
-  EXPECT_EQ(batch->items[0].query, "a(b)");
-  EXPECT_EQ(batch->items[1].query, "b(c)");
-  EXPECT_DOUBLE_EQ(batch->items[1].deadline_millis, 5.0);
-  EXPECT_EQ(batch->items[1].max_work_steps, 100u);
-  EXPECT_EQ(batch->items[1].id, 7u);
+  // Bare queries and envelopes are scalar lines of one query.
+  for (const char* scalar : {"a(b)", R"({"query":"a"})"}) {
+    ASSERT_TRUE(serve::ParseRequestLine(scalar, 0, &batch).ok()) << scalar;
+    EXPECT_TRUE(batch.scalar) << scalar;
+    EXPECT_EQ(batch.items.size(), 1u) << scalar;
+  }
 }
 
 TEST(BatchRequestLineTest, RejectsMalformedBatches) {
-  EXPECT_FALSE(serve::ParseBatchRequestLine("[]").ok());
-  EXPECT_FALSE(serve::ParseBatchRequestLine("[42]").ok());
-  EXPECT_FALSE(serve::ParseBatchRequestLine(R"([""])").ok());
-  EXPECT_FALSE(serve::ParseBatchRequestLine(R"([{"id":1}])").ok());
-  EXPECT_FALSE(serve::ParseBatchRequestLine("[\"a\",").ok());
+  for (const char* line :
+       {"[]", "[42]", R"([""])", R"([{"id":1}])", "[\"a\","}) {
+    serve::ServeBatch batch;
+    EXPECT_FALSE(serve::ParseRequestLine(line, 0, &batch).ok()) << line;
+    // Rejected array lines still report their kind.
+    EXPECT_FALSE(batch.scalar) << line;
+  }
   // Per-line query cap: 3 queries against a limit of 2.
-  Result<serve::ServeBatch> capped =
-      serve::ParseBatchRequestLine(R"(["a","b","c"])", /*max_items=*/2);
-  EXPECT_FALSE(capped.ok());
-  EXPECT_EQ(capped.status().code(), StatusCode::kInvalidArgument);
+  serve::ServeBatch capped;
+  Status status =
+      serve::ParseRequestLine(R"(["a","b","c"])", /*max_items=*/2, &capped);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BatchResponseJsonTest, ToJsonLineIsOneArrayOfResponseObjects) {
   serve::ServeBatchResponse response;
+  response.scalar = false;
   response.items.resize(2);
   response.items[0].id = 1;
   response.items[0].ok = true;
@@ -399,6 +328,11 @@ TEST(BatchResponseJsonTest, ToJsonLineIsOneArrayOfResponseObjects) {
   EXPECT_TRUE(json->array[0].Find("ok")->bool_value);
   EXPECT_DOUBLE_EQ(json->array[0].Find("estimate")->number_value, 4.5);
   EXPECT_FALSE(json->array[1].Find("ok")->bool_value);
+
+  // A scalar line answers with its one object, not an array of one.
+  response.scalar = true;
+  response.items.resize(1);
+  EXPECT_EQ(response.ToJsonLine(), response.items[0].ToJsonLine());
 }
 
 /// Collects whole-batch responses under a lock.
@@ -406,18 +340,41 @@ struct BatchCollector {
   std::mutex mu;
   std::vector<serve::ServeBatchResponse> responses;
 
-  serve::Server::BatchResponseSink Sink() {
+  serve::Server::ResponseSink Sink() {
     return [this](serve::ServeBatchResponse response) {
       std::lock_guard<std::mutex> lock(mu);
       responses.push_back(std::move(response));
     };
   }
+
+  size_t size() {
+    std::lock_guard<std::mutex> lock(mu);
+    return responses.size();
+  }
 };
+
+/// An array line carrying `queries`, with ids 1..N when `with_ids`.
+serve::ServeBatch ArrayLine(const std::vector<std::string>& queries,
+                            bool with_ids = false) {
+  serve::ServeBatch batch;
+  batch.scalar = false;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    serve::ServeRequest item;
+    item.id = with_ids ? i + 1 : 0;
+    item.query = queries[i];
+    batch.items.push_back(std::move(item));
+  }
+  return batch;
+}
 
 class ServerBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/tl_batch_server.tls";
+    // ctest runs each case in its own process, possibly in parallel: the
+    // summary file name carries the test name and the process id.
+    path_ = testing::TempDir() + "/tl_batch_server_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(getpid()) + ".tls";
     LabelDict dict;
     LatticeSummary summary(2);
     FillTestSummary(&summary, &dict);
@@ -440,35 +397,30 @@ class ServerBatchTest : public ::testing::Test {
 TEST_F(ServerBatchTest, BatchMatchesSinglesBitwiseWithDedupAndErrors) {
   const std::vector<std::string> queries = {"a(b)",  "a(b,c)", "a(b)",
                                             "((((",  "b(c)",   "nosuch(x)"};
-  // Reference run: the same queries as singles through their own server.
+  // Reference run: the same queries as scalar lines through their own
+  // server.
   std::vector<serve::ServeResponse> singles(queries.size());
   {
     std::mutex mu;
     serve::Server server(&snapshots_, serve::ServerOptions(),
-                         [&](const serve::ServeResponse& response) {
+                         [&](serve::ServeBatchResponse response) {
                            std::lock_guard<std::mutex> lock(mu);
-                           singles[response.id - 1] = response;
+                           const serve::ServeResponse& item =
+                               response.items.front();
+                           singles[item.id - 1] = item;
                          });
     for (size_t i = 0; i < queries.size(); ++i) {
-      serve::ServeRequest request;
-      request.id = i + 1;
-      request.query = queries[i];
-      ASSERT_TRUE(server.Submit(std::move(request)));
+      serve::ServeBatch line = ArrayLine({queries[i]});
+      line.scalar = true;
+      line.items[0].id = i + 1;
+      ASSERT_TRUE(server.Submit(std::move(line)));
     }
     server.Shutdown();
   }
 
   BatchCollector batches;
-  serve::Server server(&snapshots_, serve::ServerOptions(), nullptr,
-                       batches.Sink());
-  serve::ServeBatch batch;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    serve::ServeRequest item;
-    item.id = i + 1;
-    item.query = queries[i];
-    batch.items.push_back(std::move(item));
-  }
-  ASSERT_TRUE(server.SubmitBatch(std::move(batch)));
+  serve::Server server(&snapshots_, serve::ServerOptions(), batches.Sink());
+  ASSERT_TRUE(server.Submit(ArrayLine(queries, /*with_ids=*/true)));
   server.Shutdown();
 
   ASSERT_EQ(batches.responses.size(), 1u);
@@ -480,8 +432,8 @@ TEST_F(ServerBatchTest, BatchMatchesSinglesBitwiseWithDedupAndErrors) {
     EXPECT_EQ(item.query, queries[i]);
     EXPECT_EQ(item.ok, singles[i].ok) << queries[i];
     if (item.ok) {
-      // Exact bits: the batch pipeline (dedup + shared memo + grouped
-      // probes + cache filter) must be invisible in the values.
+      // Exact bits: the batch pipeline (dedup + shared memo + cache
+      // filter) must be invisible in the values.
       EXPECT_EQ(item.estimate, singles[i].estimate) << queries[i];
       EXPECT_EQ(item.rung, singles[i].rung);
     } else {
@@ -498,17 +450,14 @@ TEST_F(ServerBatchTest, BatchMatchesSinglesBitwiseWithDedupAndErrors) {
 
 TEST_F(ServerBatchTest, SecondIdenticalBatchAnswersFromTheCache) {
   BatchCollector batches;
-  serve::Server server(&snapshots_, serve::ServerOptions(), nullptr,
-                       batches.Sink());
-  for (int round = 0; round < 2; ++round) {
-    serve::ServeBatch batch;
-    for (const char* text : {"a(b,c)", "a(t0,t1,t2)"}) {
-      serve::ServeRequest item;
-      item.query = text;
-      batch.items.push_back(std::move(item));
-    }
-    ASSERT_TRUE(server.SubmitBatch(std::move(batch)));
+  serve::Server server(&snapshots_, serve::ServerOptions(), batches.Sink());
+  // The second line goes in only after the first is answered: with four
+  // workers the two could otherwise run at the same time and both miss.
+  ASSERT_TRUE(server.Submit(ArrayLine({"a(b,c)", "a(t0,t1,t2)"})));
+  while (batches.size() < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_TRUE(server.Submit(ArrayLine({"a(b,c)", "a(t0,t1,t2)"})));
   server.Shutdown();
 
   ASSERT_EQ(batches.responses.size(), 2u);
@@ -530,17 +479,12 @@ TEST_F(ServerBatchTest, WholeBatchShedsAtomicallyWhenQueueIsFull) {
   options.queue_capacity = 4;
   options.worker_delay_millis = 20.0;  // hold the worker so the queue fills
   BatchCollector batches;
-  serve::Server server(&snapshots_, options, nullptr, batches.Sink());
+  serve::Server server(&snapshots_, options, batches.Sink());
   int admitted = 0;
   for (int b = 0; b < 8; ++b) {
-    serve::ServeBatch batch;
-    for (int i = 0; i < 3; ++i) {
-      serve::ServeRequest item;
-      item.id = static_cast<uint64_t>(i) + 1;
-      item.query = "a(b)";
-      batch.items.push_back(std::move(item));
+    if (server.Submit(ArrayLine({"a(b)", "a(b)", "a(b)"}, /*with_ids=*/true))) {
+      ++admitted;
     }
-    if (server.SubmitBatch(std::move(batch))) ++admitted;
   }
   server.Shutdown();
 
@@ -572,14 +516,9 @@ TEST_F(ServerBatchTest, GovernedBatchDegradesPerItemNeverWrongValues) {
   serve::ServerOptions options;
   options.default_max_work_steps = 1000;
   BatchCollector batches;
-  serve::Server server(&snapshots_, options, nullptr, batches.Sink());
-  serve::ServeBatch batch;
-  for (const char* text : {"a(b)", "a(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11)"}) {
-    serve::ServeRequest item;
-    item.query = text;
-    batch.items.push_back(std::move(item));
-  }
-  ASSERT_TRUE(server.SubmitBatch(std::move(batch)));
+  serve::Server server(&snapshots_, options, batches.Sink());
+  ASSERT_TRUE(server.Submit(
+      ArrayLine({"a(b)", "a(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11)"})));
   server.Shutdown();
 
   ASSERT_EQ(batches.responses.size(), 1u);
@@ -597,16 +536,12 @@ TEST_F(ServerBatchTest, CancelledBatchStillAnswersEveryItemExactlyOnce) {
   options.workers = 1;
   options.worker_delay_millis = 5.0;
   BatchCollector batches;
-  serve::Server server(&snapshots_, options, nullptr, batches.Sink());
-  serve::ServeBatch batch;
+  serve::Server server(&snapshots_, options, batches.Sink());
+  serve::ServeBatch batch =
+      ArrayLine(std::vector<std::string>(4, "a(t0,t1,t2,t3,t4,t5)"));
   batch.cancel = std::make_shared<CancelToken>();
   std::shared_ptr<CancelToken> cancel = batch.cancel;
-  for (int i = 0; i < 4; ++i) {
-    serve::ServeRequest item;
-    item.query = "a(t0,t1,t2,t3,t4,t5)";
-    batch.items.push_back(std::move(item));
-  }
-  ASSERT_TRUE(server.SubmitBatch(std::move(batch)));
+  ASSERT_TRUE(server.Submit(std::move(batch)));
   cancel->Cancel();  // may land before, during, or after estimation
   server.Shutdown();
 
@@ -616,30 +551,6 @@ TEST_F(ServerBatchTest, CancelledBatchStillAnswersEveryItemExactlyOnce) {
   EXPECT_EQ(batches.responses[0].items.size(), 4u);
   serve::Server::Stats stats = server.GetStats();
   EXPECT_EQ(stats.ok + stats.errors, 4u);
-}
-
-TEST_F(ServerBatchTest, NoBatchSinkFansOutThroughTheItemSink) {
-  std::mutex mu;
-  std::vector<serve::ServeResponse> items;
-  serve::Server server(&snapshots_, serve::ServerOptions(),
-                       [&](const serve::ServeResponse& response) {
-                         std::lock_guard<std::mutex> lock(mu);
-                         items.push_back(response);
-                       });
-  serve::ServeBatch batch;
-  for (uint64_t id = 1; id <= 3; ++id) {
-    serve::ServeRequest item;
-    item.id = id;
-    item.query = "a(b)";
-    batch.items.push_back(std::move(item));
-  }
-  ASSERT_TRUE(server.SubmitBatch(std::move(batch)));
-  server.Shutdown();
-  ASSERT_EQ(items.size(), 3u);
-  for (const serve::ServeResponse& item : items) {
-    EXPECT_TRUE(item.ok) << item.error_message;
-    EXPECT_DOUBLE_EQ(item.estimate, 5.0);
-  }
 }
 
 }  // namespace

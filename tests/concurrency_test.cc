@@ -382,7 +382,7 @@ TEST(ConcurrencyTest, ServerBatchHammer) {
   // workers, so batch admission, all-or-nothing shedding, the shared
   // estimate cache, and the per-batch arena reset all race. Conservation
   // must hold item-by-item: every offered query gets exactly one
-  // response, every SubmitBatch yields exactly one batch response, and
+  // response, every array line yields exactly one batch response, and
   // every ok answer carries the exact single-query bits (DESIGN.md §14).
   LabelDict dict;
   LatticeSummary summary(2);
@@ -429,12 +429,12 @@ TEST(ConcurrencyTest, ServerBatchHammer) {
   options.queue_capacity = 24;     // small: forces whole-batch shedding
   options.worker_delay_millis = 0.2;  // keeps the queue under pressure
   serve::Server server(
-      &holder, options,
-      [&](const serve::ServeResponse& response) {
-        single_responses.fetch_add(1, std::memory_order_relaxed);
-        check_item(response);
-      },
-      [&](serve::ServeBatchResponse response) {
+      &holder, options, [&](serve::ServeBatchResponse response) {
+        if (response.scalar) {
+          single_responses.fetch_add(1, std::memory_order_relaxed);
+          check_item(response.items.front());
+          return;
+        }
         batch_responses.fetch_add(1, std::memory_order_relaxed);
         item_responses.fetch_add(response.items.size(),
                                  std::memory_order_relaxed);
@@ -452,6 +452,7 @@ TEST(ConcurrencyTest, ServerBatchHammer) {
   RunThreads(kThreads, [&](int t) {
     for (int i = 0; i < kBatchesPerThread; ++i) {
       serve::ServeBatch batch;
+      batch.scalar = false;
       const char* queries[kBatchItems] = {
           "a(b)", "a(b,c)", "a(b)", (i % 5 == 0) ? "((((" : "b(c)"};
       for (size_t j = 0; j < kBatchItems; ++j) {
@@ -461,11 +462,12 @@ TEST(ConcurrencyTest, ServerBatchHammer) {
         batch.items.push_back(std::move(item));
       }
       offered_batches.fetch_add(1, std::memory_order_relaxed);
-      (void)server.SubmitBatch(std::move(batch));  // shed is a response too
+      (void)server.Submit(std::move(batch));  // shed is a response too
       if ((t + i) % 7 == 0) {
-        serve::ServeRequest single;
-        single.id = 1;
-        single.query = "a(b,c)";
+        serve::ServeBatch single;
+        single.items.resize(1);
+        single.items[0].id = 1;
+        single.items[0].query = "a(b,c)";
         offered_singles.fetch_add(1, std::memory_order_relaxed);
         (void)server.Submit(std::move(single));
       }

@@ -4,6 +4,7 @@
 // expensive query still answers, from a cheaper rung, within ~2x D.
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +42,21 @@ TEST(DeadlineTest, FutureDeadlineIsPending) {
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining_millis(), 0.0);
   EXPECT_LE(d.remaining_millis(), 60000.0);
+}
+
+TEST(DeadlineTest, DurationsPastTheClockRangeSaturateToInfinite) {
+  // 9e12 ms still fits the clock's int64 nanoseconds; 1e13 ms does not
+  // and must saturate rather than wrap into an already-expired deadline.
+  Deadline fits = Deadline::After(9e12);
+  EXPECT_FALSE(fits.is_infinite());
+  EXPECT_FALSE(fits.expired());
+  for (double millis : {1e13, 1e19, 1e300,
+                        std::numeric_limits<double>::infinity()}) {
+    Deadline d = Deadline::After(millis);
+    EXPECT_TRUE(d.is_infinite()) << millis;
+    EXPECT_FALSE(d.expired()) << millis;
+  }
+  EXPECT_TRUE(Deadline::After(-1e300).expired());
 }
 
 TEST(CancelTokenTest, CancelIsSticky) {

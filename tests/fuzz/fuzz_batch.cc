@@ -1,15 +1,17 @@
-// Fuzz harness for the serve-layer batch envelope (DESIGN.md §14). The
-// input's first byte picks the per-line query cap, the rest is the
-// request line. ParseBatchRequestLine must never crash on arbitrary
-// bytes; when it accepts, the invariants checked are:
+// Fuzz harness for the serve protocol's one request-line parser
+// (DESIGN.md §14). The input's first byte picks the per-line query cap,
+// the rest is the request line. ParseRequestLine must never crash on
+// arbitrary bytes; when it accepts, the invariants checked are:
 //
-//   * the line was detected as a batch line (IsBatchRequestLine)
-//   * 1 <= items <= max_items (when a cap is set), every query non-empty
+//   * a scalar line (bare query or envelope) carries exactly one query;
+//     an array line carries 1 <= items <= max_items (when a cap is set);
+//     every query is non-empty
 //   * the response round-trip: a ServeBatchResponse echoing the parsed
-//     items renders as ONE newline-free JSON array line that re-parses
-//     with exactly one element per query — fuzzer-chosen query bytes
-//     (quotes, backslashes, control bytes, UTF-8 fragments) must survive
-//     the JSON escaping round trip
+//     items renders as ONE newline-free JSON value that re-parses as an
+//     object for a scalar line and as an array with exactly one element
+//     per query for an array line — fuzzer-chosen query bytes (quotes,
+//     backslashes, control bytes, UTF-8 fragments) must survive the JSON
+//     escaping round trip
 
 #include <cstdint>
 #include <string>
@@ -27,18 +29,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view line(reinterpret_cast<const char*>(data + 1),
                               size - 1);
 
-  treelattice::Result<treelattice::serve::ServeBatch> batch =
-      treelattice::serve::ParseBatchRequestLine(line, max_items);
-  if (!batch.ok()) return 0;
+  treelattice::serve::ServeBatch batch;
+  if (!treelattice::serve::ParseRequestLine(line, max_items, &batch).ok()) {
+    return 0;
+  }
 
-  // Anything that parsed as a batch must have been detected as one.
-  if (!treelattice::serve::IsBatchRequestLine(line)) __builtin_trap();
-  if (batch->items.empty()) __builtin_trap();
-  if (max_items > 0 && batch->items.size() > max_items) __builtin_trap();
+  if (batch.items.empty()) __builtin_trap();
+  if (batch.scalar && batch.items.size() != 1) __builtin_trap();
+  if (!batch.scalar && max_items > 0 && batch.items.size() > max_items) {
+    __builtin_trap();
+  }
 
   treelattice::serve::ServeBatchResponse response;
-  response.items.reserve(batch->items.size());
-  for (const treelattice::serve::ServeRequest& item : batch->items) {
+  response.scalar = batch.scalar;
+  response.items.reserve(batch.items.size());
+  for (const treelattice::serve::ServeRequest& item : batch.items) {
     if (item.query.empty()) __builtin_trap();
     treelattice::serve::ServeResponse out;
     out.id = item.id;
@@ -59,6 +64,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   treelattice::Result<treelattice::JsonValue> parsed =
       treelattice::ParseJson(wire);
   if (!parsed.ok()) __builtin_trap();
-  if (parsed->array.size() != batch->items.size()) __builtin_trap();
+  if (batch.scalar) {
+    if (!parsed->is_object()) __builtin_trap();
+  } else if (!parsed->is_array() ||
+             parsed->array.size() != batch.items.size()) {
+    __builtin_trap();
+  }
   return 0;
 }

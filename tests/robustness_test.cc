@@ -2,6 +2,8 @@
 // adversarial structures must produce clean Status errors, never crashes
 // or hangs.
 
+#include <unistd.h>
+
 #include <fstream>
 #include <string>
 
@@ -148,14 +150,28 @@ TEST(MalformedSummaryTest, GarbageCodeRejected) {
 // salvage, or a typed error), never crash, hang, or silently return wrong
 // counts while claiming to be undamaged.
 
+/// A TempDir() path for `stem` unique to the running test case and
+/// process: ctest runs the cases in parallel processes.
+std::string UniqueTempPath(const std::string& stem) {
+  return testing::TempDir() + "/" + stem + "_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+         std::to_string(getpid()) + ".tls";
+}
+
 /// Reference v2 summary (with embedded dict) whose bytes the fuzz cases
 /// mutate, plus the original counts to compare salvage results against.
 struct SummaryFuzzFixture {
   LabelDict dict;
   LatticeSummary summary{3};
   std::string bytes;
+  const std::string reference_path = UniqueTempPath("tl_fuzz_reference");
+  const std::string case_path = UniqueTempPath("tl_fuzz_case");
 
   SummaryFuzzFixture() { Init(); }
+  ~SummaryFuzzFixture() {
+    unlink(reference_path.c_str());
+    unlink(case_path.c_str());
+  }
 
   // gtest fatal assertions are only usable in void functions, so the
   // constructor delegates.
@@ -173,19 +189,18 @@ struct SummaryFuzzFixture {
     insert("a(b,c)", 10);
     insert("a(b(c))", 5);
     summary.set_complete_through_level(3);
-    std::string path = testing::TempDir() + "/tl_fuzz_reference.tls";
     ASSERT_TRUE(
-        SaveSummaryV2(summary, &dict, Env::Default(), path).ok());
-    ASSERT_TRUE(ReadFileToString(Env::Default(), path, &bytes).ok());
+        SaveSummaryV2(summary, &dict, Env::Default(), reference_path).ok());
+    ASSERT_TRUE(
+        ReadFileToString(Env::Default(), reference_path, &bytes).ok());
   }
 
   /// Loads `mutated` and enforces the fuzz contract. `original` is the
   /// undamaged summary for comparing untouched loads.
   void CheckMutation(const std::string& mutated,
                      const std::string& name) const {
-    std::string path = testing::TempDir() + "/tl_fuzz_case.tls";
-    ASSERT_TRUE(WriteFileAtomic(Env::Default(), path, mutated).ok());
-    Result<LoadedSummary> loaded = LoadSummary(Env::Default(), path);
+    ASSERT_TRUE(WriteFileAtomic(Env::Default(), case_path, mutated).ok());
+    Result<LoadedSummary> loaded = LoadSummary(Env::Default(), case_path);
     if (!loaded.ok()) {
       // Clean typed failure is always acceptable.
       EXPECT_NE(loaded.status().code(), StatusCode::kOk) << name;
@@ -215,7 +230,8 @@ struct SummaryFuzzFixture {
       }
     }
     // Verify must agree with the loader about integrity.
-    Result<VerifyReport> report = VerifySummaryFile(Env::Default(), path);
+    Result<VerifyReport> report =
+        VerifySummaryFile(Env::Default(), case_path);
     ASSERT_TRUE(report.ok()) << name;
     EXPECT_EQ(report->intact, !loaded->salvaged) << name;
   }

@@ -3,12 +3,15 @@
 // request-line protocol, and the Server itself — round trips, load
 // shedding, degraded answers under budget, and exactly-once drain.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -65,6 +68,22 @@ LabelDict WriteTestSummary(Env* env, const std::string& path,
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
+}
+
+/// `stem` plus the running test's name and the process id: ctest runs each
+/// case in its own process, possibly in parallel, so fixture files must
+/// not share a name.
+std::string UniqueName(const std::string& stem) {
+  return stem + "_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+         std::to_string(getpid()) + ".tls";
+}
+
+/// A scalar request line carrying `request`.
+ServeBatch Scalar(ServeRequest request) {
+  ServeBatch line;
+  line.items.push_back(std::move(request));
+  return line;
 }
 
 TEST(SnapshotHolderTest, EmptyUntilFirstSwapThenVersioned) {
@@ -179,31 +198,61 @@ TEST(ReloadTest, SalvagedLoadRejectedUnlessAccepted) {
 }
 
 TEST(RequestLineTest, BareQueryAndJsonEnvelope) {
-  Result<ServeRequest> bare = ParseRequestLine("  a(b,c)\r\n");
-  ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(bare->query, "a(b,c)");
-  EXPECT_EQ(bare->id, 0u);
-  EXPECT_EQ(bare->deadline_millis, 0.0);
+  ServeBatch bare;
+  ASSERT_TRUE(ParseRequestLine("  a(b,c)\r\n", 0, &bare).ok());
+  EXPECT_TRUE(bare.scalar);
+  ASSERT_EQ(bare.items.size(), 1u);
+  EXPECT_EQ(bare.items[0].query, "a(b,c)");
+  EXPECT_EQ(bare.items[0].id, 0u);
+  EXPECT_EQ(bare.items[0].deadline_millis, 0.0);
 
-  Result<ServeRequest> envelope = ParseRequestLine(
-      R"({"query":"/a/b[c]","deadline_ms":25.5,"max_steps":1000,"id":7})");
-  ASSERT_TRUE(envelope.ok());
-  EXPECT_EQ(envelope->query, "/a/b[c]");
-  EXPECT_DOUBLE_EQ(envelope->deadline_millis, 25.5);
-  EXPECT_EQ(envelope->max_work_steps, 1000u);
-  EXPECT_EQ(envelope->id, 7u);
+  ServeBatch envelope;
+  ASSERT_TRUE(ParseRequestLine(R"({"query":"/a/b[c]","deadline_ms":25.5,)"
+                               R"("max_steps":1000,"id":7})",
+                               0, &envelope)
+                  .ok());
+  EXPECT_TRUE(envelope.scalar);
+  ASSERT_EQ(envelope.items.size(), 1u);
+  EXPECT_EQ(envelope.items[0].query, "/a/b[c]");
+  EXPECT_DOUBLE_EQ(envelope.items[0].deadline_millis, 25.5);
+  EXPECT_EQ(envelope.items[0].max_work_steps, 1000u);
+  EXPECT_EQ(envelope.items[0].id, 7u);
 }
 
 TEST(RequestLineTest, MalformedInputsRejectedCleanly) {
-  EXPECT_FALSE(ParseRequestLine("").ok());
-  EXPECT_FALSE(ParseRequestLine("   \r\n").ok());
-  EXPECT_FALSE(ParseRequestLine("{not json").ok());
-  EXPECT_FALSE(ParseRequestLine("{\"no_query\":1}").ok());
-  EXPECT_FALSE(ParseRequestLine("{\"query\":\"\"}").ok());
-  EXPECT_FALSE(ParseRequestLine("{\"query\":\"a\",\"deadline_ms\":-1}").ok());
-  // Only '{'-prefixed lines are JSON envelopes; anything else is a bare
-  // query and gets its real parse error at estimation time.
-  EXPECT_TRUE(ParseRequestLine("[\"query\"]").ok());
+  auto parses = [](std::string_view line) {
+    ServeBatch batch;
+    return ParseRequestLine(line, 0, &batch).ok();
+  };
+  EXPECT_FALSE(parses(""));
+  EXPECT_FALSE(parses("   \r\n"));
+  EXPECT_FALSE(parses("{not json"));
+  EXPECT_FALSE(parses("{\"no_query\":1}"));
+  EXPECT_FALSE(parses("{\"query\":\"\"}"));
+  EXPECT_FALSE(parses("{\"query\":\"a\",\"deadline_ms\":-1}"));
+  // A '['-prefixed line is an array line of query strings and envelopes.
+  EXPECT_TRUE(parses("[\"query\"]"));
+}
+
+TEST(RequestLineTest, IdsAndStepCapsOf2To64AndAboveAreRejected) {
+  // 2^64 and above do not fit the uint64 fields; they must be rejected,
+  // not wrapped to 0 ("assign an id" / "use the server default").
+  for (const char* line :
+       {R"({"query":"a","id":1e20})", R"({"query":"a","max_steps":1e20})",
+        R"({"query":"a","id":18446744073709551616})",
+        R"(["a",{"query":"b","max_steps":1e300}])"}) {
+    ServeBatch batch;
+    Status parsed = ParseRequestLine(line, 0, &batch);
+    EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument) << line;
+  }
+  // The largest doubles below 2^64 still parse.
+  ServeBatch batch;
+  ASSERT_TRUE(ParseRequestLine(R"({"query":"a","id":18446744073709549568,)"
+                               R"("max_steps":1e19})",
+                               0, &batch)
+                  .ok());
+  EXPECT_EQ(batch.items[0].id, 18446744073709549568u);
+  EXPECT_EQ(batch.items[0].max_work_steps, 10000000000000000000u);
 }
 
 TEST(ResponseJsonTest, SuccessAndErrorLinesAreValidJson) {
@@ -237,9 +286,11 @@ struct ResponseCollector {
   std::vector<ServeResponse> responses;
 
   Server::ResponseSink Sink() {
-    return [this](const ServeResponse& response) {
+    return [this](ServeBatchResponse response) {
       std::lock_guard<std::mutex> lock(mu);
-      responses.push_back(response);
+      for (ServeResponse& item : response.items) {
+        responses.push_back(std::move(item));
+      }
     };
   }
 
@@ -258,7 +309,7 @@ struct ResponseCollector {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath("tl_serve_server.tls");
+    path_ = TempPath(UniqueName("tl_serve_server"));
     WriteTestSummary(Env::Default(), path_);
     ReloadOptions options;
     options.backoff_millis = 0.0;
@@ -275,6 +326,32 @@ class ServerTest : public ::testing::Test {
   ResponseCollector collector_;
 };
 
+TEST_F(ServerTest, HugeDeadlineAnswersExactlyInsteadOfExpiring) {
+  // deadline_ms beyond the clock's range saturates to "no deadline": the
+  // primary rung answers instead of tripping at once and degrading.
+  ServerOptions options;
+  options.workers = 1;
+  options.enable_estimate_cache = false;
+  Server server(&snapshots_, options, collector_.Sink());
+  for (const char* text :
+       {R"json({"query":"a(t0,t1,t2,t3)","deadline_ms":9e12,"id":1})json",
+        R"json({"query":"a(t0,t1,t2,t3)","deadline_ms":1e13,"id":2})json",
+        R"json({"query":"a(t0,t1,t2,t3)","deadline_ms":1e300,"id":3})json"}) {
+    ServeBatch line;
+    ASSERT_TRUE(ParseRequestLine(text, 0, &line).ok()) << text;
+    EXPECT_TRUE(server.Submit(std::move(line)));
+  }
+  server.Shutdown();
+  std::map<uint64_t, ServeResponse> by_id = collector_.ById();
+  ASSERT_EQ(by_id.size(), 3u);
+  for (const auto& [request_id, response] : by_id) {
+    ASSERT_TRUE(response.ok) << response.error_message;
+    EXPECT_EQ(response.rung, "primary") << request_id;
+    EXPECT_FALSE(response.degraded) << request_id;
+    EXPECT_EQ(response.estimate, by_id[1].estimate);
+  }
+}
+
 TEST_F(ServerTest, RoundTripsQueriesExactlyOnce) {
   ServerOptions options;
   options.workers = 4;
@@ -284,7 +361,7 @@ TEST_F(ServerTest, RoundTripsQueriesExactlyOnce) {
       ServeRequest request;
       request.id = id;
       request.query = (id % 2 == 0) ? "a(b)" : "b(c)";
-      EXPECT_TRUE(server.Submit(std::move(request)));
+      EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
     }
     server.Shutdown();
     Server::Stats stats = server.GetStats();
@@ -309,7 +386,7 @@ TEST_F(ServerTest, MalformedQueriesAnswerWithErrorsNotCrashes) {
   ServeRequest bad;
   bad.id = 1;
   bad.query = "((((";
-  EXPECT_TRUE(server.Submit(std::move(bad)));
+  EXPECT_TRUE(server.Submit(Scalar(std::move(bad))));
   server.Shutdown();
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();
   ASSERT_EQ(by_id.size(), 1u);
@@ -324,7 +401,7 @@ TEST_F(ServerTest, NoSnapshotYieldsNotFoundResponse) {
   ServeRequest request;
   request.id = 9;
   request.query = "a(b)";
-  EXPECT_TRUE(server.Submit(std::move(request)));
+  EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   server.Shutdown();
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();
   ASSERT_EQ(by_id.size(), 1u);
@@ -343,7 +420,7 @@ TEST_F(ServerTest, FullQueueShedsWithResourceExhausted) {
     ServeRequest request;
     request.id = id;
     request.query = "a(b)";
-    if (server.Submit(std::move(request))) ++admitted;
+    if (server.Submit(Scalar(std::move(request)))) ++admitted;
   }
   server.Shutdown();
 
@@ -377,7 +454,7 @@ TEST_F(ServerTest, StarvedRequestsDegradeWithRungRecorded) {
   ServeRequest request;
   request.id = 1;
   request.query = "a(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11)";
-  EXPECT_TRUE(server.Submit(std::move(request)));
+  EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   server.Shutdown();
 
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();
@@ -397,7 +474,7 @@ TEST_F(ServerTest, UnknownLabelsEstimateZeroAcrossReload) {
   ServeRequest request;
   request.id = 1;
   request.query = "nosuch(labels)";
-  EXPECT_TRUE(server.Submit(std::move(request)));
+  EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   server.Shutdown();
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();
   ASSERT_EQ(by_id.size(), 1u);
@@ -413,7 +490,7 @@ TEST_F(ServerTest, WorkersPickUpHotSwappedSnapshot) {
   ServeRequest first;
   first.id = 1;
   first.query = "a(b)";
-  EXPECT_TRUE(server.Submit(std::move(first)));
+  EXPECT_TRUE(server.Submit(Scalar(std::move(first))));
   while (collector_.ById().empty()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -427,7 +504,7 @@ TEST_F(ServerTest, WorkersPickUpHotSwappedSnapshot) {
   ServeRequest second;
   second.id = 2;
   second.query = "a(b)";
-  EXPECT_TRUE(server.Submit(std::move(second)));
+  EXPECT_TRUE(server.Submit(Scalar(std::move(second))));
   server.Shutdown();
 
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();
@@ -498,7 +575,7 @@ TEST_F(ServerTest, RepeatedQueryServedFromCacheExactly) {
     ServeRequest request;
     request.id = id;
     request.query = "a(b)";
-    EXPECT_TRUE(server.Submit(std::move(request)));
+    EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   }
   server.Shutdown();
 
@@ -530,7 +607,7 @@ TEST_F(ServerTest, ReloadDropsEstimateCacheSoStaleCountsNeverServe) {
     ServeRequest request;
     request.id = id;
     request.query = "a(b)";
-    EXPECT_TRUE(server.Submit(std::move(request)));
+    EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   };
   submit(1);
   submit(2);
@@ -573,7 +650,7 @@ TEST_F(ServerTest, GovernedResultsAreNeverCached) {
     ServeRequest request;
     request.id = id;
     request.query = "a(b)";
-    EXPECT_TRUE(server.Submit(std::move(request)));
+    EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   }
   server.Shutdown();
 
@@ -684,7 +761,7 @@ TEST_F(ServerTest, DisabledCacheNeverMarksResponsesCached) {
     ServeRequest request;
     request.id = id;
     request.query = "a(b)";
-    EXPECT_TRUE(server.Submit(std::move(request)));
+    EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   }
   server.Shutdown();
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();

@@ -11,14 +11,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -721,6 +725,86 @@ TEST(TransportTest, RequestIdsAreUniqueAndEchoedAcrossConnections) {
     }
   }
   EXPECT_EQ(reqs.size(), 24u);
+}
+
+// --- Golden wire transcript ----------------------------------------------
+
+/// Contents of tests/golden/`name`, or "" when it cannot be read.
+std::string ReadGoldenFile(const std::string& name) {
+  std::ifstream in(std::string(TL_GOLDEN_DIR) + "/" + name, std::ios::binary);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
+/// The comparable form of a response stream, built the same way
+/// tests/serve_golden.sh builds it for the stdin leg: one line per
+/// response, sorted by the line's first "req" id, with every
+/// "wall_micros" value (the only timing-dependent field) masked to "*".
+std::string WireTranscript(const std::vector<std::string>& lines) {
+  constexpr std::string_view kWall = "\"wall_micros\":";
+  constexpr std::string_view kNumber = "-+.0123456789eE";
+  std::vector<std::pair<uint64_t, std::string>> keyed;
+  for (std::string line : lines) {
+    for (size_t at = line.find(kWall); at != std::string::npos;
+         at = line.find(kWall, at)) {
+      at += kWall.size();
+      size_t end = at;
+      while (end < line.size() && kNumber.find(line[end]) != kNumber.npos) {
+        ++end;
+      }
+      line.replace(at, end - at, "\"*\"");
+    }
+    const size_t req = line.find("\"req\":");
+    const uint64_t key =
+        req == std::string::npos
+            ? 0
+            : std::strtoull(line.c_str() + req + 6, nullptr, 10);
+    keyed.emplace_back(key, std::move(line));
+  }
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::string transcript;
+  for (const auto& [key, line] : keyed) transcript += line + "\n";
+  return transcript;
+}
+
+TEST(TransportTest, WireTranscriptMatchesGolden) {
+  // One connection replays tests/golden/serve_script.ndjson to a
+  // single-worker server; every response line must match the committed
+  // golden byte for byte (wall_micros masked). The script covers bare
+  // twigs and XPath, envelopes, unknown labels, malformed twig and JSON,
+  // arrays with a duplicate, empty/malformed/over-cap arrays, and cache
+  // hits. On a mismatch the actual transcript is left in TempDir.
+  ServerOptions server_options;
+  server_options.workers = 1;
+  TestTransport server({}, server_options);
+  const std::string script = ReadGoldenFile("serve_script.ndjson");
+  ASSERT_FALSE(script.empty()) << "cannot read " << TL_GOLDEN_DIR;
+  const size_t requests =
+      static_cast<size_t>(std::count(script.begin(), script.end(), '\n'));
+
+  Client client(server.port());
+  client.Send(script);
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < requests; ++i) {
+    std::optional<std::string> line = client.NextLine();
+    ASSERT_TRUE(line.has_value()) << "response " << i << " missing";
+    lines.push_back(*line);
+  }
+  client.Close();
+  server.Stop();
+
+  const std::string actual = WireTranscript(lines);
+  if (actual != ReadGoldenFile("serve_tcp.golden")) {
+    const std::string path = testing::TempDir() + "/serve_tcp.actual";
+    std::ofstream(path, std::ios::binary) << actual;
+    FAIL() << "wire transcript differs from tests/golden/serve_tcp.golden; "
+              "actual transcript written to "
+           << path << ":\n"
+           << actual;
+  }
 }
 
 // --- NdjsonFramer unit tests ---------------------------------------------

@@ -136,9 +136,9 @@ int Usage() {
                "and its root may differ from the voted estimate.\n"
                "\n"
                "estimate --batch answers all queries through the batched "
-               "pipeline\n(DESIGN.md §14): one canonicalization pass, "
-               "cross-query sub-twig dedup,\ngrouped summary probes, and a "
-               "shared memo — same estimates, less work.\nserve accepts the "
+               "pipeline\n(DESIGN.md §14): whole-query dedup and a shared "
+               "sub-twig memo — same\nestimates, less work.\n"
+               "serve accepts the "
                "batch form too: a JSON array request line (of query\nstrings "
                "or request envelopes) gets one JSON array response line, "
                "in\norder, both on stdin and over --listen.\n");
@@ -710,45 +710,15 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   // stdout's flush is the pipe-mode "wire": the trace's serialize stage
   // covers JSON rendering, flush covers fprintf+fflush.
   serve::Server server(
-      &snapshots, options, [&slow_log](const serve::ServeResponse& response) {
+      &snapshots, options, [&slow_log](serve::ServeBatchResponse response) {
         serve::RequestTrace trace = response.trace;
         const std::string line = response.ToJsonLine();
         trace.StampSerialized();
         std::fprintf(stdout, "%s\n", line.c_str());
         std::fflush(stdout);
         trace.StampFlushed();
-        serve::RequestOutcome outcome;
-        outcome.query = response.query;
-        outcome.rung = response.rung;
-        outcome.error_code = response.error_code;
-        outcome.ok = response.ok;
-        outcome.cached = response.cached;
-        outcome.degraded = response.degraded;
-        outcome.snapshot_version = response.snapshot_version;
-        serve::FinalizeRequestTrace(trace, outcome, &slow_log);
-      },
-      [&slow_log](serve::ServeBatchResponse response) {
-        // One array line answers the whole batch, mirroring the TCP path.
-        serve::RequestTrace trace = response.trace;
-        const std::string line = response.ToJsonLine();
-        trace.StampSerialized();
-        std::fprintf(stdout, "%s\n", line.c_str());
-        std::fflush(stdout);
-        trace.StampFlushed();
-        serve::RequestOutcome outcome;
-        outcome.query =
-            "[batch:" + std::to_string(response.items.size()) + "]";
-        outcome.ok = true;
-        for (const serve::ServeResponse& item : response.items) {
-          if (!item.ok && outcome.error_code.empty()) {
-            outcome.ok = false;
-            outcome.error_code = item.error_code;
-          }
-          outcome.degraded = outcome.degraded || item.degraded;
-          outcome.cached = outcome.cached || item.cached;
-          outcome.snapshot_version = item.snapshot_version;
-        }
-        serve::FinalizeRequestTrace(trace, outcome, &slow_log);
+        serve::FinalizeRequestTrace(trace, serve::OutcomeOf(response),
+                                    &slow_log);
       });
 
   InstallServeSignalHandlers();
@@ -798,45 +768,27 @@ int RunServe(int argc, char** argv, const Flags& flags) {
       std::fflush(stdout);
       continue;
     }
-    if (serve::IsBatchRequestLine(text)) {
-      ++next_id;
-      serve::RequestTrace batch_trace = serve::RequestTrace::Begin(next_id);
-      Result<serve::ServeBatch> batch =
-          serve::ParseBatchRequestLine(text, options.queue_capacity);
-      if (!batch.ok()) {
-        serve::ServeResponse response;
-        response.id = next_id;
-        response.req = next_id;
-        response.error_code =
-            std::string(StatusCodeToString(batch.status().code()));
-        response.error_message = batch.status().message();
-        std::fprintf(stdout, "%s\n", response.ToJsonLine().c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      batch_trace.batch_size = static_cast<uint32_t>(batch->items.size());
-      batch->trace = batch_trace;
-      server.SubmitBatch(std::move(*batch));
-      continue;
-    }
     ++next_id;
     serve::RequestTrace trace = serve::RequestTrace::Begin(next_id);
-    Result<serve::ServeRequest> request = serve::ParseRequestLine(text);
-    if (!request.ok()) {
+    serve::ServeBatch batch;
+    if (Status parsed =
+            serve::ParseRequestLine(text, options.queue_capacity, &batch);
+        !parsed.ok()) {
       serve::ServeResponse response;
       response.id = next_id;
       response.req = next_id;
-      response.query = std::string(text);
-      response.error_code =
-          std::string(StatusCodeToString(request.status().code()));
-      response.error_message = request.status().message();
+      if (batch.scalar) response.query = std::string(text);
+      response.error_code = std::string(StatusCodeToString(parsed.code()));
+      response.error_message = parsed.message();
       std::fprintf(stdout, "%s\n", response.ToJsonLine().c_str());
       std::fflush(stdout);
       continue;
     }
-    if (request->id == 0) request->id = next_id;
-    request->trace = trace;
-    server.Submit(std::move(*request));
+    // A scalar line without an id answers with its line number; array
+    // items echo their ids as given.
+    if (batch.scalar && batch.items[0].id == 0) batch.items[0].id = next_id;
+    batch.trace = trace;
+    server.Submit(std::move(batch));
   }
 
   // EOF or signal: stop admission, answer everything already queued, then
