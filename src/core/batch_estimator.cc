@@ -61,11 +61,6 @@ BatchEstimator::BatchEstimator(const LatticeSummary* summary,
                                RecursiveDecompositionEstimator::Options options)
     : estimator_(summary, options) {}
 
-Status* BatchEstimator::StageStatuses(size_t n) {
-  status_staging_.assign(n, Status::OK());
-  return status_staging_.data();
-}
-
 Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
                                      const EstimateOptions& options,
                                      std::span<EstimateResult> results) {
@@ -75,7 +70,6 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
   }
   const size_t n = queries.size();
   if (n == 0) return Status::OK();
-  arena_.Reset();
 
   // Stage 1: group identical queries; only the first of each group is
   // estimated.
@@ -91,28 +85,23 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
       options.scratch != nullptr ? options.scratch : &scratch_;
   ScopedBatchScratch batch_guard(scratch, memo_budget);
 
-  // Stage 2: shared-memo recursion over the distinct queries. One governor
-  // covers the whole batch; queries visited after a budget trip fail fast
-  // with the trip status on their first Charge().
+  // Stage 2: shared-memo recursion over the distinct queries, each outcome
+  // written straight into its first query's result. One governor covers
+  // the whole batch; queries visited after a budget trip fail fast with
+  // the trip status on their first Charge().
   CostGovernor governor = options.MakeGovernor();
   CostGovernor* governor_ptr = options.governed() ? &governor : nullptr;
-  double* staged = arena_.AllocateArray<double>(distinct.size());
-  Status* staged_status = StageStatuses(distinct.size());
-  for (size_t d = 0; d < distinct.size(); ++d) {
-    staged[d] = 0.0;
+  for (uint32_t first : distinct) {
     Result<double> result = estimator_.EstimateWithGovernor(
-        queries[distinct[d]], governor_ptr, scratch);
-    if (result.ok()) {
-      staged[d] = *result;
-    } else {
-      staged_status[d] = result.status();
-    }
+        queries[first], governor_ptr, scratch);
+    results[first].status = result.status();
+    results[first].estimate = result.ok() ? *result : 0.0;
   }
   if (options.work_steps != nullptr && governor_ptr != nullptr) {
     *options.work_steps += governor.steps();
   }
 
-  // Scatter: every query takes its group's staged outcome.
+  // Scatter: every other query takes its group's outcome.
   for (size_t i = 0; i < n; ++i) {
     const uint32_t d = dedup_.group(i);
     if (d == QueryDedup::kNoGroup) {
@@ -120,8 +109,8 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
       results[i].estimate = 0.0;
       continue;
     }
-    results[i].status = staged_status[d];
-    results[i].estimate = staged[d];
+    const uint32_t first = distinct[d];
+    if (first != i) results[i] = results[first];
   }
   return Status::OK();
 }

@@ -11,7 +11,6 @@
 #include "core/recursive_estimator.h"
 #include "summary/lattice_summary.h"
 #include "util/analysis_annotations.h"
-#include "util/arena.h"
 
 namespace treelattice {
 
@@ -61,11 +60,11 @@ class QueryDedup {
 ///      batch-scoped memo (EstimateScratch::BeginBatch), so a basic twig
 ///      shared by several queries is probed and voted once.
 ///
-/// Per-batch staging lives in a MonotonicArena that resets in O(1) per
-/// batch. Because memo entries are exact per-code values inserted only
-/// after full computation, batch results are bit-identical to estimating
-/// each query sequentially with a fresh memo (the equality gate in
-/// bench_ext_batch asserts this).
+/// Each distinct query's outcome is written straight into its first
+/// query's result and copied to the duplicates. Because memo entries are
+/// exact per-code values inserted only after full computation, batch
+/// results are bit-identical to estimating each query sequentially with a
+/// fresh memo (BatchStreamTest in tests/batch_test.cc asserts this).
 ///
 /// Governed batches share one CostGovernor: the deadline and step budget
 /// cover the whole batch, and queries after a budget trip report the trip
@@ -89,17 +88,9 @@ class BatchEstimator {
   std::string name() const { return "batch+" + estimator_.name(); }
 
  private:
-  /// Status staging for the distinct queries of one batch (Status owns a
-  /// string, so it cannot live in the arena). Capacity is retained across
-  /// batches.
-  // Amortized: assign() reuses capacity once it reaches the largest batch.
-  TL_ALLOC_OK Status* StageStatuses(size_t n);
-
   RecursiveDecompositionEstimator estimator_;
   QueryDedup dedup_;
-  MonotonicArena arena_;
   EstimateScratch scratch_;
-  std::vector<Status> status_staging_;
 };
 
 }  // namespace treelattice

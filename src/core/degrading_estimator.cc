@@ -14,6 +14,10 @@ bool ShouldDegrade(const Status& status) {
          status.code() == StatusCode::kResourceExhausted;
 }
 
+/// Fraction of the original deadline granted afresh to each fallback rung;
+/// 0.5 bounds the whole ladder at ~2x the deadline.
+constexpr double kFallbackDeadlineFraction = 0.5;
+
 }  // namespace
 
 std::string_view DegradingEstimator::RungName(Rung rung) {
@@ -33,10 +37,9 @@ DegradingEstimator::DegradingEstimator(const LatticeSummary* summary)
 
 DegradingEstimator::DegradingEstimator(const LatticeSummary* summary,
                                        Options options)
-    : options_(options),
-      primary_(summary, options.primary),
-      fixed_size_(summary, options.fixed_size),
-      markov_(summary, options.markov) {}
+    : primary_(summary, options.primary),
+      fixed_size_(summary),
+      markov_(summary) {}
 
 Result<double> DegradingEstimator::Estimate(const Twig& query) {
   return primary_.Estimate(query);
@@ -57,8 +60,7 @@ EstimateOptions DegradingEstimator::FallbackBudget(
   fallback.scratch = original.scratch;
   fallback.work_steps = original.work_steps;  // rungs accumulate into one tally
   if (original.deadline_millis > 0.0) {
-    double grace =
-        original.deadline_millis * options_.fallback_deadline_fraction;
+    double grace = original.deadline_millis * kFallbackDeadlineFraction;
     fallback.deadline = Deadline::After(grace);
     fallback.deadline_millis = grace;
   } else if (!original.deadline.is_infinite()) {

@@ -41,17 +41,14 @@ class DegradingEstimator : public SelectivityEstimator {
   /// "primary", "fixed-size", or "markov-path".
   static std::string_view RungName(Rung rung);
 
+  /// The fallback rungs always run at their defaults: fixed-size covers
+  /// and markov windows of the summary's max level.
   struct Options {
     /// Primary-rung configuration; voting on by default since the ladder
     /// exists precisely to make the expensive estimator safe to prefer.
     RecursiveDecompositionEstimator::Options primary{
         /*voting=*/true, /*max_votes_per_level=*/0,
         RecursiveDecompositionEstimator::VoteAggregation::kMean};
-    FixedSizeDecompositionEstimator::Options fixed_size;
-    MarkovPathEstimator::Options markov;
-    /// Fraction of the original deadline granted afresh to each fallback
-    /// rung. 0.5 bounds the whole ladder at ~2x the deadline.
-    double fallback_deadline_fraction = 0.5;
   };
 
   /// An estimate annotated with how it was obtained.
@@ -84,12 +81,11 @@ class DegradingEstimator : public SelectivityEstimator {
   }
 
  private:
-  /// Budget for a fallback rung: a fresh deadline of
-  /// fallback_deadline_fraction x the original duration (when known) and a
-  /// fresh step budget; the cancel token is carried through unchanged.
+  /// Budget for a fallback rung: a fresh deadline of half the original
+  /// duration (when known) and a fresh step budget; the cancel token is
+  /// carried through unchanged.
   EstimateOptions FallbackBudget(const EstimateOptions& original) const;
 
-  Options options_;
   RecursiveDecompositionEstimator primary_;
   FixedSizeDecompositionEstimator fixed_size_;
   MarkovPathEstimator markov_;

@@ -8,21 +8,26 @@ namespace treelattice {
 
 namespace {
 constexpr size_t kMinSlots = 16;
+/// Largest up-front reservation: a bigger recursion grows the table as it
+/// inserts, so one huge query never makes later small ones pay for it.
+constexpr size_t kMaxReservedEntries = 4096;
 }  // namespace
 
 void CodeMemo::Reset(size_t expected_entries) {
   entries_.clear();
   arena_.clear();
-  // Size the table so `expected_entries` stays under the 0.7 load bound;
-  // never shrink — a warm memo keeps its high-water capacity.
+  // Size the table so `expected_entries` stays under the 0.7 load bound.
+  // Only that prefix of the retained slot buffer is cleared and probed.
+  const size_t entries = std::min(expected_entries, kMaxReservedEntries);
   size_t want = kMinSlots;
-  while (want * 7 < expected_entries * 10) want <<= 1;
-  if (slots_.size() < want) {
-    slots_.assign(want, Slot{});
-  } else {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-  }
-  mask_ = slots_.size() - 1;
+  while (want * 7 < entries * 10) want <<= 1;
+  UseSlots(want);
+}
+
+void CodeMemo::UseSlots(size_t n) {
+  if (slots_.size() < n) slots_.resize(n);
+  std::fill_n(slots_.begin(), n, Slot{});
+  mask_ = n - 1;
 }
 
 const double* CodeMemo::Find(uint64_t hash, std::string_view code) const {
@@ -41,7 +46,7 @@ const double* CodeMemo::Find(uint64_t hash, std::string_view code) const {
 
 void CodeMemo::Insert(uint64_t hash, std::string_view code, double value) {
   if (slots_.empty()) Reset(0);
-  if ((entries_.size() + 1) * 10 >= slots_.size() * 7) Grow();
+  if ((entries_.size() + 1) * 10 >= slots_in_use() * 7) Grow();
   size_t idx = static_cast<size_t>(Mix64(hash)) & mask_;
   while (slots_[idx].index_plus_one != 0) {
     if (slots_[idx].hash == hash &&
@@ -61,8 +66,7 @@ void CodeMemo::Insert(uint64_t hash, std::string_view code, double value) {
 }
 
 void CodeMemo::Grow() {
-  slots_.assign(slots_.size() * 2, Slot{});
-  mask_ = slots_.size() - 1;
+  UseSlots(slots_in_use() * 2);
   for (size_t i = 0; i < entries_.size(); ++i) {
     size_t idx = static_cast<size_t>(Mix64(entries_[i].hash)) & mask_;
     while (slots_[idx].index_plus_one != 0) idx = (idx + 1) & mask_;

@@ -20,9 +20,12 @@ namespace treelattice {
 ///
 /// The memo never erases; Reset() drops all entries while keeping every
 /// buffer's capacity, so a warm memo allocates nothing across queries.
+/// The slot table in use is sized per Reset, so the cost of a query's
+/// Reset and probes does not depend on the largest query seen before.
 class CodeMemo {
  public:
-  /// Empties the memo and sizes the slot table for `expected_entries`.
+  /// Empties the memo and sizes the slot table for `expected_entries`,
+  /// capped at a few thousand; larger recursions grow it as they insert.
   void Reset(size_t expected_entries);
 
   /// Pointer to the memoized value for (hash, code), or nullptr. The
@@ -38,6 +41,9 @@ class CodeMemo {
   TL_ALLOC_OK void Insert(uint64_t hash, std::string_view code, double value);
 
   size_t size() const { return entries_.size(); }
+
+  /// Slots of the table in use (a prefix of the retained slot buffer).
+  size_t slots_in_use() const { return slots_.empty() ? 0 : mask_ + 1; }
 
  private:
   struct Entry {
@@ -56,6 +62,10 @@ class CodeMemo {
     return std::string_view(arena_).substr(entry.offset, entry.length);
   }
 
+  /// Makes the first `n` (a power of two) retained slots the empty table
+  /// in use, growing the buffer only past its high-water size.
+  void UseSlots(size_t n);
+
   /// Doubles the slot table and reinserts all entries (no code compares
   /// needed: stored entries are distinct by construction).
   void Grow();
@@ -67,14 +77,13 @@ class CodeMemo {
 };
 
 /// Reusable buffers for one recursion level of the voting decomposition:
-/// the removable-node list, one pre-built split per valid leaf pair, and
-/// the vote accumulator. Twigs inside `splits` are Clear()ed and refilled
-/// in place, so a warm workspace performs a whole level without touching
-/// the allocator.
+/// the removable-node list, the split of the vote in progress, and the
+/// vote accumulator. The split's twigs are Clear()ed and refilled in place
+/// for every vote, so a warm workspace performs a whole level without
+/// touching the allocator.
 struct DepthWorkspace {
   std::vector<int> removable;
-  std::vector<RecursiveSplit> splits;
-  size_t num_valid = 0;  ///< prefix of `splits` filled for the current twig
+  RecursiveSplit split;
   std::vector<double> votes;
   std::vector<int> map_scratch;
 };

@@ -100,31 +100,21 @@ Result<double> RecursiveDecompositionEstimator::EstimateImpl(
     value = 0.0;
   } else {
     metrics.summary_misses->Increment();
-    // Build every valid leaf-pair split once, in the same deterministic
-    // (preorder index) pair order ValidLeafPairs used — the splits double
-    // as the validity check, so the old validate-then-resplit double work
-    // is gone and each split's twigs refill this depth's pooled buffers.
+    // Each leaf pair's split is built just before its vote, in preorder
+    // pair order, into this depth's one pooled split: building every
+    // split of a wide twig up front costs C(r,2) twigs per level even when
+    // only one vote is cast.
     DepthWorkspace& ws = scratch->Depth(depth);
     twig.RemovableNodesInto(&ws.removable);
-    ws.num_valid = 0;
-    for (size_t a = 0; a < ws.removable.size(); ++a) {
-      for (size_t b = a + 1; b < ws.removable.size(); ++b) {
-        // tl-analyze: allow(hot-alloc) -- amortized: the pooled split
-        // buffer grows to the query's fanout once, then is refilled
-        if (ws.splits.size() <= ws.num_valid) ws.splits.emplace_back();
-        Status split_status =
-            SplitByLeafPairInto(twig, ws.removable[a], ws.removable[b],
-                                &ws.splits[ws.num_valid], &ws.map_scratch);
-        if (split_status.ok()) ++ws.num_valid;
-      }
-    }
-    if (ws.num_valid == 0) {
+    const size_t r = ws.removable.size();
+    const size_t pairs = r * (r - 1) / 2;
+    if (pairs == 0) {
       return Status::Internal("no valid leaf pair for twig of size " +
                               std::to_string(twig.size()));
     }
     size_t limit = 1;
     if (options_.voting) {
-      limit = ws.num_valid;
+      limit = pairs;
       if (options_.max_votes_per_level > 0) {
         limit = std::min(limit,
                          static_cast<size_t>(options_.max_votes_per_level));
@@ -133,26 +123,34 @@ Result<double> RecursiveDecompositionEstimator::EstimateImpl(
     metrics.decompositions->Increment();
     metrics.voting_fanout->Record(limit);
     ws.votes.clear();
-    for (size_t i = 0; i < limit; ++i) {
-      // The deeper recursion uses workspaces > depth, never this one, so
-      // the split twigs stay valid across the three calls.
-      RecursiveSplit& split = ws.splits[i];
-      double e1, e2, eo;
-      TL_ASSIGN_OR_RETURN(e1, EstimateImpl(split.t1, scratch, depth + 1,
-                                           max_depth, governor));
-      TL_ASSIGN_OR_RETURN(e2, EstimateImpl(split.t2, scratch, depth + 1,
-                                           max_depth, governor));
-      TL_ASSIGN_OR_RETURN(eo, EstimateImpl(split.overlap, scratch, depth + 1,
-                                           max_depth, governor));
-      double est = 0.0;
-      if (e1 > 0.0 && e2 > 0.0 && eo > 0.0) {
-        est = e1 * e2 / eo;
-      } else {
-        metrics.zero_overlap_fallbacks->Increment();
+    for (size_t a = 0; a < r && ws.votes.size() < limit; ++a) {
+      for (size_t b = a + 1; b < r && ws.votes.size() < limit; ++b) {
+        // Every pair of removable nodes of a twig of size >= 3 splits; a
+        // pair that did not would cast no vote.
+        if (!SplitByLeafPairInto(twig, ws.removable[a], ws.removable[b],
+                                 &ws.split, &ws.map_scratch)
+                 .ok()) {
+          continue;
+        }
+        // The deeper recursion uses workspaces > depth, never this one,
+        // so the split twigs stay valid across the three calls.
+        double e1, e2, eo;
+        TL_ASSIGN_OR_RETURN(e1, EstimateImpl(ws.split.t1, scratch, depth + 1,
+                                             max_depth, governor));
+        TL_ASSIGN_OR_RETURN(e2, EstimateImpl(ws.split.t2, scratch, depth + 1,
+                                             max_depth, governor));
+        TL_ASSIGN_OR_RETURN(eo, EstimateImpl(ws.split.overlap, scratch,
+                                             depth + 1, max_depth, governor));
+        double est = 0.0;
+        if (e1 > 0.0 && e2 > 0.0 && eo > 0.0) {
+          est = e1 * e2 / eo;
+        } else {
+          metrics.zero_overlap_fallbacks->Increment();
+        }
+        // tl-analyze: allow(hot-alloc) -- amortized: pooled vote buffer,
+        // capacity retained across queries
+        ws.votes.push_back(est);
       }
-      // tl-analyze: allow(hot-alloc) -- amortized: pooled vote buffer,
-      // capacity retained across queries
-      ws.votes.push_back(est);
     }
     if (ws.votes.empty()) {
       value = 0.0;

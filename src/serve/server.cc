@@ -47,8 +47,6 @@ uint64_t EstimatorConfigFingerprint(const DegradingEstimator::Options& o) {
   fp = HashCombine(fp, o.primary.voting ? 1 : 0);
   fp = HashCombine(fp, static_cast<uint64_t>(o.primary.max_votes_per_level));
   fp = HashCombine(fp, static_cast<uint64_t>(o.primary.aggregation));
-  fp = HashCombine(fp, static_cast<uint64_t>(o.fixed_size.k));
-  fp = HashCombine(fp, static_cast<uint64_t>(o.markov.order));
   return fp;
 }
 

@@ -1,10 +1,10 @@
-// Batched estimation suite (DESIGN.md §14): the monotonic arena,
-// BatchEstimator's bit-identity with the sequential path (including under
-// governed budgets and cancellation), the array request-line protocol,
-// and the Server's whole-line admission/shed semantics.
+// Batched estimation suite (DESIGN.md §14): BatchEstimator's bit-identity
+// with the sequential path (including under governed budgets and
+// cancellation, and on a generated stream with duplicates at several batch
+// sizes), the array request-line protocol, and the Server's whole-line
+// admission/shed semantics.
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -18,15 +18,18 @@
 #include "core/batch_estimator.h"
 #include "core/estimate_scratch.h"
 #include "core/recursive_estimator.h"
+#include "datagen/datasets.h"
 #include "io/env.h"
+#include "mining/lattice_builder.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "summary/lattice_summary.h"
 #include "summary/summary_format.h"
+#include "temp_path.h"
 #include "twig/twig.h"
-#include "util/arena.h"
 #include "util/deadline.h"
 #include "util/json.h"
+#include "workload/workload.h"
 #include "xml/label_dict.h"
 
 namespace treelattice {
@@ -64,55 +67,6 @@ std::vector<Twig> ParseAll(const std::vector<std::string>& texts,
     twigs.push_back(std::move(*twig));
   }
   return twigs;
-}
-
-TEST(MonotonicArenaTest, BumpAllocatesAlignedAndResetReuses) {
-  MonotonicArena arena;
-  EXPECT_EQ(arena.CapacityBytes(), 0u);
-
-  char* byte = arena.AllocateArray<char>(3);
-  ASSERT_NE(byte, nullptr);
-  uint64_t* words = arena.AllocateArray<uint64_t>(7);
-  ASSERT_NE(words, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(words) % alignof(uint64_t), 0u);
-  for (size_t i = 0; i < 7; ++i) words[i] = i;  // must be writable
-  double* reals = arena.AllocateArray<double>(5);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(reals) % alignof(double), 0u);
-
-  const size_t capacity = arena.CapacityBytes();
-  EXPECT_GT(capacity, 0u);
-  arena.Reset();
-  // Same allocations after Reset reuse the retained blocks: no growth.
-  arena.AllocateArray<char>(3);
-  arena.AllocateArray<uint64_t>(7);
-  arena.AllocateArray<double>(5);
-  EXPECT_EQ(arena.CapacityBytes(), capacity);
-}
-
-TEST(MonotonicArenaTest, OversizedAllocationGetsItsOwnBlock) {
-  MonotonicArena arena;
-  // Far beyond the 64 KiB block: the arena must mint a dedicated block
-  // and the array must be fully usable.
-  const size_t n = 40000;
-  uint64_t* big = arena.AllocateArray<uint64_t>(n);
-  ASSERT_NE(big, nullptr);
-  big[0] = 1;
-  big[n - 1] = 2;
-  EXPECT_EQ(big[0] + big[n - 1], 3u);
-  EXPECT_GE(arena.CapacityBytes(), n * sizeof(uint64_t));
-
-  const size_t capacity = arena.CapacityBytes();
-  arena.Reset();
-  uint64_t* again = arena.AllocateArray<uint64_t>(n);
-  ASSERT_NE(again, nullptr);
-  EXPECT_EQ(arena.CapacityBytes(), capacity);  // big block was retained
-}
-
-TEST(MonotonicArenaTest, ZeroSizedAllocationIsSafe) {
-  MonotonicArena arena;
-  // Must not fault on the empty arena's null bump pointer.
-  (void)arena.AllocateArray<int>(0);
-  (void)arena.Allocate(0, 1);
 }
 
 class BatchEstimatorTest : public ::testing::Test {
@@ -177,8 +131,8 @@ TEST_F(BatchEstimatorTest, BitIdenticalToSequentialVotingMedian) {
 }
 
 TEST_F(BatchEstimatorTest, RepeatedCallsReuseArenaWithoutDrift) {
-  // Second and third batches over the same estimator hit the Reset path
-  // of the arena and the memo; values must not drift run to run.
+  // Second and third batches over the same estimator reuse the dedup
+  // table and the memo; values must not drift run to run.
   std::vector<Twig> queries = Workload();
   BatchEstimator batch(summary_.get());
   std::vector<EstimateResult> first(queries.size());
@@ -188,6 +142,60 @@ TEST_F(BatchEstimatorTest, RepeatedCallsReuseArenaWithoutDrift) {
     ASSERT_TRUE(batch.EstimateBatch(queries, EstimateOptions(), again).ok());
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(again[i].estimate, first[i].estimate);
+    }
+  }
+}
+
+TEST(BatchStreamTest, GeneratedVotingStreamMatchesSequentialAtEveryBatchSize) {
+  // A stream of size-8 voting queries cycling a pool of 12: a batch larger
+  // than the pool carries duplicates (the dedup case) and consecutive
+  // batches repeat structure (the shared-memo case). Every batch size must
+  // reproduce the sequential estimates bit for bit.
+  DatasetOptions data;
+  data.scale = 100;
+  Document doc = GenerateXmark(data);
+  LatticeBuildOptions build;
+  build.max_level = 3;
+  Result<LatticeSummary> summary = BuildLattice(doc, build, nullptr);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  WorkloadOptions workload;
+  workload.query_size = 8;
+  workload.num_queries = 12;
+  Result<std::vector<Twig>> pool = GeneratePositiveWorkload(doc, workload);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  ASSERT_EQ(pool->size(), 12u);
+  std::vector<Twig> stream;
+  for (size_t i = 0; i < 128; ++i) stream.push_back((*pool)[i % pool->size()]);
+
+  RecursiveDecompositionEstimator::Options voting;
+  voting.voting = true;
+  RecursiveDecompositionEstimator sequential(&*summary, voting);
+  EstimateScratch scratch;
+  EstimateOptions sequential_options;
+  sequential_options.scratch = &scratch;
+  std::vector<double> expected;
+  for (const Twig& query : stream) {
+    Result<double> value = sequential.Estimate(query, sequential_options);
+    ASSERT_TRUE(value.ok()) << value.status().ToString();
+    expected.push_back(*value);
+  }
+
+  BatchEstimator batch(&*summary, voting);
+  for (size_t batch_size : {1, 8, 64}) {
+    std::vector<EstimateResult> results(stream.size());
+    for (size_t start = 0; start < stream.size(); start += batch_size) {
+      const size_t n = std::min(batch_size, stream.size() - start);
+      ASSERT_TRUE(batch
+                      .EstimateBatch(
+                          std::span<const Twig>(stream.data() + start, n),
+                          EstimateOptions(),
+                          std::span<EstimateResult>(results.data() + start, n))
+                      .ok());
+    }
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
+      EXPECT_EQ(results[i].estimate, expected[i])
+          << "batch size " << batch_size << ", query " << i;
     }
   }
 }
@@ -370,11 +378,7 @@ serve::ServeBatch ArrayLine(const std::vector<std::string>& queries,
 class ServerBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // ctest runs each case in its own process, possibly in parallel: the
-    // summary file name carries the test name and the process id.
-    path_ = testing::TempDir() + "/tl_batch_server_" +
-            testing::UnitTest::GetInstance()->current_test_info()->name() +
-            "_" + std::to_string(getpid()) + ".tls";
+    path_ = UniqueTempPath("tl_batch_server.tls");
     LabelDict dict;
     LatticeSummary summary(2);
     FillTestSummary(&summary, &dict);

@@ -34,6 +34,7 @@
 #include "serve/snapshot.h"
 #include "serve/transport.h"
 #include "summary/lattice_summary.h"
+#include "temp_path.h"
 #include "twig/twig.h"
 #include "util/hash.h"
 #include "xml/label_dict.h"
@@ -141,7 +142,6 @@ TEST(ConcurrencyTest, TracerHammer) {
 
 TEST(ConcurrencyTest, FaultEnvCountersAddUp) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = testing::TempDir();
 
   constexpr int kAppendsPerThread = 50;
   const std::string chunk(128, 'x');
@@ -158,7 +158,7 @@ TEST(ConcurrencyTest, FaultEnvCountersAddUp) {
 
   RunThreads(kThreads, [&](int t) {
     const std::string path =
-        dir + "/tl_concurrency_" + std::to_string(t) + ".dat";
+        UniqueTempPath("tl_concurrency_" + std::to_string(t) + ".dat");
     auto file = env.NewWritableFile(path);
     ASSERT_TRUE(file.ok()) << file.status().message();
     for (int i = 0; i < kAppendsPerThread; ++i) {
@@ -183,7 +183,6 @@ TEST(ConcurrencyTest, FaultEnvCountersAddUp) {
 
 TEST(ConcurrencyTest, FaultEnvWriteBudgetConsumedAtomically) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = testing::TempDir();
 
   // A budget that runs out mid-test: with 1-byte appends racing from
   // every thread, exactly `kBudget` may succeed — any other total means
@@ -194,7 +193,7 @@ TEST(ConcurrencyTest, FaultEnvWriteBudgetConsumedAtomically) {
   std::atomic<int> successes{0};
   RunThreads(kThreads, [&](int t) {
     const std::string path =
-        dir + "/tl_budget_" + std::to_string(t) + ".dat";
+        UniqueTempPath("tl_budget_" + std::to_string(t) + ".dat");
     auto file = env.NewWritableFile(path);
     ASSERT_TRUE(file.ok()) << file.status().message();
     for (int i = 0; i < 200; ++i) {

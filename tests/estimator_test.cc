@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,10 +11,12 @@
 #include "core/fixed_size_estimator.h"
 #include "core/markov_path_estimator.h"
 #include "core/recursive_estimator.h"
+#include "datagen/datasets.h"
 #include "datagen/random_tree.h"
 #include "match/matcher.h"
 #include "mining/lattice_builder.h"
 #include "twig/decompose.h"
+#include "util/hash.h"
 #include "workload/workload.h"
 #include "xml/parser.h"
 
@@ -383,6 +387,153 @@ TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
     ASSERT_TRUE(bare.ok() && warm.ok());
     EXPECT_EQ(*bare, *warm);
   }
+}
+
+/// Reference oracle for the Fig. 4 recursion, written the plain way:
+/// summary counts in a std::string-keyed map, a fresh string-keyed memo
+/// per query, the canonical code recomputed on every sub-twig visit
+/// (ComputeCanonicalCode bypasses the twig's cache), and allocating
+/// SplitByLeafPair calls over ValidLeafPairs. It shares no data structure
+/// with the production estimator (interned codes, flat hash memo, pooled
+/// per-depth splits), so agreement bit for bit checks the production
+/// recursion's visit order and arithmetic, not just its results' shape.
+class ReferenceRecursiveEstimator {
+ public:
+  ReferenceRecursiveEstimator(const LatticeSummary& summary,
+                              RecursiveDecompositionEstimator::Options options)
+      : options_(options),
+        complete_through_level_(summary.complete_through_level()) {
+    for (int level = 1; level <= summary.max_level(); ++level) {
+      for (const std::string& code : summary.PatternsAtLevel(level)) {
+        if (auto count = summary.LookupCode(code)) counts_[code] = *count;
+      }
+    }
+  }
+
+  Result<double> Estimate(const Twig& query) {
+    std::unordered_map<std::string, double> memo;
+    return EstimateImpl(query, &memo);
+  }
+
+ private:
+  Result<double> EstimateImpl(const Twig& twig,
+                              std::unordered_map<std::string, double>* memo) {
+    const std::string code = twig.ComputeCanonicalCode();
+    if (auto it = memo->find(code); it != memo->end()) return it->second;
+
+    double value = 0.0;
+    if (auto it = counts_.find(code); it != counts_.end()) {
+      value = static_cast<double>(it->second);
+    } else if (twig.size() <= complete_through_level_ || twig.size() < 3) {
+      value = 0.0;
+    } else {
+      std::vector<std::pair<int, int>> pairs = ValidLeafPairs(twig);
+      if (pairs.empty()) return Status::Internal("no valid leaf pair");
+      size_t limit = 1;
+      if (options_.voting) {
+        limit = pairs.size();
+        if (options_.max_votes_per_level > 0) {
+          limit = std::min(
+              limit, static_cast<size_t>(options_.max_votes_per_level));
+        }
+      }
+      std::vector<double> votes;
+      for (size_t i = 0; i < limit; ++i) {
+        Result<RecursiveSplit> split =
+            SplitByLeafPair(twig, pairs[i].first, pairs[i].second);
+        if (!split.ok()) return split.status();
+        double e1, e2, eo;
+        TL_ASSIGN_OR_RETURN(e1, EstimateImpl(split->t1, memo));
+        TL_ASSIGN_OR_RETURN(e2, EstimateImpl(split->t2, memo));
+        TL_ASSIGN_OR_RETURN(eo, EstimateImpl(split->overlap, memo));
+        votes.push_back(e1 > 0.0 && e2 > 0.0 && eo > 0.0 ? e1 * e2 / eo
+                                                         : 0.0);
+      }
+      using Agg = RecursiveDecompositionEstimator::VoteAggregation;
+      if (options_.aggregation == Agg::kMedian && options_.voting) {
+        std::sort(votes.begin(), votes.end());
+        const size_t mid = votes.size() / 2;
+        value = votes.size() % 2 == 1 ? votes[mid]
+                                      : 0.5 * (votes[mid - 1] + votes[mid]);
+      } else {
+        double sum = 0.0;
+        for (double v : votes) sum += v;
+        value = sum / static_cast<double>(votes.size());
+      }
+    }
+    memo->emplace(code, value);
+    return value;
+  }
+
+  RecursiveDecompositionEstimator::Options options_;
+  int complete_through_level_;
+  std::unordered_map<std::string, uint64_t> counts_;
+};
+
+TEST(ReferenceOracleTest, ProductionRecursionMatchesTheOracleBitForBit) {
+  // Generated size-8 queries over a 3-lattice recurse several levels deep.
+  // Each mode is checked with one scratch shared (and warm) across all
+  // queries and with no scratch at all.
+  DatasetOptions data;
+  data.scale = 100;
+  Document doc = GenerateXmark(data);
+  LatticeSummary summary = MustBuild(doc, 3);
+  WorkloadOptions workload;
+  workload.query_size = 8;
+  workload.num_queries = 24;
+  Result<std::vector<Twig>> queries = GeneratePositiveWorkload(doc, workload);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  ASSERT_EQ(queries->size(), 24u);
+
+  using Agg = RecursiveDecompositionEstimator::VoteAggregation;
+  const RecursiveDecompositionEstimator::Options modes[] = {
+      {false, 0, Agg::kMean}, {true, 0, Agg::kMean}, {true, 0, Agg::kMedian}};
+  for (const RecursiveDecompositionEstimator::Options& options : modes) {
+    RecursiveDecompositionEstimator production(&summary, options);
+    ReferenceRecursiveEstimator oracle(summary, options);
+    EstimateScratch shared;
+    EstimateOptions with_shared;
+    with_shared.scratch = &shared;
+    for (const Twig& query : *queries) {
+      Result<double> expected = oracle.Estimate(query);
+      Result<double> from_shared = production.Estimate(query, with_shared);
+      Result<double> bare = production.Estimate(query);
+      ASSERT_TRUE(expected.ok() && from_shared.ok() && bare.ok());
+      EXPECT_EQ(*from_shared, *expected) << production.name() << " "
+                                         << query.ToDebugString();
+      EXPECT_EQ(*bare, *expected) << production.name() << " "
+                                  << query.ToDebugString();
+    }
+  }
+}
+
+TEST(CodeMemoTest, ResetSizesTheTableInUseForThisCall) {
+  // One huge Reset must not make every later small one clear and probe a
+  // huge table: the reservation is capped, and a small Reset afterwards
+  // uses a small table again.
+  CodeMemo memo;
+  memo.Reset(size_t{1} << 20);
+  EXPECT_LE(memo.slots_in_use(), size_t{8192});
+  memo.Reset(64);
+  EXPECT_EQ(memo.slots_in_use(), size_t{128});
+
+  // Past the cap the table grows as entries arrive; every entry stays
+  // findable, and the next small Reset shrinks the table in use again.
+  memo.Reset(size_t{1} << 20);
+  std::vector<std::string> codes;
+  for (int i = 0; i < 20000; ++i) codes.push_back("c" + std::to_string(i));
+  for (int i = 0; i < 20000; ++i) {
+    memo.Insert(HashBytes(codes[i]), codes[i], static_cast<double>(i));
+  }
+  EXPECT_GE(memo.slots_in_use(), size_t{32768});
+  for (int i = 0; i < 20000; i += 997) {
+    const double* hit = memo.Find(HashBytes(codes[i]), codes[i]);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, static_cast<double>(i));
+  }
+  memo.Reset(64);
+  EXPECT_EQ(memo.slots_in_use(), size_t{128});
+  EXPECT_EQ(memo.Find(HashBytes(codes[0]), codes[0]), nullptr);
 }
 
 class EstimatorProperty : public testing::TestWithParam<int> {};

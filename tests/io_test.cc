@@ -10,15 +10,12 @@
 
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "temp_path.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 
 namespace treelattice {
 namespace {
-
-std::string TestPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 TEST(Crc32cTest, KnownVectors) {
   // RFC 3720 test vectors for CRC-32C.
@@ -59,7 +56,7 @@ TEST(CodingTest, FixedWidthRoundTrip) {
 
 TEST(PosixEnvTest, WriteReadRoundTrip) {
   Env* env = Env::Default();
-  std::string path = TestPath("io_roundtrip.bin");
+  std::string path = UniqueTempPath("io_roundtrip.bin");
   std::string payload("binary\0payload", 14);
   std::string contents;
   ASSERT_TRUE(WriteFileAtomic(env, path, payload).ok());
@@ -76,7 +73,7 @@ TEST(PosixEnvTest, WriteReadRoundTrip) {
 
 TEST(PosixEnvTest, RandomAccessReadsAtOffsets) {
   Env* env = Env::Default();
-  std::string path = TestPath("io_offsets.bin");
+  std::string path = UniqueTempPath("io_offsets.bin");
   ASSERT_TRUE(WriteFileAtomic(env, path, "0123456789").ok());
   Result<std::unique_ptr<RandomAccessFile>> file =
       env->NewRandomAccessFile(path);
@@ -91,7 +88,7 @@ TEST(PosixEnvTest, RandomAccessReadsAtOffsets) {
 
 TEST(PosixEnvTest, MissingFileErrors) {
   Env* env = Env::Default();
-  std::string path = TestPath("io_never_written.bin");
+  std::string path = UniqueTempPath("io_never_written.bin");
   EXPECT_FALSE(env->FileExists(path));
   EXPECT_FALSE(env->NewRandomAccessFile(path).ok());
   EXPECT_FALSE(env->GetFileSize(path).ok());
@@ -102,8 +99,8 @@ TEST(PosixEnvTest, MissingFileErrors) {
 
 TEST(PosixEnvTest, RenameReplacesAtomically) {
   Env* env = Env::Default();
-  std::string from = TestPath("io_rename_from.bin");
-  std::string to = TestPath("io_rename_to.bin");
+  std::string from = UniqueTempPath("io_rename_from.bin");
+  std::string to = UniqueTempPath("io_rename_to.bin");
   ASSERT_TRUE(WriteFileAtomic(env, from, "new").ok());
   ASSERT_TRUE(WriteFileAtomic(env, to, "old").ok());
   ASSERT_TRUE(env->RenameFile(from, to).ok());
@@ -115,7 +112,7 @@ TEST(PosixEnvTest, RenameReplacesAtomically) {
 
 TEST(FaultEnvTest, WriteFailureLeavesNoDestination) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_write.bin");
+  std::string path = UniqueTempPath("io_fault_write.bin");
   env.config().fail_write_after_bytes = 10;
   Status status = WriteFileAtomic(&env, path, std::string(100, 'x'));
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -125,7 +122,7 @@ TEST(FaultEnvTest, WriteFailureLeavesNoDestination) {
 
 TEST(FaultEnvTest, TornWriteLeavesNoDestination) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_torn.bin");
+  std::string path = UniqueTempPath("io_fault_torn.bin");
   env.config().fail_write_after_bytes = 10;
   env.config().torn_writes = true;
   Status status = WriteFileAtomic(&env, path, std::string(100, 'x'));
@@ -138,7 +135,7 @@ TEST(FaultEnvTest, TornWriteLeavesNoDestination) {
 
 TEST(FaultEnvTest, SyncFailurePropagates) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_sync.bin");
+  std::string path = UniqueTempPath("io_fault_sync.bin");
   env.config().fail_sync = true;
   Status status = WriteFileAtomic(&env, path, "data");
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -148,7 +145,7 @@ TEST(FaultEnvTest, SyncFailurePropagates) {
 
 TEST(FaultEnvTest, RenameFailurePreservesOldDestination) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_rename.bin");
+  std::string path = UniqueTempPath("io_fault_rename.bin");
   ASSERT_TRUE(WriteFileAtomic(&env, path, "old contents").ok());
   env.config().fail_rename = true;
   Status status = WriteFileAtomic(&env, path, "new contents");
@@ -162,7 +159,7 @@ TEST(FaultEnvTest, RenameFailurePreservesOldDestination) {
 
 TEST(FaultEnvTest, CleanupNeverMasksTheOriginalError) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_mask.bin");
+  std::string path = UniqueTempPath("io_fault_mask.bin");
   env.config().fail_rename = true;
   Status status = WriteFileAtomic(&env, path, "payload");
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -178,7 +175,7 @@ TEST(FaultEnvTest, CleanupNeverMasksTheOriginalError) {
 
 TEST(FaultEnvTest, ShortReadsAreLoopedOver) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_short.bin");
+  std::string path = UniqueTempPath("io_fault_short.bin");
   std::string payload(1000, 'y');
   ASSERT_TRUE(WriteFileAtomic(&env, path, payload).ok());
   env.config().short_read_cap = 7;
@@ -190,7 +187,7 @@ TEST(FaultEnvTest, ShortReadsAreLoopedOver) {
 
 TEST(FaultEnvTest, ReadErrorPropagates) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("io_fault_eio.bin");
+  std::string path = UniqueTempPath("io_fault_eio.bin");
   ASSERT_TRUE(WriteFileAtomic(&env, path, "data").ok());
   env.config().fail_read = true;
   std::string contents;

@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/serve_metrics.h"
+#include "temp_path.h"
 #include "util/json.h"
 #include "xml/parser.h"
 
@@ -263,7 +264,7 @@ TEST_F(ObsTest, TracerRingDropsOldestBeyondCapacity) {
 }
 
 TEST_F(ObsTest, PeriodicFlushLeavesParseableTraceFile) {
-  const std::string path = testing::TempDir() + "/tl_obs_periodic_trace.json";
+  const std::string path = UniqueTempPath("tl_obs_periodic_trace.json");
   Tracer::Start();
   ASSERT_TRUE(Tracer::StartPeriodicFlush(path, 5.0).ok());
   {

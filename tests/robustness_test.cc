@@ -12,6 +12,7 @@
 #include "io/env.h"
 #include "summary/lattice_summary.h"
 #include "summary/summary_format.h"
+#include "temp_path.h"
 #include "twig/twig.h"
 #include "util/rng.h"
 #include "xml/parser.h"
@@ -124,7 +125,7 @@ TEST(DeepNestingTest, SummaryHandlesPathPatternsOfMaxLevel) {
 }
 
 TEST(MalformedSummaryTest, TruncatedFileRejected) {
-  std::string path = testing::TempDir() + "/tl_truncated_summary.txt";
+  std::string path = UniqueTempPath("tl_truncated_summary.txt");
   {
     std::ofstream out(path);
     out << "TLSUMMARY v1\n4 4\n5\n10 0\n";  // claims 5 entries, has 1
@@ -135,7 +136,7 @@ TEST(MalformedSummaryTest, TruncatedFileRejected) {
 }
 
 TEST(MalformedSummaryTest, GarbageCodeRejected) {
-  std::string path = testing::TempDir() + "/tl_garbage_summary.txt";
+  std::string path = UniqueTempPath("tl_garbage_summary.txt");
   {
     std::ofstream out(path);
     out << "TLSUMMARY v1\n4 4\n1\n10 not-a-code\n";
@@ -149,14 +150,6 @@ TEST(MalformedSummaryTest, GarbageCodeRejected) {
 // or with any single bit flipped — must load to a clean Status (ok with
 // salvage, or a typed error), never crash, hang, or silently return wrong
 // counts while claiming to be undamaged.
-
-/// A TempDir() path for `stem` unique to the running test case and
-/// process: ctest runs the cases in parallel processes.
-std::string UniqueTempPath(const std::string& stem) {
-  return testing::TempDir() + "/" + stem + "_" +
-         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-         std::to_string(getpid()) + ".tls";
-}
 
 /// Reference v2 summary (with embedded dict) whose bytes the fuzz cases
 /// mutate, plus the original counts to compare salvage results against.
@@ -274,12 +267,12 @@ TEST(SummaryFileFuzz, RandomMultiByteCorruptionLoadsCleanly) {
 
 TEST(SummaryFileFuzz, V1RandomTruncationNeverCrashes) {
   SummaryFuzzFixture fx;
-  std::string path = testing::TempDir() + "/tl_fuzz_v1.txt";
+  std::string path = UniqueTempPath("tl_fuzz_v1.txt");
   ASSERT_TRUE(fx.summary.SaveToFileV1(path).ok());
   std::string v1_bytes;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &v1_bytes).ok());
   for (size_t cut = 0; cut < v1_bytes.size(); ++cut) {
-    std::string cut_path = testing::TempDir() + "/tl_fuzz_v1_cut.txt";
+    std::string cut_path = UniqueTempPath("tl_fuzz_v1_cut.txt");
     ASSERT_TRUE(WriteFileAtomic(Env::Default(), cut_path,
                                 v1_bytes.substr(0, cut))
                     .ok());
@@ -295,8 +288,8 @@ TEST(SummaryFileFuzz, V1RandomTruncationNeverCrashes) {
 
 TEST(SummaryFileFuzz, CrossVersionLoadsReportTheirFormat) {
   SummaryFuzzFixture fx;
-  std::string v1_path = testing::TempDir() + "/tl_cross_v1.txt";
-  std::string v2_path = testing::TempDir() + "/tl_cross_v2.tls";
+  std::string v1_path = UniqueTempPath("tl_cross_v1.txt");
+  std::string v2_path = UniqueTempPath("tl_cross_v2.tls");
   ASSERT_TRUE(fx.summary.SaveToFileV1(v1_path).ok());
   ASSERT_TRUE(fx.summary.SaveToFile(v2_path).ok());
 

@@ -3,8 +3,6 @@
 // request-line protocol, and the Server itself — round trips, load
 // shedding, degraded answers under budget, and exactly-once drain.
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -27,6 +25,7 @@
 #include "serve/snapshot.h"
 #include "summary/lattice_summary.h"
 #include "summary/summary_format.h"
+#include "temp_path.h"
 #include "twig/twig.h"
 #include "util/hash.h"
 #include "util/json.h"
@@ -64,19 +63,6 @@ LabelDict WriteTestSummary(Env* env, const std::string& path,
   summary.set_complete_through_level(2);
   EXPECT_TRUE(SaveSummaryV2(summary, &dict, env, path).ok());
   return dict;
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
-
-/// `stem` plus the running test's name and the process id: ctest runs each
-/// case in its own process, possibly in parallel, so fixture files must
-/// not share a name.
-std::string UniqueName(const std::string& stem) {
-  return stem + "_" +
-         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-         std::to_string(getpid()) + ".tls";
 }
 
 /// A scalar request line carrying `request`.
@@ -117,7 +103,7 @@ TEST(SnapshotHolderTest, InFlightReadersKeepTheirSnapshot) {
 }
 
 TEST(ReloadTest, LoadsV2SummaryWithEmbeddedDict) {
-  const std::string path = TempPath("tl_serve_reload_ok.tls");
+  const std::string path = UniqueTempPath("tl_serve_reload_ok.tls");
   WriteTestSummary(Env::Default(), path);
 
   SnapshotHolder holder;
@@ -133,7 +119,7 @@ TEST(ReloadTest, LoadsV2SummaryWithEmbeddedDict) {
 }
 
 TEST(ReloadTest, ReadFaultKeepsPreviousSnapshotAndReportsError) {
-  const std::string path = TempPath("tl_serve_reload_fault.tls");
+  const std::string path = UniqueTempPath("tl_serve_reload_fault.tls");
   WriteTestSummary(Env::Default(), path);
 
   FaultInjectingEnv env(Env::Default());
@@ -162,7 +148,7 @@ TEST(ReloadTest, ReadFaultKeepsPreviousSnapshotAndReportsError) {
 }
 
 TEST(ReloadTest, SalvagedLoadRejectedUnlessAccepted) {
-  const std::string path = TempPath("tl_serve_reload_salvage.tls");
+  const std::string path = UniqueTempPath("tl_serve_reload_salvage.tls");
   WriteTestSummary(Env::Default(), path);
 
   // Truncate the tail: the v2 container salvages the intact prefix.
@@ -309,7 +295,7 @@ struct ResponseCollector {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath(UniqueName("tl_serve_server"));
+    path_ = UniqueTempPath("tl_serve_server.tls");
     WriteTestSummary(Env::Default(), path_);
     ReloadOptions options;
     options.backoff_millis = 0.0;

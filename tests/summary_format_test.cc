@@ -12,15 +12,12 @@
 #include "io/fault_env.h"
 #include "summary/lattice_summary.h"
 #include "summary/summary_format.h"
+#include "temp_path.h"
 #include "twig/twig.h"
 #include "xml/dict_codec.h"
 
 namespace treelattice {
 namespace {
-
-std::string TestPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 Twig MustParse(const std::string& text, LabelDict* dict) {
   Result<Twig> result = Twig::Parse(text, dict);
@@ -45,7 +42,7 @@ struct Fixture {
 
 TEST(SummaryV2Test, RoundTripWithDict) {
   Fixture fx;
-  std::string path = TestPath("fmt_roundtrip.tls");
+  std::string path = UniqueTempPath("fmt_roundtrip.tls");
   ASSERT_TRUE(
       SaveSummaryV2(fx.summary, &fx.dict, Env::Default(), path).ok());
 
@@ -68,7 +65,7 @@ TEST(SummaryV2Test, RoundTripWithDict) {
 
 TEST(SummaryV2Test, RoundTripWithoutDict) {
   Fixture fx;
-  std::string path = TestPath("fmt_nodict.tls");
+  std::string path = UniqueTempPath("fmt_nodict.tls");
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   Result<LoadedSummary> loaded = LoadSummary(Env::Default(), path);
   ASSERT_TRUE(loaded.ok());
@@ -79,7 +76,7 @@ TEST(SummaryV2Test, RoundTripWithoutDict) {
 
 TEST(SummaryV2Test, EmptySummaryRoundTrips) {
   LatticeSummary empty(2);
-  std::string path = TestPath("fmt_empty.tls");
+  std::string path = UniqueTempPath("fmt_empty.tls");
   ASSERT_TRUE(empty.SaveToFile(path).ok());
   Result<LatticeSummary> loaded = LatticeSummary::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -89,7 +86,7 @@ TEST(SummaryV2Test, EmptySummaryRoundTrips) {
 
 TEST(SummaryV2Test, VerifyReportsIntactFile) {
   Fixture fx;
-  std::string path = TestPath("fmt_verify_ok.tls");
+  std::string path = UniqueTempPath("fmt_verify_ok.tls");
   ASSERT_TRUE(
       SaveSummaryV2(fx.summary, &fx.dict, Env::Default(), path).ok());
   Result<VerifyReport> report = VerifySummaryFile(Env::Default(), path);
@@ -110,7 +107,7 @@ TEST(SummaryV2Test, VerifyReportsIntactFile) {
 
 TEST(SummaryV2Test, TruncationSalvagesIntactPrefix) {
   Fixture fx;
-  std::string path = TestPath("fmt_truncated.tls");
+  std::string path = UniqueTempPath("fmt_truncated.tls");
   ASSERT_TRUE(
       SaveSummaryV2(fx.summary, &fx.dict, Env::Default(), path).ok());
   std::string contents;
@@ -118,7 +115,7 @@ TEST(SummaryV2Test, TruncationSalvagesIntactPrefix) {
 
   // Chop the file so level 3 (and the end marker) are gone but levels 1-2
   // survive: cut 40 bytes, well inside the level-3 section.
-  std::string truncated_path = TestPath("fmt_truncated_cut.tls");
+  std::string truncated_path = UniqueTempPath("fmt_truncated_cut.tls");
   ASSERT_TRUE(WriteFileAtomic(Env::Default(), truncated_path,
                               contents.substr(0, contents.size() - 40))
                   .ok());
@@ -144,7 +141,7 @@ TEST(SummaryV2Test, TruncationSalvagesIntactPrefix) {
 
 TEST(SummaryV2Test, CorruptMiddleLevelKeepsLaterLookups) {
   Fixture fx;
-  std::string path = TestPath("fmt_midflip.tls");
+  std::string path = UniqueTempPath("fmt_midflip.tls");
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &contents).ok());
@@ -162,7 +159,7 @@ TEST(SummaryV2Test, CorruptMiddleLevelKeepsLaterLookups) {
   }
   ASSERT_NE(pos, std::string::npos);
   contents[pos + 15] = static_cast<char>(contents[pos + 15] ^ 0x40);
-  std::string flipped = TestPath("fmt_midflip_bad.tls");
+  std::string flipped = UniqueTempPath("fmt_midflip_bad.tls");
   ASSERT_TRUE(WriteFileAtomic(Env::Default(), flipped, contents).ok());
 
   Result<LoadedSummary> loaded = LoadSummary(Env::Default(), flipped);
@@ -177,7 +174,7 @@ TEST(SummaryV2Test, CorruptMiddleLevelKeepsLaterLookups) {
 
 TEST(SummaryV2Test, HeaderCorruptionIsFatal) {
   Fixture fx;
-  std::string path = TestPath("fmt_badheader.tls");
+  std::string path = UniqueTempPath("fmt_badheader.tls");
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &contents).ok());
@@ -190,7 +187,7 @@ TEST(SummaryV2Test, HeaderCorruptionIsFatal) {
 
 TEST(SummaryV2Test, TrailingGarbageFlagged) {
   Fixture fx;
-  std::string path = TestPath("fmt_trailing.tls");
+  std::string path = UniqueTempPath("fmt_trailing.tls");
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &contents).ok());
@@ -206,7 +203,7 @@ TEST(SummaryV2Test, TrailingGarbageFlagged) {
 TEST(SummaryV2Test, FaultInjectedSaveNeverLeavesTornFile) {
   Fixture fx;
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("fmt_fault_save.tls");
+  std::string path = UniqueTempPath("fmt_fault_save.tls");
 
   // Write an initial good version, then fail a re-save at every byte
   // budget; the good version must survive every failure mode.
@@ -244,7 +241,7 @@ TEST(SummaryV2Test, FaultInjectedSaveNeverLeavesTornFile) {
 TEST(SummaryV2Test, LoadSurvivesShortReadsAndFailsCleanlyOnEio) {
   Fixture fx;
   FaultInjectingEnv env(Env::Default());
-  std::string path = TestPath("fmt_fault_load.tls");
+  std::string path = UniqueTempPath("fmt_fault_load.tls");
   ASSERT_TRUE(SaveSummaryV2(fx.summary, &fx.dict, &env, path).ok());
 
   env.config().short_read_cap = 5;
@@ -261,7 +258,7 @@ TEST(SummaryV2Test, LoadSurvivesShortReadsAndFailsCleanlyOnEio) {
 
 TEST(SummaryV1CompatTest, V1TextStillLoads) {
   Fixture fx;
-  std::string path = TestPath("fmt_v1.txt");
+  std::string path = UniqueTempPath("fmt_v1.txt");
   ASSERT_TRUE(fx.summary.SaveToFileV1(path).ok());
 
   // Through the plain API...
@@ -284,7 +281,7 @@ TEST(SummaryV1CompatTest, V1TextStillLoads) {
 
 TEST(SummaryV1CompatTest, SeedWrittenFileLoads) {
   // Byte-for-byte what the seed code's SaveToFile produced.
-  std::string path = TestPath("fmt_v1_seed.txt");
+  std::string path = UniqueTempPath("fmt_v1_seed.txt");
   {
     std::ofstream out(path);
     out << "TLSUMMARY v1\n3 2\n3\n10 0\n8 1\n6 0(1)\n";
@@ -298,7 +295,7 @@ TEST(SummaryV1CompatTest, SeedWrittenFileLoads) {
 
 TEST(SummaryV1CompatTest, HardenedAgainstHostileHeaders) {
   auto write_and_load = [](const std::string& text) {
-    std::string path = TestPath("fmt_v1_hostile.txt");
+    std::string path = UniqueTempPath("fmt_v1_hostile.txt");
     std::ofstream(path) << text;
     return LatticeSummary::LoadFromFile(path);
   };
@@ -332,7 +329,7 @@ TEST(DictCodecTest, EscapedSidecarRoundTripsHostileNames) {
   dict.Intern("has\rreturn");
   dict.Intern("after");  // ids past the hostile ones must not shift
 
-  std::string path = TestPath("dict_roundtrip.dict");
+  std::string path = UniqueTempPath("dict_roundtrip.dict");
   ASSERT_TRUE(SaveLabelDict(dict, Env::Default(), path).ok());
   Result<LabelDict> loaded = LoadLabelDict(Env::Default(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -348,7 +345,7 @@ TEST(DictCodecTest, LegacySidecarKeepsEmptyLines) {
   // A seed-written sidecar with an empty label: the seed's LoadDict
   // skipped the empty line, shifting "c" from id 2 to id 1 and silently
   // corrupting every estimate. The fixed loader must preserve positions.
-  std::string path = TestPath("dict_legacy.dict");
+  std::string path = UniqueTempPath("dict_legacy.dict");
   {
     std::ofstream out(path);
     out << "a\n\nc\n";
@@ -362,7 +359,7 @@ TEST(DictCodecTest, LegacySidecarKeepsEmptyLines) {
 }
 
 TEST(DictCodecTest, DuplicateNamesRejected) {
-  std::string path = TestPath("dict_dup.dict");
+  std::string path = UniqueTempPath("dict_dup.dict");
   {
     std::ofstream out(path);
     out << "a\nb\na\n";

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "summary/lattice_summary.h"
+#include "temp_path.h"
 #include "util/hash.h"
 
 #include <vector>
@@ -123,7 +124,7 @@ TEST(LatticeSummaryTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(summary.Insert(MustParse("a(b,c(d))", &dict), 2).ok());
   summary.set_complete_through_level(3);
 
-  std::string path = testing::TempDir() + "/tl_summary_test.txt";
+  std::string path = UniqueTempPath("tl_summary_test.txt");
   ASSERT_TRUE(summary.SaveToFile(path).ok());
   Result<LatticeSummary> loaded = LatticeSummary::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -135,7 +136,7 @@ TEST(LatticeSummaryTest, SaveLoadRoundTrip) {
 }
 
 TEST(LatticeSummaryTest, LoadRejectsGarbage) {
-  std::string path = testing::TempDir() + "/tl_summary_bad.txt";
+  std::string path = UniqueTempPath("tl_summary_bad.txt");
   {
     std::ofstream out(path);
     out << "NOT A SUMMARY\n";

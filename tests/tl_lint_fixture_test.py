@@ -32,7 +32,7 @@ FINDING_RE = re.compile(r"^([^:]+?)(?::(\d+))?: \[([a-z-]+)\]")
 
 def expected_findings():
     expected = set()
-    for dirpath, _, filenames in os.walk(os.path.join(FIXTURE, "src")):
+    for dirpath, _, filenames in os.walk(FIXTURE):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, FIXTURE)

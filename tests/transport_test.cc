@@ -32,6 +32,7 @@
 #include "serve/slow_log.h"
 #include "serve/transport.h"
 #include "summary/lattice_summary.h"
+#include "temp_path.h"
 #include "twig/twig.h"
 #include "util/json.h"
 #include "xml/label_dict.h"
@@ -798,7 +799,7 @@ TEST(TransportTest, WireTranscriptMatchesGolden) {
 
   const std::string actual = WireTranscript(lines);
   if (actual != ReadGoldenFile("serve_tcp.golden")) {
-    const std::string path = testing::TempDir() + "/serve_tcp.actual";
+    const std::string path = UniqueTempPath("serve_tcp.actual");
     std::ofstream(path, std::ios::binary) << actual;
     FAIL() << "wire transcript differs from tests/golden/serve_tcp.golden; "
               "actual transcript written to "

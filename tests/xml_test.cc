@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
 #include "xml/document.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
@@ -206,7 +207,7 @@ TEST(XmlWriterTest, FileRoundTrip) {
   Document doc;
   NodeId root = doc.AddNode("r", kInvalidNode);
   doc.AddNode("x", root);
-  std::string path = testing::TempDir() + "/tl_writer_test.xml";
+  std::string path = UniqueTempPath("tl_writer_test.xml");
   ASSERT_TRUE(WriteXmlFile(doc, path).ok());
   auto loaded = ParseXmlFile(path);
   ASSERT_TRUE(loaded.ok());

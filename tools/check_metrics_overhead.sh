@@ -1,7 +1,7 @@
 #!/bin/sh
 # Asserts the telemetry overhead budget (DESIGN.md "Observability"): the
-# estimator microbenchmarks with metrics enabled must stay within
-# TOLERANCE_PCT (default 5%) of the same binary with TREELATTICE_OBS=off.
+# estimator microbenchmarks with metrics enabled must stay within 5% of
+# the same binary with TREELATTICE_OBS=off.
 # A second leg repeats the check end to end over TCP: bench_ext_serve's
 # net sweep — with the full introspection plane riding along (admin
 # listener, per-request stage tracing, slow-query ring) — must keep its
@@ -9,17 +9,17 @@
 #
 #   tools/check_metrics_overhead.sh [build_dir]
 #
-# Environment: TOLERANCE_PCT (default 5), FILTER (default the estimator
-# benchmarks), MIN_TIME (default 0.2s per benchmark, to tame noise),
-# BENCH_RUNS (default 3; each side's best total is compared, to tame
-# scheduler noise), NET_REQUESTS (default 20000 per TCP run), NET_RUNS
-# (default 5; likewise best-of on each side).
+# Environment: FILTER (default the estimator benchmarks), MIN_TIME
+# (default 0.2s per benchmark, to tame noise), BENCH_RUNS (default 3; each
+# side's best total is compared, to tame scheduler noise), NET_REQUESTS
+# (default 20000 per TCP run), NET_RUNS (default 5; likewise best-of on
+# each side).
 set -eu
 
 BUILD_DIR="${1:-build}"
 BIN="$BUILD_DIR/bench/bench_micro"
 SERVE_BIN="$BUILD_DIR/bench/bench_ext_serve"
-TOLERANCE_PCT="${TOLERANCE_PCT:-5}"
+BUDGET_PCT=5
 FILTER="${FILTER:-BM_Estimate}"
 MIN_TIME="${MIN_TIME:-0.2}"
 BENCH_RUNS="${BENCH_RUNS:-3}"
@@ -77,11 +77,11 @@ if [ "$off_n" -eq 0 ] || [ "$off_n" != "$on_n" ]; then
   exit 1
 fi
 
-awk -v off="$off_total" -v on="$on_total" -v tol="$TOLERANCE_PCT" 'BEGIN {
+awk -v off="$off_total" -v on="$on_total" -v tol="$BUDGET_PCT" 'BEGIN {
   overhead = 100.0 * (on - off) / off
   printf "overhead: %+.2f%% (budget %s%%)\n", overhead, tol
   exit (overhead <= tol) ? 0 : 1
-}' || { echo "FAIL: telemetry overhead exceeds ${TOLERANCE_PCT}%" >&2; exit 1; }
+}' || { echo "FAIL: telemetry overhead exceeds ${BUDGET_PCT}%" >&2; exit 1; }
 
 echo "OK: estimator telemetry overhead within budget"
 
@@ -116,11 +116,11 @@ echo "=== TCP instrumented: TREELATTICE_OBS=on ==="
 on_qps=$(best_net_qps on)
 echo "    $on_qps req/s"
 
-awk -v off="$off_qps" -v on="$on_qps" -v tol="$TOLERANCE_PCT" 'BEGIN {
+awk -v off="$off_qps" -v on="$on_qps" -v tol="$BUDGET_PCT" 'BEGIN {
   if (off <= 0 || on <= 0) { print "FAIL: TCP leg produced no throughput"; exit 1 }
   loss = 100.0 * (off - on) / off
   printf "tcp qps loss: %+.2f%% (budget %s%%)\n", loss, tol
   exit (loss <= tol) ? 0 : 1
-}' || { echo "FAIL: TCP telemetry overhead exceeds ${TOLERANCE_PCT}%" >&2; exit 1; }
+}' || { echo "FAIL: TCP telemetry overhead exceeds ${BUDGET_PCT}%" >&2; exit 1; }
 
 echo "OK: TCP telemetry overhead within budget"

@@ -52,15 +52,5 @@ if [ -x "$BENCH_DIR/bench_ext_serve" ]; then
   fi
 fi
 
-echo "=== perf guards: hotpath + batch (tools/check_perf.sh)"
-SCRIPT_DIR=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
-if "$SCRIPT_DIR/check_perf.sh" "$BUILD_DIR" hotpath batch > "$OUT_DIR/check_perf.log" 2>&1; then
-  :
-else
-  rc=$?
-  echo "    FAILED (exit $rc); log: $OUT_DIR/check_perf.log" >&2
-  failures=$((failures + 1))
-fi
-
 echo "results in $OUT_DIR ($failures failure(s))"
 [ "$failures" -eq 0 ]

@@ -35,6 +35,11 @@ Checks, each suppressible per line with `// tl-lint: allow(<rule>)`:
                    out of the loop (it is cached on the Twig, but the call
                    inside a hot loop usually means a per-iteration twig is
                    being re-canonicalized).
+  temp-name-literal
+                   No string-literal file name joined to TempDir() in
+                   tests/: ctest runs test cases in parallel processes, so
+                   a fixed name is shared between them. Name files through
+                   tests/temp_path.h's UniqueTempPath(stem) instead.
   blocking-syscall No potentially blocking calls in the TCP event loop
                    (src/serve/transport.* and src/serve/conn.*): raw
                    read/write/accept/recv/send (socket I/O must go through
@@ -71,6 +76,8 @@ LOOP_HEADER_RE = re.compile(r"\b(?:for|while)\s*\(|\bdo\s*\{")
 CANONICAL_CALL_RE = re.compile(
     r"(?:\.|->)\s*(?:CanonicalCode|CanonicalHash)\s*\(")
 HOT_PATH_DIRS = [os.path.join("src", "core"), os.path.join("src", "serve")]
+# TempDir() joined to a string literal; the literal is checked for a name.
+TEMP_JOIN_RE = re.compile(r'TempDir\s*\(\s*\)\s*\+\s*"([^"]*)"')
 
 # Event-loop files that must never block (see blocking-syscall above).
 EVENT_LOOP_FILES = [
@@ -303,6 +310,30 @@ def check_canonical_in_loop(root, findings):
                     pending_loop = False
 
 
+def check_temp_name_literals(root, findings):
+    """Flags a file name literal joined to TempDir() in test sources.
+
+    Fixture trees (directories named *_fixtures) are skipped: they hold
+    deliberate findings for the linters' own tests.
+    """
+    for path in iter_source_files(root, ["tests"]):
+        parts = os.path.relpath(path, root).split(os.sep)
+        if any(part.endswith("_fixtures") for part in parts):
+            continue
+        in_block = False
+        for lineno, raw in enumerate(load_lines(path), 1):
+            line, in_block = strip_comments_and_strings(
+                raw, in_block, keep_strings=True)
+            names = [m.group(1) for m in TEMP_JOIN_RE.finditer(line)]
+            if any(n.strip("/") for n in names) and not allowed(
+                    raw, "temp-name-literal"):
+                findings.append(
+                    (path, lineno, "temp-name-literal",
+                     "fixed file name under TempDir(): parallel test "
+                     "processes share it; use UniqueTempPath(stem) from "
+                     "tests/temp_path.h"))
+
+
 def check_blocking_syscalls(root, findings):
     for rel in EVENT_LOOP_FILES:
         path = os.path.join(root, rel)
@@ -409,6 +440,7 @@ def main(argv):
     check_naked_new(root, findings)
     check_string_key_maps(root, findings)
     check_canonical_in_loop(root, findings)
+    check_temp_name_literals(root, findings)
     if not args.no_blocking_syscall:
         check_blocking_syscalls(root, findings)
     check_include_cycles(root, findings)
