@@ -74,16 +74,30 @@ void CodeMemo::Grow() {
   }
 }
 
-void EstimateScratch::BeginQuery(int query_size) {
-  // In batch mode the memo carries over so queries share sub-twig
-  // estimates; entries are exact per-code values, so sharing cannot change
-  // any result (see the class comment).
-  if (in_batch_) return;
+void EstimateScratch::BeginQuery(const Twig& query) {
+  const size_t n = static_cast<size_t>(query.size());
+  words_ = NodeSetWords(query.size());
+  all_nodes_.assign(words_, ~uint64_t{0});
+  if (n % 64 != 0) all_nodes_.back() = (uint64_t{1} << (n % 64)) - 1;
+  preorder_.clear();
+  stack_.clear();
+  if (n > 0) stack_.push_back(query.root());
+  while (!stack_.empty()) {
+    const int node = stack_.back();
+    stack_.pop_back();
+    preorder_.push_back(node);
+    const std::vector<int>& kids = query.children(node);
+    stack_.insert(stack_.end(), kids.rbegin(), kids.rend());
+  }
   // The voting recursion visits O(size^2) distinct sub-twigs in practice
   // (each level removes one node; each level contributes one memo entry per
   // distinct split piece), so a quadratic reservation avoids regrowth.
-  const size_t n = query_size < 1 ? 1 : static_cast<size_t>(query_size);
-  memo_.Reset(n * n);
+  const size_t expected = n < 1 ? 1 : n * n;
+  subsets_.Reset(expected);
+  // In batch mode the code memo carries over so queries share sub-twig
+  // estimates; entries are exact per-code values, so sharing cannot change
+  // any result (see the class comment).
+  if (!in_batch_) memo_.Reset(expected);
 }
 
 void EstimateScratch::BeginBatch(size_t expected_entries) {

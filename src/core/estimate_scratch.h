@@ -3,20 +3,23 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "twig/decompose.h"
+#include "twig/twig.h"
 #include "util/analysis_annotations.h"
 
 namespace treelattice {
 
-/// Flat open-addressing memo from (canonical-code hash, code) to a memoized
-/// estimate. Codes are copied into one contiguous arena so the memo owns no
-/// per-entry strings; the full code is always verified on a hash hit, so a
-/// 64-bit collision can never silently return the wrong sub-twig's estimate
-/// (the "bit-for-bit unchanged" contract of the hot-path rewrite).
+/// Flat open-addressing memo from a byte-string key and its 64-bit hash to
+/// a memoized estimate. The estimator keys one by canonical code and one by
+/// the words of a node subset. Keys are copied into one contiguous arena so
+/// the memo owns no per-entry strings; the full key is always verified on a
+/// hash hit, so a 64-bit collision can never silently return the wrong
+/// sub-twig's estimate (the "bit-for-bit unchanged" contract of the
+/// hot-path rewrite).
 ///
 /// The memo never erases; Reset() drops all entries while keeping every
 /// buffer's capacity, so a warm memo allocates nothing across queries.
@@ -33,8 +36,8 @@ class CodeMemo {
   TL_HOT const double* Find(uint64_t hash, std::string_view code) const;
 
   /// Memoizes (hash, code) -> value. Keeps the existing value if the key
-  /// is already present (emplace semantics). `hash` must equal
-  /// HashBytes(code).
+  /// is already present (emplace semantics). `hash` must be one function of
+  /// the key across a memo's calls (HashBytes for canonical codes).
   // Amortized growth only: a warm memo appends into retained arena/slot
   // capacity and re-enters the allocator just while the tables are still
   // growing toward their steady-state size.
@@ -77,51 +80,68 @@ class CodeMemo {
 };
 
 /// Reusable buffers for one recursion level of the voting decomposition:
-/// the removable-node list, the split of the vote in progress, and the
-/// vote accumulator. The split's twigs are Clear()ed and refilled in place
-/// for every vote, so a warm workspace performs a whole level without
-/// touching the allocator.
+/// the canonical code of the sub-twig being visited, its removable nodes,
+/// the node subsets of the vote in progress, and the vote accumulator. A
+/// warm workspace performs a whole level without touching the allocator.
 struct DepthWorkspace {
+  std::string code;
   std::vector<int> removable;
-  RecursiveSplit split;
+  /// T1, T2 and the overlap of the vote in progress, one subset each.
+  std::vector<uint64_t> splits;
   std::vector<double> votes;
-  std::vector<int> map_scratch;
 };
 
-/// Per-thread reusable state for one estimation call chain: the sub-twig
-/// memo plus one workspace per recursion depth. Thread through
+/// Per-thread reusable state for one estimation call chain: the two memos
+/// plus one workspace per recursion depth. Thread through
 /// EstimateOptions::scratch to reuse across requests (a serve worker keeps
 /// one for its lifetime); estimators fall back to an internal thread_local
 /// instance when none is supplied, so ungoverned callers stay
 /// allocation-free too. Not thread-safe: one scratch per thread.
 ///
-/// Batch mode (DESIGN.md §14): BeginBatch() resets the memo once for a
-/// whole batch of queries and makes subsequent BeginQuery() calls keep it,
-/// so distinct queries share every sub-twig estimate. This is sound because
-/// memo entries are inserted only after a sub-twig's estimate is fully
-/// computed — each entry equals the deterministic pure-function value of
-/// its code for the fixed (summary, options), independent of which query
-/// put it there — so batch results stay bit-identical to sequential runs.
+/// The recursion visits node subsets of the query (DESIGN.md §10). The
+/// subset memo, keyed by a subset's words, answers a repeated subset and
+/// lives for one query; on a subset miss the subset's canonical code
+/// probes the code memo, so same-shaped sub-twigs share one value, exactly
+/// as they did when every visit built its twig.
+///
+/// Batch mode (DESIGN.md §14): BeginBatch() resets the code memo once for
+/// a whole batch of queries and makes subsequent BeginQuery() calls keep
+/// it, so distinct queries share every sub-twig estimate. This is sound
+/// because memo entries are inserted only after a sub-twig's estimate is
+/// fully computed — each entry equals the deterministic pure-function
+/// value of its code for the fixed (summary, options), independent of
+/// which query put it there — so batch results stay bit-identical to
+/// sequential runs. The subset memo is reset for every query in either
+/// mode: its keys name nodes of one query.
 class EstimateScratch {
  public:
-  /// Resets the memo for a fresh query of `query_size` nodes. Depth
-  /// workspaces need no reset — each level overwrites its own prefix.
-  /// In batch mode the memo is retained instead (see BeginBatch).
-  // Amortized: Reset keeps every buffer's capacity (see CodeMemo).
-  TL_ALLOC_OK void BeginQuery(int query_size);
+  /// Starts `query`: resets the subset memo, lays out the query's node
+  /// set and preorder, and resets the code memo unless in batch mode.
+  /// Depth workspaces need no reset — each level overwrites its own.
+  // Amortized: every buffer keeps its capacity across queries.
+  TL_ALLOC_OK void BeginQuery(const Twig& query);
 
-  /// Enters batch mode: resets the memo once, sized for
-  /// `expected_entries`, and suppresses per-query memo resets until
+  /// Enters batch mode: resets the code memo once, sized for
+  /// `expected_entries`, and suppresses per-query code memo resets until
   /// EndBatch(). Calls do not nest.
   // Amortized: one Reset per batch into retained capacity.
   TL_ALLOC_OK void BeginBatch(size_t expected_entries);
 
-  /// Leaves batch mode; the next BeginQuery resets the memo again.
+  /// Leaves batch mode; the next BeginQuery resets the code memo again.
   void EndBatch() { in_batch_ = false; }
 
   bool in_batch() const { return in_batch_; }
 
   CodeMemo& memo() { return memo_; }
+  CodeMemo& subsets() { return subsets_; }
+
+  /// Words per node subset of the current query: ceil(size / 64).
+  size_t words() const { return words_; }
+  /// The current query's whole node set.
+  const uint64_t* all_nodes() const { return all_nodes_.data(); }
+  /// The current query's nodes in preorder (children in stored order).
+  std::span<const int> preorder() const { return preorder_; }
+  CodeScratch& code_scratch() { return code_scratch_; }
 
   /// Workspace for recursion depth `depth`, created on first use. A deque
   /// keeps references stable while deeper levels extend it mid-recursion.
@@ -130,6 +150,12 @@ class EstimateScratch {
 
  private:
   CodeMemo memo_;
+  CodeMemo subsets_;
+  size_t words_ = 1;
+  std::vector<uint64_t> all_nodes_;
+  std::vector<int> preorder_;
+  std::vector<int> stack_;
+  CodeScratch code_scratch_;
   std::deque<DepthWorkspace> depths_;
   bool in_batch_ = false;
 };

@@ -23,9 +23,13 @@ namespace treelattice {
 /// distinct sub-twig, which makes the voting scheme equivalent to the
 /// paper's level-wise averaging while keeping the recursion polynomial.
 ///
-/// The inner loop runs over an EstimateScratch (flat hash memo keyed by the
-/// twig's cached 64-bit code hash, per-depth split buffers refilled in
-/// place) and the summary's hashed probe, so after the query's one-time
+/// Every sub-twig the recursion reaches is the query minus some removed
+/// degree-1 nodes, so it runs over node subsets of the query: a split is
+/// two bit clears, and a per-query subset memo answers every repeated
+/// visit. Only a subset seen for the first time gets a canonical code,
+/// built straight from the query's arrays; the code probes the code memo
+/// (same-shaped sub-twigs share one value) and then the summary. All of it
+/// runs over an EstimateScratch, so after the query's one-time
 /// canonicalization a warm-scratch estimate performs no heap allocation.
 class RecursiveDecompositionEstimator : public SelectivityEstimator {
  public:
@@ -37,7 +41,8 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
     /// Average over all valid leaf pairs at every recursion level.
     bool voting = false;
     /// With voting, cap on leaf pairs considered per level (0 = all).
-    /// Pairs are taken in deterministic (preorder index) order.
+    /// Pairs are taken in a deterministic order: the query's own node
+    /// index order at the top level, preorder below it.
     int max_votes_per_level = 0;
     /// Vote combination rule (ignored without voting).
     VoteAggregation aggregation = VoteAggregation::kMean;
@@ -74,9 +79,18 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
   }
 
  private:
-  Result<double> EstimateImpl(const Twig& twig, EstimateScratch* scratch,
-                              int depth, int* max_depth,
-                              CostGovernor* governor);
+  /// One query's recursion: its twig, scratch and governor.
+  struct Recursion {
+    const Twig& query;
+    EstimateScratch* scratch;
+    CostGovernor* governor;  ///< nullptr when ungoverned
+    int max_depth = 0;
+  };
+
+  /// Visits the sub-twig induced by the connected node subset `nodes` of
+  /// the query (scratch->words() words), which has `size` nodes.
+  Result<double> Visit(Recursion* r, const uint64_t* nodes, int size,
+                       int depth);
 
   const LatticeSummary* summary_;
   Options options_;

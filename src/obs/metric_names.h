@@ -34,6 +34,11 @@ inline constexpr char kEstimatorDeadlineExceeded[] =
     "estimator.deadline_exceeded";
 inline constexpr char kEstimatorDegraded[] = "estimator.degraded";
 
+// -- twigs (twig/twig.cc) ---------------------------------------------------
+// Canonical codes built by the one canonicalizer (Twig::SubsetCode), for
+// whole twigs and for the estimator's node subsets alike.
+inline constexpr char kTwigCanonicalCodes[] = "twig.canonical_codes";
+
 // -- mining (mining/lattice_builder.cc, mining/freqt_builder.cc) ------------
 inline constexpr char kMiningCandidatesGenerated[] =
     "mining.candidates_generated";

@@ -5,27 +5,20 @@
 namespace treelattice {
 
 Result<RecursiveSplit> SplitByLeafPair(const Twig& t, int u, int v) {
-  RecursiveSplit split;
-  std::vector<int> map_after_v;
-  Status status = SplitByLeafPairInto(t, u, v, &split, &map_after_v);
-  if (!status.ok()) return status;
-  return split;
-}
-
-Status SplitByLeafPairInto(const Twig& t, int u, int v, RecursiveSplit* out,
-                           std::vector<int>* map_scratch) {
   if (u == v) return Status::InvalidArgument("SplitByLeafPair: u == v");
   if (t.size() < 3) {
     return Status::InvalidArgument("SplitByLeafPair: twig smaller than 3");
   }
-  TL_RETURN_IF_ERROR(t.RemoveNodeInto(v, &out->t1, map_scratch));
-  TL_RETURN_IF_ERROR(t.RemoveNodeInto(u, &out->t2));
-  int u_in_t1 = (*map_scratch)[static_cast<size_t>(u)];
+  RecursiveSplit split;
+  std::vector<int> map_after_v;
+  TL_ASSIGN_OR_RETURN(split.t1, t.RemoveNode(v, &map_after_v));
+  TL_ASSIGN_OR_RETURN(split.t2, t.RemoveNode(u));
+  int u_in_t1 = map_after_v[static_cast<size_t>(u)];
   if (u_in_t1 < 0) {
     return Status::Internal("SplitByLeafPair: u vanished when removing v");
   }
-  TL_RETURN_IF_ERROR(out->t1.RemoveNodeInto(u_in_t1, &out->overlap));
-  return Status::OK();
+  TL_ASSIGN_OR_RETURN(split.overlap, split.t1.RemoveNode(u_in_t1));
+  return split;
 }
 
 std::vector<std::pair<int, int>> ValidLeafPairs(const Twig& t) {

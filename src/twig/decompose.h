@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "twig/twig.h"
-#include "util/analysis_annotations.h"
 #include "util/result.h"
 
 namespace treelattice {
@@ -19,19 +18,10 @@ struct RecursiveSplit {
 };
 
 /// Splits `t` by the removable-node pair (u, v). Fails if either index is
-/// not removable or removing both does not leave a valid twig.
+/// not removable or removing both does not leave a valid twig. The
+/// estimator splits node subsets with bit operations instead; explain and
+/// the reference oracle build the twigs.
 Result<RecursiveSplit> SplitByLeafPair(const Twig& t, int u, int v);
-
-/// SplitByLeafPair writing into `out` (whose twigs are Clear()ed and
-/// refilled, reusing their buffers) with `map_scratch` holding the
-/// node-index map of the v-removal. The estimation hot path calls this per
-/// vote per recursion level; with warm buffers it allocates nothing. On
-/// error `out` is left in an unspecified (but destructible) state.
-// Amortized: refills pooled split twigs and the caller's map scratch; with
-// warm buffers (steady state) it allocates nothing.
-TL_ALLOC_OK Status SplitByLeafPairInto(const Twig& t, int u, int v,
-                                       RecursiveSplit* out,
-                                       std::vector<int>* map_scratch);
 
 /// All unordered pairs (u, v), u < v, of removable nodes for which
 /// SplitByLeafPair succeeds. Non-empty for every twig with >= 3 nodes.

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <limits>
 #include <memory>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/string_util.h"
 
@@ -13,9 +16,7 @@ namespace treelattice {
 Twig::Twig(const Twig& other)
     : labels_(other.labels_),
       parents_(other.parents_),
-      children_(other.children_.begin(),
-                other.children_.begin() +
-                    static_cast<std::ptrdiff_t>(other.labels_.size())) {
+      children_(other.children_) {
   // Clone a warm cache rather than recomputing it on first use: copies of
   // already-canonicalized twigs (workload storage, snapshot plumbing) keep
   // their O(1) code access.
@@ -30,9 +31,7 @@ Twig& Twig::operator=(const Twig& other) {
   if (this == &other) return *this;
   labels_ = other.labels_;
   parents_ = other.parents_;
-  children_.assign(other.children_.begin(),
-                   other.children_.begin() +
-                       static_cast<std::ptrdiff_t>(other.labels_.size()));
+  children_ = other.children_;
   InvalidateCache();
   const CodeCache* cache = other.cache_.load(std::memory_order_acquire);
   if (cache != nullptr) {
@@ -91,52 +90,26 @@ int Twig::AddNode(LabelId label, int parent) {
   int id = size();
   labels_.push_back(label);
   parents_.push_back(parent);
-  if (static_cast<size_t>(id) < children_.size()) {
-    children_[static_cast<size_t>(id)].clear();  // recycle a retired slot
-  } else {
-    children_.emplace_back();
-  }
+  children_.emplace_back();
   if (parent >= 0) children_[static_cast<size_t>(parent)].push_back(id);
   InvalidateCache();
   return id;
 }
 
-void Twig::Clear() {
-  // children_ entries are retired in place (stale contents, kept capacity);
-  // AddNode clears each slot as it is reused.
-  labels_.clear();
-  parents_.clear();
-  InvalidateCache();
-}
-
 std::vector<int> Twig::RemovableNodes() const {
   std::vector<int> out;
-  RemovableNodesInto(&out);
-  return out;
-}
-
-void Twig::RemovableNodesInto(std::vector<int>* out) const {
-  out->clear();
-  if (size() <= 1) return;  // a single node cannot be removed
+  if (size() <= 1) return out;  // a single node cannot be removed
   for (int i = 0; i < size(); ++i) {
     if (IsLeaf(i)) {
-      out->push_back(i);
+      out.push_back(i);
     } else if (i == root() && children(i).size() == 1) {
-      out->push_back(i);
+      out.push_back(i);
     }
   }
+  return out;
 }
 
 Result<Twig> Twig::RemoveNode(int i, std::vector<int>* old_to_new) const {
-  Twig out;
-  Status status = RemoveNodeInto(i, &out, old_to_new);
-  if (!status.ok()) return status;
-  return out;
-}
-
-Status Twig::RemoveNodeInto(int i, Twig* out,
-                            std::vector<int>* old_to_new) const {
-  assert(out != this);
   if (i < 0 || i >= size()) {
     return Status::InvalidArgument("RemoveNode: index out of range");
   }
@@ -153,29 +126,17 @@ Status Twig::RemoveNodeInto(int i, Twig* out,
     return Status::InvalidArgument("RemoveNode: interior node not removable");
   }
 
-  // The split loop calls this for every vote at every recursion level;
-  // thread_local scratch keeps it allocation-free once warm. (Mutating a
-  // twig concurrently with reads is already forbidden, so thread_local is
-  // the right scope.)
-  thread_local std::vector<int> map_storage;
+  std::vector<int> map_storage;
   std::vector<int>& map = old_to_new != nullptr ? *old_to_new : map_storage;
   map.assign(static_cast<size_t>(size()), -1);
-
-  out->Clear();
-  thread_local std::vector<int> stack;
-  stack.clear();
-  stack.push_back(root());
-  while (!stack.empty()) {
-    int n = stack.back();
-    stack.pop_back();
-    const std::vector<int>& kids = children(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+  Twig out;
+  for (int n : PreorderNodes()) {
     if (n == i) continue;
     int p = parent(n);
     int new_parent = (p == -1 || p == i) ? -1 : map[static_cast<size_t>(p)];
-    map[static_cast<size_t>(n)] = out->AddNode(label(n), new_parent);
+    map[static_cast<size_t>(n)] = out.AddNode(label(n), new_parent);
   }
-  return Status::OK();
+  return out;
 }
 
 std::vector<int> Twig::PreorderNodes() const {
@@ -237,50 +198,139 @@ bool Twig::IsPath() const {
   return true;
 }
 
-std::string Twig::SubtreeCode(int i) const {
-  // Iterative post-order (children before parents via reversed preorder):
-  // a chain-shaped twig thousands of nodes deep must not overflow the
-  // stack just to compute its code.
-  std::vector<int> order;
-  std::vector<int> stack = {i};
-  while (!stack.empty()) {
-    int n = stack.back();
-    stack.pop_back();
-    order.push_back(n);
-    const std::vector<int>& kids = children(n);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
-  }
-  std::vector<std::string> codes(static_cast<size_t>(size()));
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    int n = *it;
-    std::string code = std::to_string(label(n));
-    const std::vector<int>& kids = children(n);
-    if (!kids.empty()) {
-      std::vector<std::string> child_codes;
-      child_codes.reserve(kids.size());
-      for (int c : kids) {
-        child_codes.push_back(std::move(codes[static_cast<size_t>(c)]));
-      }
-      std::sort(child_codes.begin(), child_codes.end());
-      code.push_back('(');
-      for (size_t k = 0; k < child_codes.size(); ++k) {
-        if (k > 0) code.push_back(',');
-        code += child_codes[k];
-      }
-      code.push_back(')');
-    }
-    codes[static_cast<size_t>(n)] = std::move(code);
-  }
-  return codes[static_cast<size_t>(i)];
-}
-
 const std::string& Twig::CanonicalCode() const { return EnsureCache().code; }
 
 uint64_t Twig::CanonicalHash() const { return EnsureCache().hash; }
 
 std::string Twig::ComputeCanonicalCode() const {
-  if (empty()) return std::string();
-  return SubtreeCode(root());
+  std::string code;
+  if (empty()) return code;
+  thread_local CodeScratch scratch;
+  thread_local std::vector<uint64_t> all;
+  all.assign(NodeSetWords(size()), ~uint64_t{0});
+  SubsetCode(all, &scratch, &code);
+  return code;
+}
+
+namespace {
+
+/// Writes `label` in decimal, as std::to_string does, at `out`; returns
+/// the end of what it wrote.
+char* WriteLabel(LabelId label, char* out) {
+  char digits[16];
+  char* end = std::to_chars(digits, digits + sizeof(digits), label).ptr;
+  return std::copy(digits, end, out);
+}
+
+size_t LabelLength(LabelId label) {
+  char digits[16];
+  return static_cast<size_t>(WriteLabel(label, digits) - digits);
+}
+
+/// Writes the code of `node`'s subtree, as SubsetCode laid it out in `s`,
+/// at `out`; returns the end of what it wrote.
+char* WriteCode(const LabelId* labels, int node, const CodeScratch& s,
+                char* out) {
+  size_t open = 0;  // single-child chain links still to close
+  for (;;) {
+    const size_t at = static_cast<size_t>(node);
+    out = WriteLabel(labels[at], out);
+    const uint32_t begin = s.kid_begin[at];
+    const uint32_t end = s.kid_end[at];
+    if (begin == end) break;
+    *out++ = '(';
+    if (end - begin == 1) {
+      ++open;
+      node = s.kids[begin];
+      continue;
+    }
+    for (uint32_t k = begin; k < end; ++k) {
+      if (k > begin) *out++ = ',';
+      const size_t kid = static_cast<size_t>(s.kids[k]);
+      out = std::copy_n(s.codes.data() + s.offset[kid], s.length[kid], out);
+    }
+    *out++ = ')';
+    break;
+  }
+  return std::fill_n(out, open, ')');
+}
+
+}  // namespace
+
+void Twig::SubsetCode(std::span<const uint64_t> nodes, CodeScratch* scratch,
+                      std::string* out) const {
+  static obs::Counter* const codes = obs::MetricsRegistry::Default()->counter(
+      obs::metric_names::kTwigCanonicalCodes);
+  codes->Increment();
+  const uint64_t* set = nodes.data();
+  // The topmost node is the one whose parent is outside the subset.
+  int top = 0;
+  while (!NodeSetHas(set, top) ||
+         (parents_[static_cast<size_t>(top)] != -1 &&
+          NodeSetHas(set, parents_[static_cast<size_t>(top)]))) {
+    ++top;
+  }
+  CodeScratch& s = *scratch;
+  const size_t n = labels_.size();
+  if (s.length.size() < n) {
+    s.kid_begin.resize(n);
+    s.kid_end.resize(n);
+    s.length.resize(n);
+    s.offset.resize(n);
+  }
+  // Breadth first from `top`: every node's children in the subset (in
+  // stored order), and an order that lists parents before children.
+  s.order.clear();
+  s.kids.clear();
+  s.order.push_back(top);
+  for (size_t i = 0; i < s.order.size(); ++i) {
+    const int node = s.order[i];
+    s.kid_begin[static_cast<size_t>(node)] =
+        static_cast<uint32_t>(s.kids.size());
+    for (int child : children_[static_cast<size_t>(node)]) {
+      if (!NodeSetHas(set, child)) continue;
+      s.kids.push_back(child);
+      s.order.push_back(child);
+    }
+    s.kid_end[static_cast<size_t>(node)] = static_cast<uint32_t>(s.kids.size());
+  }
+  // Children before parents: a node's code is its label, then its
+  // children's codes in sorted order, comma-separated in parentheses. Only
+  // a node with a sibling has its code stored, since only siblings are
+  // compared; a parent copies stored codes and walks single-child chains.
+  s.codes.clear();
+  auto stored = [&s](int node) {
+    return std::string_view(s.codes).substr(s.offset[static_cast<size_t>(node)],
+                                            s.length[static_cast<size_t>(node)]);
+  };
+  for (size_t i = s.order.size(); i-- > 0;) {
+    const size_t node = static_cast<size_t>(s.order[i]);
+    int* first = s.kids.data() + s.kid_begin[node];
+    int* last = s.kids.data() + s.kid_end[node];
+    size_t length = LabelLength(labels_[node]);
+    if (first != last) {
+      length += static_cast<size_t>(last - first) + 1;  // parens and commas
+      for (const int* kid = first; kid != last; ++kid) {
+        length += s.length[static_cast<size_t>(*kid)];
+      }
+      if (last - first > 1) {
+        std::sort(first, last,
+                  [&](int a, int b) { return stored(a) < stored(b); });
+      }
+    }
+    s.length[node] = length;
+    const int parent = parents_[node];
+    if (static_cast<int>(node) != top &&
+        s.kid_end[static_cast<size_t>(parent)] -
+                s.kid_begin[static_cast<size_t>(parent)] > 1) {
+      s.offset[node] = s.codes.size();
+      s.codes.resize(s.codes.size() + length);
+      WriteCode(labels_.data(), static_cast<int>(node), s,
+                s.codes.data() + s.offset[node]);
+    }
+  }
+  out->resize(s.length[static_cast<size_t>(top)]);
+  WriteCode(labels_.data(), top, s, out->data());
 }
 
 namespace {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +13,33 @@
 #include "xml/label_dict.h"
 
 namespace treelattice {
+
+/// A set of a twig's nodes is a bitset of NodeSetWords(size) words: node
+/// i is bit i % 64 of word i / 64.
+inline size_t NodeSetWords(int size) {
+  return size <= 0 ? 1 : (static_cast<size_t>(size) + 63) / 64;
+}
+inline bool NodeSetHas(const uint64_t* nodes, int node) {
+  const size_t n = static_cast<size_t>(node);
+  return ((nodes[n / 64] >> (n % 64)) & 1) != 0;
+}
+inline void NodeSetRemove(uint64_t* nodes, int node) {
+  const size_t n = static_cast<size_t>(node);
+  nodes[n / 64] &= ~(uint64_t{1} << (n % 64));
+}
+
+/// Reusable buffers of the canonicalizer (Twig::SubsetCode), indexed by
+/// node. Keep one per thread and pass it to every call: a warm scratch
+/// allocates nothing.
+struct CodeScratch {
+  std::vector<int> order;  ///< the subset's nodes, parents before children
+  std::vector<int> kids;   ///< each node's children in the subset
+  std::vector<uint32_t> kid_begin;  ///< a node's range in `kids`
+  std::vector<uint32_t> kid_end;
+  std::vector<size_t> length;  ///< length of a node's subtree code
+  std::vector<size_t> offset;  ///< where a node's code sits in `codes`
+  std::string codes;  ///< the codes of nodes that have a sibling
+};
 
 /// A twig: a small rooted node-labeled tree, used both as a query and as a
 /// pattern in the lattice summary.
@@ -28,7 +56,7 @@ namespace treelattice {
 /// pays the canonicalization, every later call is a pointer read. The
 /// cache fill is lock-free (compare-and-swap), so a twig shared read-only
 /// between threads — a query hammered by several estimator threads, say —
-/// is safe without external locking. Mutating a twig (AddNode/Clear)
+/// is safe without external locking. Mutating a twig (AddNode)
 /// concurrently with any other access was never allowed and still is not.
 class Twig {
  public:
@@ -42,11 +70,6 @@ class Twig {
   /// Adds a node labeled `label` under `parent` (-1 for the root, allowed
   /// only for the first node). Returns the new node index.
   int AddNode(LabelId label, int parent);
-
-  /// Resets to the empty twig while keeping the node buffers (and their
-  /// per-node child vectors) allocated, so pooled twigs refilled in the
-  /// estimation hot path stop churning the allocator.
-  void Clear();
 
   int size() const { return static_cast<int>(labels_.size()); }
   bool empty() const { return labels_.empty(); }
@@ -64,22 +87,11 @@ class Twig {
   /// (Section 3.2: a degree-1 root "can also be considered a leaf").
   std::vector<int> RemovableNodes() const;
 
-  /// RemovableNodes writing into `out` (cleared first) — the estimator
-  /// hot path reuses one vector per recursion depth.
-  // Amortized: refills a pooled caller buffer whose capacity survives
-  // across queries; steady state appends into reserved storage.
-  TL_ALLOC_OK void RemovableNodesInto(std::vector<int>* out) const;
-
   /// Returns a copy with node `i` removed (i must be a removable node). If
   /// the root is removed its single child becomes the root. Remaining nodes
   /// are renumbered in preorder; if `old_to_new` is non-null it receives the
   /// index mapping (removed node maps to -1).
   Result<Twig> RemoveNode(int i, std::vector<int>* old_to_new = nullptr) const;
-
-  /// RemoveNode writing into `out` (Clear()ed first, reusing its buffers).
-  /// `out` must not alias this twig.
-  Status RemoveNodeInto(int i, Twig* out,
-                        std::vector<int>* old_to_new = nullptr) const;
 
   /// Nodes in preorder (root first, children in stored order).
   std::vector<int> PreorderNodes() const;
@@ -104,12 +116,23 @@ class Twig {
   /// 64-bit hash of the canonical code (cached alongside the code).
   TL_HOT uint64_t CanonicalHash() const;
 
-  /// Rebuilds the canonical code from scratch, bypassing the cache. Used
-  /// by cache-consistency tests and by benchmarks that measure the
-  /// pre-caching cost; everything else should call CanonicalCode().
+  /// Rebuilds the canonical code from scratch, bypassing the cache: the
+  /// SubsetCode of all nodes. Used by the cache fill and by
+  /// cache-consistency tests; everything else should call CanonicalCode().
   // Cold spelling: rebuilding (and first-touch caching) allocates the
   // code string once per twig mutation, never per steady-state probe.
   TL_ALLOC_OK std::string ComputeCanonicalCode() const;
+
+  /// Writes into `out` the canonical code of the connected sub-twig
+  /// induced by `nodes`, a non-empty node set. Byte for byte
+  /// InducedSubtree(those nodes).ComputeCanonicalCode(), but built
+  /// straight from this twig's arrays: no sub-twig, no per-node string.
+  /// The one canonicalizer: whole twigs, the estimator's node subsets and
+  /// mining all go through it. Counts each code in twig.canonical_codes.
+  // Amortized: grows `scratch` and `out` only past their high-water
+  // sizes; a warm call allocates nothing.
+  TL_ALLOC_OK void SubsetCode(std::span<const uint64_t> nodes,
+                              CodeScratch* scratch, std::string* out) const;
 
   /// Returns an equivalent twig whose node numbering is the canonical
   /// preorder (children sorted by canonical code). Deterministic for equal
@@ -159,13 +182,8 @@ class Twig {
   /// Drops the cache; called by mutators, which require exclusive access.
   void InvalidateCache();
 
-  /// Recursive canonical code of the subtree rooted at `i`.
-  std::string SubtreeCode(int i) const;
-
   std::vector<LabelId> labels_;
   std::vector<int> parents_;
-  /// Invariant: children_.size() >= labels_.size(); slots beyond size()
-  /// are retired by Clear() and recycled (with their capacity) by AddNode.
   std::vector<std::vector<int>> children_;
   mutable std::atomic<CodeCache*> cache_{nullptr};
 };

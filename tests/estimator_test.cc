@@ -394,9 +394,10 @@ TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
 /// per query, the canonical code recomputed on every sub-twig visit
 /// (ComputeCanonicalCode bypasses the twig's cache), and allocating
 /// SplitByLeafPair calls over ValidLeafPairs. It shares no data structure
-/// with the production estimator (interned codes, flat hash memo, pooled
-/// per-depth splits), so agreement bit for bit checks the production
-/// recursion's visit order and arithmetic, not just its results' shape.
+/// with the production estimator (interned codes, node-subset and code
+/// memos, bit-clear splits, the subset canonicalizer), so agreement bit for
+/// bit checks the production recursion's visit order and arithmetic, not
+/// just its results' shape.
 class ReferenceRecursiveEstimator {
  public:
   ReferenceRecursiveEstimator(const LatticeSummary& summary,
@@ -470,41 +471,119 @@ class ReferenceRecursiveEstimator {
   std::unordered_map<std::string, uint64_t> counts_;
 };
 
-TEST(ReferenceOracleTest, ProductionRecursionMatchesTheOracleBitForBit) {
-  // Generated size-8 queries over a 3-lattice recurse several levels deep.
-  // Each mode is checked with one scratch shared (and warm) across all
-  // queries and with no scratch at all.
-  DatasetOptions data;
-  data.scale = 100;
-  Document doc = GenerateXmark(data);
-  LatticeSummary summary = MustBuild(doc, 3);
-  WorkloadOptions workload;
-  workload.query_size = 8;
-  workload.num_queries = 24;
-  Result<std::vector<Twig>> queries = GeneratePositiveWorkload(doc, workload);
-  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
-  ASSERT_EQ(queries->size(), 24u);
-
+/// Every mode the oracle checks: non-voting, voting mean and median, and
+/// voting capped at one and two pairs per level.
+std::vector<RecursiveDecompositionEstimator::Options> OracleModes() {
   using Agg = RecursiveDecompositionEstimator::VoteAggregation;
-  const RecursiveDecompositionEstimator::Options modes[] = {
-      {false, 0, Agg::kMean}, {true, 0, Agg::kMean}, {true, 0, Agg::kMedian}};
-  for (const RecursiveDecompositionEstimator::Options& options : modes) {
+  return {{false, 0, Agg::kMean}, {true, 0, Agg::kMean},
+          {true, 0, Agg::kMedian}, {true, 1, Agg::kMean},
+          {true, 2, Agg::kMean},  {true, 2, Agg::kMedian}};
+}
+
+/// Checks every mode on `queries`, each with one scratch shared (and
+/// warm) across all queries and with no scratch at all.
+void ExpectOracleAgreement(const LatticeSummary& summary,
+                           const std::vector<Twig>& queries) {
+  for (const RecursiveDecompositionEstimator::Options& options :
+       OracleModes()) {
     RecursiveDecompositionEstimator production(&summary, options);
     ReferenceRecursiveEstimator oracle(summary, options);
     EstimateScratch shared;
     EstimateOptions with_shared;
     with_shared.scratch = &shared;
-    for (const Twig& query : *queries) {
+    for (const Twig& query : queries) {
       Result<double> expected = oracle.Estimate(query);
       Result<double> from_shared = production.Estimate(query, with_shared);
       Result<double> bare = production.Estimate(query);
       ASSERT_TRUE(expected.ok() && from_shared.ok() && bare.ok());
-      EXPECT_EQ(*from_shared, *expected) << production.name() << " "
-                                         << query.ToDebugString();
-      EXPECT_EQ(*bare, *expected) << production.name() << " "
-                                  << query.ToDebugString();
+      const std::string mode =
+          production.name() + " cap " +
+          std::to_string(options.max_votes_per_level) + " " +
+          query.ToDebugString();
+      EXPECT_EQ(*from_shared, *expected) << mode;
+      EXPECT_EQ(*bare, *expected) << mode;
     }
   }
+}
+
+/// Generated positive queries of `size`; `duplicates` lets them repeat
+/// sibling labels.
+std::vector<Twig> Generated(const Document& doc, int size, size_t count,
+                            bool duplicates) {
+  WorkloadOptions workload;
+  workload.query_size = size;
+  workload.num_queries = count;
+  workload.allow_duplicate_siblings = duplicates;
+  Result<std::vector<Twig>> queries = GeneratePositiveWorkload(doc, workload);
+  EXPECT_TRUE(queries.ok()) << queries.status().ToString();
+  return queries.ok() ? std::move(*queries) : std::vector<Twig>();
+}
+
+TEST(ReferenceOracleTest, ProductionRecursionMatchesTheOracleBitForBit) {
+  // Generated size-8 queries over a 3-lattice recurse several levels deep;
+  // duplicate siblings, identical branches and a same-label star give
+  // same-shaped node subsets (see the next test).
+  DatasetOptions data;
+  data.scale = 100;
+  Document doc = GenerateXmark(data);
+  LatticeSummary summary = MustBuild(doc, 3);
+  std::vector<Twig> queries = Generated(doc, 8, 24, false);
+  ASSERT_EQ(queries.size(), 24u);
+  for (Twig& query : Generated(doc, 8, 12, true)) {
+    queries.push_back(std::move(query));
+  }
+  LabelDict* dict = &doc.mutable_dict();
+  queries.push_back(MustParse(
+      "people(person(name,emailaddress,profile(interest)),"
+      "person(name,emailaddress,profile(interest)))",
+      dict));
+  queries.push_back(MustParse(
+      "open_auction(bidder,bidder,bidder,bidder,bidder,bidder,bidder)", dict));
+  ExpectOracleAgreement(summary, queries);
+}
+
+TEST(ReferenceOracleTest, SameShapedSubsetsMatchTheOracleBitForBit) {
+  // The recursion memoizes by node subset in front of the code memo. In
+  // these queries two subsets share a canonical code but can order their
+  // leaf pairs differently, so only the code memo's first value keeps
+  // capped and non-voting runs, and uncapped means, exact. Three labels:
+  // repeated-label paths and same-label stars occur, and a path far longer
+  // than the document is deep still estimates above 0.
+  RandomTreeOptions tree;
+  tree.seed = 5;
+  tree.num_nodes = 3000;
+  tree.num_labels = 3;
+  tree.max_fanout = 6;
+  tree.max_depth = 10;
+  Document random = GenerateRandomTree(tree);
+  LatticeSummary random_summary = MustBuild(random, 3);
+  LabelDict* dict = &random.mutable_dict();
+  std::vector<Twig> queries = Generated(random, 7, 12, true);
+  ASSERT_FALSE(queries.empty());
+  for (const char* text :
+       {"l0(l0(l0(l0(l0(l0(l0))))))", "l0(l1,l1,l1,l1,l1,l1)",
+        "l0(l1(l0,l2),l1(l0,l2))"}) {
+    queries.push_back(MustParse(text, dict));
+  }
+  // l0(l1(l0,l2,l1),l1(l0,l2,l1)) numbered out of preorder, alternating
+  // between the branches: the top level's first leaf pair takes one leaf
+  // from each, so its T1 and T2 are mirror images, and below the top the
+  // preorder pair order differs from the index order.
+  Twig interleaved;
+  const int root = interleaved.AddNode(dict->Intern("l0"), -1);
+  const int branches[2] = {interleaved.AddNode(dict->Intern("l1"), root),
+                           interleaved.AddNode(dict->Intern("l1"), root)};
+  for (const char* leaf : {"l0", "l2", "l1"}) {
+    for (int branch : branches) interleaved.AddNode(dict->Intern(leaf), branch);
+  }
+  queries.push_back(std::move(interleaved));
+  // 70 nodes, a repeated-label path forking at its foot: node subsets
+  // take two words.
+  std::string deep = "l0(l1,l1)";
+  for (int i = 0; i < 67; ++i) deep = "l0(" + deep + ")";
+  queries.push_back(MustParse(deep, dict));
+  ASSERT_EQ(queries.back().size(), 70);
+  ExpectOracleAgreement(random_summary, queries);
 }
 
 TEST(CodeMemoTest, ResetSizesTheTableInUseForThisCall) {

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -115,10 +116,10 @@ TEST(TwigTest, CachedCanonicalCodeTracksMutation) {
   EXPECT_EQ(t.CanonicalCode(), t.ComputeCanonicalCode());
   EXPECT_NE(t.CanonicalCode(), before);
 
-  Twig removed;
-  ASSERT_TRUE(t.RemoveNodeInto(t.size() - 1, &removed).ok());
-  EXPECT_EQ(removed.CanonicalCode(), removed.ComputeCanonicalCode());
-  EXPECT_EQ(removed.CanonicalCode(), before);
+  Result<Twig> removed = t.RemoveNode(t.size() - 1);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(removed->CanonicalCode(), removed->ComputeCanonicalCode());
+  EXPECT_EQ(removed->CanonicalCode(), before);
 
   // Copy/move transfer or rebuild the cache but never share a stale one.
   Twig copy = t;
@@ -128,7 +129,7 @@ TEST(TwigTest, CachedCanonicalCodeTracksMutation) {
   Twig moved = std::move(copy);
   EXPECT_EQ(moved.CanonicalCode(), moved.ComputeCanonicalCode());
 
-  t.Clear();
+  t = Twig();
   EXPECT_EQ(t.size(), 0);
   int root = t.AddNode(dict.Intern("z"), -1);
   (void)root;
@@ -270,6 +271,109 @@ TEST(TwigTest, DepthAndIsPath) {
   EXPECT_EQ(path.Depth(3), 3);
   Twig branch = MustParse("a(b,c)", &dict);
   EXPECT_FALSE(branch.IsPath());
+}
+
+/// The canonical code written the plain way: a node's label, then its
+/// children's codes sorted as strings, comma-separated in parentheses.
+std::string ReferenceCode(const Twig& t, int node) {
+  std::vector<std::string> kids;
+  for (int child : t.children(node)) kids.push_back(ReferenceCode(t, child));
+  std::sort(kids.begin(), kids.end());
+  std::string code = std::to_string(t.label(node));
+  if (kids.empty()) return code;
+  code += '(';
+  for (size_t i = 0; i < kids.size(); ++i) {
+    if (i > 0) code += ',';
+    code += kids[i];
+  }
+  return code + ')';
+}
+
+/// Node subsets of `t` reached from all its nodes by removing degree-1
+/// nodes (leaves of the subset, or its top when that has one child), breadth
+/// first, at most `cap` of them; the estimator's recursion visits only these.
+std::vector<std::vector<uint64_t>> ReachableSubsets(const Twig& t,
+                                                    size_t cap) {
+  std::vector<uint64_t> all(NodeSetWords(t.size()), 0);
+  for (int i = 0; i < t.size(); ++i) all[i / 64] |= uint64_t{1} << (i % 64);
+  std::vector<std::vector<uint64_t>> out = {all};
+  std::set<std::vector<uint64_t>> seen = {all};
+  for (size_t next = 0; next < out.size() && out.size() < cap; ++next) {
+    const std::vector<uint64_t> nodes = out[next];
+    auto in = [&nodes](int node) { return NodeSetHas(nodes.data(), node); };
+    int size = 0;
+    for (int i = 0; i < t.size(); ++i) size += in(i) ? 1 : 0;
+    if (size <= 1) continue;
+    for (int i = 0; i < t.size(); ++i) {
+      if (!in(i)) continue;
+      int kids = 0;
+      for (int child : t.children(i)) kids += in(child) ? 1 : 0;
+      const bool top = t.parent(i) == -1 || !in(t.parent(i));
+      if (kids != (top ? 1 : 0)) continue;
+      std::vector<uint64_t> smaller = nodes;
+      NodeSetRemove(smaller.data(), i);
+      if (seen.insert(smaller).second) out.push_back(std::move(smaller));
+    }
+  }
+  return out;
+}
+
+TEST(TwigTest, SubsetCodeMatchesTheInducedSubtreeCode) {
+  // The estimator canonicalizes node subsets of a query in place; each
+  // code must be byte for byte the code of the materialized sub-twig.
+  // Labels run to two digits, so string order differs from numeric order,
+  // and a small alphabet makes duplicate sibling labels common. A random
+  // parent below each node's index rarely gives a preorder numbering.
+  LabelDict dict;
+  std::vector<Twig> twigs;
+  Rng rng(17);
+  for (int round = 0; round < 40; ++round) {
+    const int n = 3 + static_cast<int>(rng.Uniform(10));
+    const uint64_t labels = round % 2 == 0 ? 3 : 14;
+    Twig t;
+    t.AddNode(static_cast<LabelId>(rng.Uniform(labels)), -1);
+    for (int i = 1; i < n; ++i) {
+      t.AddNode(static_cast<LabelId>(rng.Uniform(labels)),
+                static_cast<int>(rng.Uniform(static_cast<uint64_t>(i))));
+    }
+    twigs.push_back(std::move(t));
+  }
+  twigs.push_back(MustParse("r(x(p,q,s(t)),x(p,q,s(t)))", &dict));
+  twigs.push_back(MustParse("a(a(a(a(a(a)))))", &dict));
+  twigs.push_back(MustParse("a(b,b,b,b,b,b,b)", &dict));
+  Twig not_preorder;  // a(b(d),c), with d numbered after c
+  const int a = not_preorder.AddNode(dict.Intern("a"), -1);
+  const int b = not_preorder.AddNode(dict.Intern("b"), a);
+  not_preorder.AddNode(dict.Intern("c"), a);
+  not_preorder.AddNode(dict.Intern("d"), b);
+  twigs.push_back(std::move(not_preorder));
+  Twig wide;  // 70 nodes: subsets span two words
+  wide.AddNode(0, -1);
+  for (int i = 1; i < 70; ++i) {
+    wide.AddNode(static_cast<LabelId>(rng.Uniform(4)),
+                 static_cast<int>(rng.Uniform(static_cast<uint64_t>(i))));
+  }
+  twigs.push_back(std::move(wide));
+
+  CodeScratch scratch;
+  std::string code;
+  size_t checked = 0;
+  for (const Twig& t : twigs) {
+    EXPECT_EQ(t.ComputeCanonicalCode(), ReferenceCode(t, t.root()));
+    for (const std::vector<uint64_t>& nodes : ReachableSubsets(t, 3000)) {
+      std::vector<int> members;
+      for (int i = 0; i < t.size(); ++i) {
+        if (NodeSetHas(nodes.data(), i)) members.push_back(i);
+      }
+      Result<Twig> induced = t.InducedSubtree(members);
+      ASSERT_TRUE(induced.ok()) << induced.status().ToString();
+      t.SubsetCode(nodes, &scratch, &code);
+      ASSERT_EQ(code, induced->ComputeCanonicalCode()) << t.ToDebugString();
+      ASSERT_EQ(code, ReferenceCode(*induced, induced->root()));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 5000u);
 }
 
 // Property sweep: canonical code is invariant under random sibling

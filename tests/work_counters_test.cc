@@ -1,8 +1,9 @@
 // Work-counter gate (ctest label `perf`). The estimator's cost is its work
 // per query: sub-twig visits, summary probes, decompositions and votes in
-// the Fig. 4 recursion, and the heap allocations behind them. This suite
-// counts that work exactly on two fixed query sets and compares every
-// count against the committed bench/baselines/counters.json:
+// the Fig. 4 recursion, and the canonical codes and heap allocations
+// behind them. This suite counts that work exactly on two fixed query sets
+// and on one mining run, and compares every count against the committed
+// bench/baselines/counters.json:
 //
 //   optimizer   plan families (a distinct size-8 root plus up to 6
 //               leaf-removed sub-twigs of each size 7..4), one voting
@@ -10,7 +11,9 @@
 //               perfbench's optimizer workload does;
 //   serve_cold  distinct size 4..8 queries, each estimated by
 //               DegradingEstimator::EstimateDegraded on one warm
-//               EstimateScratch, as a serve worker does on a cache miss.
+//               EstimateScratch, as a serve worker does on a cache miss;
+//   mining      the canonical codes and allocations of the suite's one
+//               single-threaded BuildLattice call.
 //
 // Any increase fails and names the counter, the baseline and the measured
 // value; a decrease passes and prints the value to commit. Nothing here is
@@ -41,6 +44,7 @@
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
 #include "mining/lattice_builder.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "summary/lattice_summary.h"
 #include "twig/twig.h"
@@ -112,14 +116,16 @@ constexpr int kLatticeLevel = 4;
 constexpr size_t kPlanRoots = 12;
 constexpr size_t kColdPerSize = 16;
 
-/// The work counts the gate compares, summed over one query set.
+/// The work counts the gate compares, summed over one query set (or one
+/// mining run).
 struct WorkCounts {
-  uint64_t queries = 0;
+  uint64_t inputs = 0;  ///< queries estimated, or patterns mined
   uint64_t sub_twig_visits = 0;  ///< memo hits plus summary probes
   uint64_t memo_hits = 0;
   uint64_t summary_probes = 0;  ///< hits + misses + exhaustive zeros
   uint64_t decompositions = 0;
   uint64_t votes = 0;  ///< sum of estimator.voting_fanout
+  uint64_t canonical_codes = 0;  ///< twig.canonical_codes
   uint64_t allocations = 0;
 };
 
@@ -128,17 +134,22 @@ struct CounterField {
   const char* name;
   uint64_t WorkCounts::*field;
 };
-constexpr CounterField kCounters[] = {
+constexpr CounterField kEstimatorCounters[] = {
     {"sub_twig_visits", &WorkCounts::sub_twig_visits},
     {"memo_hits", &WorkCounts::memo_hits},
     {"summary_probes", &WorkCounts::summary_probes},
     {"decompositions", &WorkCounts::decompositions},
     {"votes", &WorkCounts::votes},
+    {"canonical_codes", &WorkCounts::canonical_codes},
+    {"allocations", &WorkCounts::allocations},
+};
+constexpr CounterField kMiningCounters[] = {
+    {"canonical_codes", &WorkCounts::canonical_codes},
     {"allocations", &WorkCounts::allocations},
 };
 
-/// A point-in-time read of the estimator telemetry; the difference of
-/// two reads is the work done between them.
+/// A point-in-time read of the telemetry; the difference of two reads is
+/// the work done between them.
 WorkCounts ReadTelemetry() {
   EstimatorMetrics& m = EstimatorMetrics::Get();
   WorkCounts c;
@@ -148,12 +159,15 @@ WorkCounts ReadTelemetry() {
   c.sub_twig_visits = c.memo_hits + c.summary_probes;
   c.decompositions = m.decompositions->value();
   c.votes = m.voting_fanout->GetSnapshot().sum;
+  c.canonical_codes = obs::MetricsRegistry::Default()
+                          ->counter(obs::metric_names::kTwigCanonicalCodes)
+                          ->value();
   return c;
 }
 
 WorkCounts Since(const WorkCounts& before) {
   WorkCounts now = ReadTelemetry();
-  for (const CounterField& counter : kCounters) {
+  for (const CounterField& counter : kEstimatorCounters) {
     now.*counter.field -= before.*counter.field;
   }
   return now;
@@ -218,8 +232,15 @@ class WorkCountersTest : public ::testing::Test {
     doc_ = std::make_unique<Document>(GenerateXmark(data));
     LatticeBuildOptions build;
     build.max_level = kLatticeLevel;
+    AllocationCounter allocations;
+    const WorkCounts before = ReadTelemetry();
+    allocations.Start();
     Result<LatticeSummary> summary = BuildLattice(*doc_, build, nullptr);
+    allocations.Stop();
     ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    mining_ = Since(before);
+    mining_.inputs = summary->NumPatterns();
+    mining_.allocations = allocations.allocations();
     summary_ = std::make_unique<LatticeSummary>(std::move(*summary));
   }
 
@@ -276,7 +297,7 @@ class WorkCountersTest : public ::testing::Test {
         queries += twigs.size();
       }
       counts = Since(before);
-      counts.queries = queries;
+      counts.inputs = queries;
       counts.allocations = allocations.allocations();
     }
     return counts;
@@ -310,17 +331,19 @@ class WorkCountersTest : public ::testing::Test {
         allocations.Stop();
       }
       counts = Since(before);
-      counts.queries = texts.size();
+      counts.inputs = texts.size();
       counts.allocations = allocations.allocations();
     }
     return counts;
   }
 
-  /// Compares `measured` against the baseline object `name` in
-  /// bench/baselines/counters.json: an increase fails, a decrease prints
-  /// the value to commit.
+  /// Compares `counters` of `measured` against the baseline object `name`
+  /// in bench/baselines/counters.json, whose `inputs_key` names the input
+  /// size: an increase fails, a decrease prints the value to commit.
   static void CheckAgainstBaseline(const std::string& name,
-                                   const WorkCounts& measured) {
+                                   const char* inputs_key,
+                                   const WorkCounts& measured,
+                                   std::span<const CounterField> counters) {
     std::ifstream in(TL_COUNTER_BASELINE);
     ASSERT_TRUE(in.good()) << "cannot read " << TL_COUNTER_BASELINE;
     std::stringstream text;
@@ -332,9 +355,9 @@ class WorkCountersTest : public ::testing::Test {
                             << TL_COUNTER_BASELINE;
 
     // The measured set in the baseline file's own form, ready to commit.
-    std::printf("\"%s\": {\"queries\": %llu", name.c_str(),
-                static_cast<unsigned long long>(measured.queries));
-    for (const CounterField& counter : kCounters) {
+    std::printf("\"%s\": {\"%s\": %llu", name.c_str(), inputs_key,
+                static_cast<unsigned long long>(measured.inputs));
+    for (const CounterField& counter : counters) {
       std::printf(", \"%s\": %llu", counter.name,
                   static_cast<unsigned long long>(measured.*counter.field));
     }
@@ -346,18 +369,18 @@ class WorkCountersTest : public ::testing::Test {
           << name << "." << key << " missing from " << TL_COUNTER_BASELINE;
       return v != nullptr ? static_cast<uint64_t>(v->number_value) : 0;
     };
-    // A different query count means a different input, not less work.
-    ASSERT_EQ(measured.queries, value_of("queries"))
-        << name << ": the query set changed; re-derive the baseline";
-    for (const CounterField& counter : kCounters) {
+    // A different input size means a different input, not less work.
+    ASSERT_EQ(measured.inputs, value_of(inputs_key))
+        << name << ": the input changed; re-derive the baseline";
+    for (const CounterField& counter : counters) {
       const uint64_t base = value_of(counter.name);
       const uint64_t got = measured.*counter.field;
-      std::printf("%s.%s: baseline %llu, measured %llu (%.2f per query)\n",
+      std::printf("%s.%s: baseline %llu, measured %llu (%.2f per input)\n",
                   name.c_str(), counter.name,
                   static_cast<unsigned long long>(base),
                   static_cast<unsigned long long>(got),
                   static_cast<double>(got) /
-                      static_cast<double>(measured.queries));
+                      static_cast<double>(measured.inputs));
       EXPECT_LE(got, base) << name << "." << counter.name
                            << " rose above its baseline: baseline " << base
                            << ", measured " << got;
@@ -371,21 +394,28 @@ class WorkCountersTest : public ::testing::Test {
 
   static inline std::unique_ptr<Document> doc_;
   static inline std::unique_ptr<LatticeSummary> summary_;
+  static inline WorkCounts mining_;
 };
 
 TEST_F(WorkCountersTest, OptimizerPlanFamiliesStayAtOrBelowBaseline) {
-  CheckAgainstBaseline("optimizer", CountOptimizer());
+  CheckAgainstBaseline("optimizer", "queries", CountOptimizer(),
+                       kEstimatorCounters);
 }
 
 TEST_F(WorkCountersTest, ServeColdStreamStaysAtOrBelowBaseline) {
-  CheckAgainstBaseline("serve_cold", CountServeCold());
+  CheckAgainstBaseline("serve_cold", "queries", CountServeCold(),
+                       kEstimatorCounters);
+}
+
+TEST_F(WorkCountersTest, MiningStaysAtOrBelowBaseline) {
+  CheckAgainstBaseline("mining", "patterns", mining_, kMiningCounters);
 }
 
 TEST_F(WorkCountersTest, CountsAreDeterministic) {
   // The gate's premise: the same input does the same work, run to run.
   const WorkCounts a = CountOptimizer();
   const WorkCounts b = CountOptimizer();
-  for (const CounterField& counter : kCounters) {
+  for (const CounterField& counter : kEstimatorCounters) {
     EXPECT_EQ(a.*counter.field, b.*counter.field) << counter.name;
   }
   EXPECT_GT(a.decompositions, 0u);
