@@ -88,7 +88,7 @@ BurstResult RunBurst(serve::SnapshotHolder* snapshots,
   options.workers = workers;
   options.queue_capacity = static_cast<size_t>(n);  // no shedding: pure latency
   options.default_deadline_millis = deadline_millis;
-  options.enable_estimate_cache = enable_cache;
+  if (!enable_cache) options.estimate_cache_capacity = 0;
   BurstResult result;
   {
     serve::Server server(
@@ -295,7 +295,6 @@ NetLegResult RunNetLeg(serve::SnapshotHolder* snapshots,
   // that so the sweep measures the transport, not admission shedding.
   server_options.queue_capacity =
       static_cast<size_t>(conns) * static_cast<size_t>(window) + 128;
-  server_options.enable_estimate_cache = true;
   serve::Transport::Options net;
   net.max_connections = conns + 8;
   net.backlog = std::min(conns + 8, 4096);

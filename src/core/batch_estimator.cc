@@ -1,6 +1,9 @@
 #include "core/batch_estimator.h"
 
+#include <optional>
+
 #include "util/hash.h"
+#include "util/timer.h"
 
 namespace treelattice {
 
@@ -15,7 +18,14 @@ size_t SlotCount(size_t want) {
 
 }  // namespace
 
-void QueryDedup::Group(std::span<const Twig> queries) {
+BatchEstimator::BatchEstimator(const LatticeSummary* summary,
+                               RecursiveDecompositionEstimator::Options primary,
+                               EstimateCache* cache, int64_t cache_version)
+    : ladder_(summary, DegradingEstimator::Options{primary}),
+      cache_(cache),
+      cache_version_(cache_version) {}
+
+void BatchEstimator::Group(std::span<const Twig> queries) {
   const size_t n = queries.size();
   group_.assign(n, kNoGroup);
   distinct_.clear();
@@ -54,63 +64,111 @@ void QueryDedup::Group(std::span<const Twig> queries) {
   }
 }
 
-BatchEstimator::BatchEstimator(const LatticeSummary* summary)
-    : BatchEstimator(summary, RecursiveDecompositionEstimator::Options()) {}
-
-BatchEstimator::BatchEstimator(const LatticeSummary* summary,
-                               RecursiveDecompositionEstimator::Options options)
-    : estimator_(summary, options) {}
-
 Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
                                      const EstimateOptions& options,
                                      std::span<EstimateResult> results) {
-  if (results.size() != queries.size()) {
+  return EstimateBatch(queries, std::span<const EstimateOptions>(&options, 1),
+                       results);
+}
+
+Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
+                                     std::span<const EstimateOptions> options,
+                                     std::span<EstimateResult> results) {
+  const size_t n = queries.size();
+  if (results.size() != n) {
     return Status::InvalidArgument(
         "EstimateBatch: results span must match queries span");
   }
-  const size_t n = queries.size();
+  if (options.size() != 1 && options.size() != n) {
+    return Status::InvalidArgument(
+        "EstimateBatch: options span must hold one entry or one per query");
+  }
   if (n == 0) return Status::OK();
 
-  // Stage 1: group identical queries; only the first of each group is
-  // estimated.
-  dedup_.Group(queries);
-  const std::span<const uint32_t> distinct = dedup_.distinct();
-  size_t memo_budget = 0;  // sum of size^2 over distinct queries
-  for (uint32_t first : distinct) {
-    const size_t size = static_cast<size_t>(queries[first].size());
+  // Laps charge every stretch of the batch to exactly one query.
+  WallTimer timer;
+
+  // Stage 1: group identical queries; only the first of each group goes on.
+  Group(queries);
+
+  // Stage 2: one cache read per distinct query. Any query may be answered
+  // from the cache, since entries are exact full-effort primary answers (a
+  // governed query served from it gets a better answer than its budget
+  // could buy).
+  size_t misses = 0;
+  size_t memo_budget = 0;  // sum of size^2 over the misses
+  for (uint32_t first : distinct_) {
+    const Twig& query = queries[first];
+    EstimateResult& result = results[first];
+    result = EstimateResult{.status = Status::OK(),
+                            .wall_micros = result.wall_micros};
+    if (cache_ != nullptr) {
+      std::optional<double> hit = cache_->Get(
+          cache_version_, query.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
+          query.CanonicalCode());  // tl-lint: allow(canonical-in-loop)
+      result.wall_micros += timer.LapMicros();
+      if (hit.has_value()) {
+        result.estimate = *hit;
+        result.cached = true;
+        continue;
+      }
+    }
+    ++misses;
+    const size_t size = static_cast<size_t>(query.size());
     memo_budget += size * size;
   }
 
-  EstimateScratch* scratch =
-      options.scratch != nullptr ? options.scratch : &scratch_;
-  ScopedBatchScratch batch_guard(scratch, memo_budget);
-
-  // Stage 2: shared-memo recursion over the distinct queries, each outcome
-  // written straight into its first query's result. One governor covers
-  // the whole batch; queries visited after a budget trip fail fast with
-  // the trip status on their first Charge().
-  CostGovernor governor = options.MakeGovernor();
-  CostGovernor* governor_ptr = options.governed() ? &governor : nullptr;
-  for (uint32_t first : distinct) {
-    Result<double> result = estimator_.EstimateWithGovernor(
-        queries[first], governor_ptr, scratch);
-    results[first].status = result.status();
-    results[first].estimate = result.ok() ? *result : 0.0;
-  }
-  if (options.work_steps != nullptr && governor_ptr != nullptr) {
-    *options.work_steps += governor.steps();
+  // Stage 3: the misses through the ladder over one batch-scoped memo,
+  // each under a governor of its own. Fallback rungs drop back to a fresh
+  // per-call memo (DESIGN.md §14).
+  if (misses > 0) {
+    ScopedBatchScratch batch_guard(&scratch_, memo_budget);
+    for (uint32_t first : distinct_) {
+      const Twig& query = queries[first];
+      EstimateResult& result = results[first];
+      if (result.cached) continue;
+      EstimateOptions item = options[options.size() == 1 ? 0 : first];
+      if (item.deadline_millis > 0.0) {
+        item.deadline = Deadline::After(item.deadline_millis);
+      }
+      item.scratch = &scratch_;
+      Result<DegradingEstimator::DegradedEstimate> estimate =
+          ladder_.EstimateDegraded(query, item);
+      if (!estimate.ok()) {
+        result.status = estimate.status();
+      } else {
+        result.estimate = estimate->estimate;
+        result.rung = estimate->rung;
+        result.degraded = estimate->degraded;
+        // Stage 4: insert only exact answers. A deadline or step cap may
+        // truncate work, so even a primary answer under one is left out; a
+        // cancel token alone does not change a completed answer.
+        if (cache_ != nullptr && item.deadline.is_infinite() &&
+            item.max_work_steps == 0 &&
+            estimate->rung == DegradingEstimator::Rung::kPrimary) {
+          cache_->Put(cache_version_,
+                      query.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
+                      query.CanonicalCode(),  // tl-lint: allow(canonical-in-loop)
+                      estimate->estimate);
+        }
+      }
+      result.wall_micros += timer.LapMicros();
+    }
   }
 
   // Scatter: every other query takes its group's outcome.
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t d = dedup_.group(i);
-    if (d == QueryDedup::kNoGroup) {
-      results[i].status = Status::InvalidArgument("Estimate: empty query");
-      results[i].estimate = 0.0;
+    const uint32_t group = group_[i];
+    if (group == kNoGroup) {
+      results[i] = EstimateResult{
+          .status = Status::InvalidArgument("Estimate: empty query"),
+          .wall_micros = results[i].wall_micros};
       continue;
     }
-    const uint32_t first = distinct[d];
-    if (first != i) results[i] = results[first];
+    const uint32_t first = distinct_[group];
+    if (first == i) continue;
+    results[i] = results[first];
+    results[i].duplicate = true;
   }
   return Status::OK();
 }

@@ -3,9 +3,10 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
+#include "core/degrading_estimator.h"
+#include "core/estimate_cache.h"
 #include "core/estimate_scratch.h"
 #include "core/estimator.h"
 #include "core/recursive_estimator.h"
@@ -14,83 +15,99 @@
 
 namespace treelattice {
 
-/// Per-query outcome of a batch estimation. `estimate` is meaningful only
-/// when `status` is OK.
+/// Per-query outcome of a batch estimation. `estimate`, `rung`, `degraded`
+/// and `cached` are meaningful only when `status` is OK.
 struct EstimateResult {
   Status status;
   double estimate = 0.0;
+  /// The ladder rung that answered; a cache hit reports kPrimary, the only
+  /// rung whose answers are cached.
+  DegradingEstimator::Rung rung = DegradingEstimator::Rung::kPrimary;
+  /// True when a fallback rung answered.
+  bool degraded = false;
+  /// True when the answer came from the EstimateCache.
+  bool cached = false;
+  /// True when an earlier query of the batch has the same canonical code;
+  /// the result is that query's.
+  bool duplicate = false;
+  /// Time EstimateBatch spent on the query: its cache probe and, on a
+  /// miss, its estimation. It is added to the value passed in, so a caller
+  /// may seed it with its own per-query time (serve seeds the parse time).
+  /// A duplicate reports its first occurrence's whole time.
+  double wall_micros = 0.0;
 };
 
-/// Whole-query dedup by canonical code (DESIGN.md §14): a flat
-/// open-addressing table keyed by the 64-bit canonical-code hash, with the
-/// full code verified on every hash match, groups identical queries so each
-/// distinct query is estimated once. BatchEstimator and every serve worker
-/// keep one: the buffers retain their capacity across calls, so a warm
-/// instance allocates nothing, and a single query never builds the table.
-/// Not thread-safe.
-class QueryDedup {
- public:
-  static constexpr uint32_t kNoGroup = static_cast<uint32_t>(-1);
-
-  /// Groups `queries` by canonical code. Afterwards group(i) indexes
-  /// distinct() with queries[i]'s group (kNoGroup for an empty query), and
-  /// distinct() lists the index of each group's first query, in order.
-  // Amortized: the buffers keep their capacity across calls.
-  TL_ALLOC_OK void Group(std::span<const Twig> queries);
-
-  uint32_t group(size_t i) const { return group_[i]; }
-  std::span<const uint32_t> distinct() const { return distinct_; }
-
- private:
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t group = kNoGroup;
-  };
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> group_;
-  std::vector<uint32_t> distinct_;
-};
-
-/// Batched front end to the recursive decomposition estimator
-/// (DESIGN.md §14). A batch of twig queries is estimated in two stages:
+/// The one entry that estimates a set of queries (DESIGN.md §14); a
+/// single query is a batch of one. EstimateBatch runs four stages:
 ///
-///   1. dedup identical queries through QueryDedup, so each distinct query
-///      is estimated exactly once;
-///   2. run the recursive estimator over the distinct queries with one
+///   1. dedup: identical queries (by canonical code) collapse onto their
+///      first occurrence, so each distinct query is estimated once;
+///   2. cache read: with an EstimateCache, each distinct query probes it
+///      once, under the cache version;
+///   3. estimation: each miss runs through the DegradingEstimator ladder
+///      (primary, fixed-size, markov-path) under its own budget, over one
 ///      batch-scoped memo (EstimateScratch::BeginBatch), so a basic twig
-///      shared by several queries is probed and voted once.
+///      shared by several queries is probed and voted once;
+///   4. cache insert and scatter: answers known to be exact (no deadline,
+///      no step cap, primary rung) go into the cache, and every duplicate
+///      takes its first occurrence's result.
 ///
-/// Each distinct query's outcome is written straight into its first
-/// query's result and copied to the duplicates. Because memo entries are
-/// exact per-code values inserted only after full computation, batch
-/// results are bit-identical to estimating each query sequentially with a
-/// fresh memo (BatchStreamTest in tests/batch_test.cc asserts this).
-///
-/// Governed batches share one CostGovernor: the deadline and step budget
-/// cover the whole batch, and queries after a budget trip report the trip
-/// status. Not thread-safe: one BatchEstimator per thread.
+/// Budgets are per item: each distinct query gets a fresh governor from
+/// its own options, so no query's budget depends on what ran before it.
+/// Memo entries are exact per-code values inserted only after full
+/// computation, so results are bit-identical to estimating each query
+/// alone with a fresh memo (BatchStreamTest in tests/batch_test.cc).
+/// Not thread-safe: one BatchEstimator per thread. The cache may be shared
+/// between threads.
 class BatchEstimator {
  public:
-  /// The summary must outlive the estimator.
-  explicit BatchEstimator(const LatticeSummary* summary);
-  BatchEstimator(const LatticeSummary* summary,
-                 RecursiveDecompositionEstimator::Options options);
+  /// The summary, and the cache when given, must outlive the estimator.
+  /// `cache_version` scopes every cache read and insert: the version of
+  /// the summary this estimator serves (EstimateCache drops entries of
+  /// other versions).
+  explicit BatchEstimator(
+      const LatticeSummary* summary,
+      RecursiveDecompositionEstimator::Options primary = {},
+      EstimateCache* cache = nullptr, int64_t cache_version = 0);
 
-  /// Estimates queries[i] into results[i]. `results` must have the same
-  /// length as `queries`; per-query failures land in results[i].status.
-  /// options.deadline / max_work_steps / cancel govern the whole batch;
-  /// options.scratch, when provided, supplies the shared memo (otherwise
-  /// an internal scratch is used).
+  /// Estimates queries[i] into results[i]; the spans must have the same
+  /// length. `options` holds one budget per query, or a single one that
+  /// applies to every query; a duplicate runs under its first occurrence's
+  /// budget. A positive `deadline_millis` starts that query's deadline
+  /// when its own estimation starts (it replaces `deadline`); otherwise
+  /// `deadline` is an absolute instant. `scratch` is ignored: the batch
+  /// keeps its own. Per-query failures land in results[i].status; an empty
+  /// query fails with kInvalidArgument.
+  TL_HOT Status EstimateBatch(std::span<const Twig> queries,
+                              std::span<const EstimateOptions> options,
+                              std::span<EstimateResult> results);
   TL_HOT Status EstimateBatch(std::span<const Twig> queries,
                               const EstimateOptions& options,
                               std::span<EstimateResult> results);
 
-  std::string name() const { return "batch+" + estimator_.name(); }
-
  private:
-  RecursiveDecompositionEstimator estimator_;
-  QueryDedup dedup_;
+  static constexpr uint32_t kNoGroup = static_cast<uint32_t>(-1);
+
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t group = kNoGroup;
+  };
+
+  /// Groups `queries` by canonical code: a flat open-addressing table
+  /// keyed by the 64-bit code hash, with the full code verified on every
+  /// hash match. Afterwards group_[i] indexes distinct_ with queries[i]'s
+  /// group (kNoGroup for an empty query), and distinct_ lists the first
+  /// query of each group, in order. A single query never builds the table.
+  // Amortized: the buffers keep their capacity across calls.
+  TL_ALLOC_OK void Group(std::span<const Twig> queries);
+
+  DegradingEstimator ladder_;
+  EstimateCache* const cache_;
+  const int64_t cache_version_;
   EstimateScratch scratch_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> group_;
+  std::vector<uint32_t> distinct_;
 };
 
 }  // namespace treelattice

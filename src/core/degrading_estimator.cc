@@ -41,17 +41,6 @@ DegradingEstimator::DegradingEstimator(const LatticeSummary* summary,
       fixed_size_(summary),
       markov_(summary) {}
 
-Result<double> DegradingEstimator::Estimate(const Twig& query) {
-  return primary_.Estimate(query);
-}
-
-Result<double> DegradingEstimator::Estimate(const Twig& query,
-                                            const EstimateOptions& options) {
-  Result<DegradedEstimate> result = EstimateDegraded(query, options);
-  if (!result.ok()) return result.status();
-  return result->estimate;
-}
-
 EstimateOptions DegradingEstimator::FallbackBudget(
     const EstimateOptions& original) const {
   EstimateOptions fallback;

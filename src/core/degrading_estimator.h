@@ -1,12 +1,9 @@
 #ifndef TREELATTICE_CORE_DEGRADING_ESTIMATOR_H_
 #define TREELATTICE_CORE_DEGRADING_ESTIMATOR_H_
 
-#include <string>
 #include <string_view>
 
 #include "core/estimator.h"
-
-#include "util/analysis_annotations.h"
 #include "core/fixed_size_estimator.h"
 #include "core/markov_path_estimator.h"
 #include "core/recursive_estimator.h"
@@ -15,7 +12,8 @@
 namespace treelattice {
 
 /// The degradation ladder: a best-effort estimator that always tries to
-/// return *something* within the caller's budget.
+/// return *something* within the caller's budget. BatchEstimator runs
+/// every query it estimates through it (DESIGN.md §14).
 ///
 ///   rung 0  recursive (optionally voting) decomposition — the accurate,
 ///           potentially expensive primary (Fig. 4)
@@ -32,7 +30,7 @@ namespace treelattice {
 /// a fallback rung produces the answer. kCancelled is not degraded — a
 /// cancelled request wants no answer at all — and non-budget errors
 /// propagate unchanged.
-class DegradingEstimator : public SelectivityEstimator {
+class DegradingEstimator {
  public:
   /// Which rung of the ladder produced an answer.
   enum class Rung { kPrimary = 0, kFixedSize = 1, kMarkovPath = 2 };
@@ -65,20 +63,10 @@ class DegradingEstimator : public SelectivityEstimator {
   explicit DegradingEstimator(const LatticeSummary* summary);
   DegradingEstimator(const LatticeSummary* summary, Options options);
 
-  /// Ungoverned estimation: the primary rung, run to completion.
-  TL_HOT Result<double> Estimate(const Twig& query) override;
-
-  /// Governed estimation through the ladder; returns the estimate alone.
-  TL_HOT Result<double> Estimate(const Twig& query,
-                                 const EstimateOptions& options) override;
-
-  /// Governed estimation reporting which rung answered.
+  /// Governed estimation reporting which rung answered; ungoverned
+  /// options run the primary rung to completion.
   Result<DegradedEstimate> EstimateDegraded(const Twig& query,
                                             const EstimateOptions& options);
-
-  std::string name() const override {
-    return "degrading(" + primary_.name() + ")";
-  }
 
  private:
   /// Budget for a fallback rung: a fresh deadline of half the original

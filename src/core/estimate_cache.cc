@@ -1,11 +1,10 @@
-#include "serve/estimate_cache.h"
+#include "core/estimate_cache.h"
 
 #include <chrono>
 
 #include "util/hash.h"
 
 namespace treelattice {
-namespace serve {
 
 namespace {
 
@@ -157,5 +156,4 @@ EstimateCache::Stats EstimateCache::GetStats() const {
   return stats;
 }
 
-}  // namespace serve
 }  // namespace treelattice

@@ -1,5 +1,5 @@
-#ifndef TREELATTICE_SERVE_ESTIMATE_CACHE_H_
-#define TREELATTICE_SERVE_ESTIMATE_CACHE_H_
+#ifndef TREELATTICE_CORE_ESTIMATE_CACHE_H_
+#define TREELATTICE_CORE_ESTIMATE_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "util/thread_annotations.h"
 
 namespace treelattice {
-namespace serve {
 
 /// Cache telemetry (see obs/metric_names.h for the registry):
 ///   cache.hits           estimate served straight from the cache
@@ -152,7 +151,6 @@ class EstimateCache {
   std::atomic<uint64_t> invalidations_{0};
 };
 
-}  // namespace serve
 }  // namespace treelattice
 
-#endif  // TREELATTICE_SERVE_ESTIMATE_CACHE_H_
+#endif  // TREELATTICE_CORE_ESTIMATE_CACHE_H_

@@ -67,11 +67,6 @@ Result<double> RecursiveDecompositionEstimator::Estimate(
 }
 
 Result<double> RecursiveDecompositionEstimator::EstimateWithGovernor(
-    const Twig& query, CostGovernor* governor) {
-  return EstimateWithGovernor(query, governor, nullptr);
-}
-
-Result<double> RecursiveDecompositionEstimator::EstimateWithGovernor(
     const Twig& query, CostGovernor* governor, EstimateScratch* scratch) {
   if (query.empty()) {
     return Status::InvalidArgument("Estimate: empty query");

@@ -66,8 +66,6 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
   /// the whole query, not each fallback separately. `governor` may be
   /// nullptr for ungoverned estimation; `scratch` may be nullptr to use
   /// the internal thread_local scratch.
-  Result<double> EstimateWithGovernor(const Twig& query,
-                                      CostGovernor* governor);
   Result<double> EstimateWithGovernor(const Twig& query, CostGovernor* governor,
                                       EstimateScratch* scratch);
 

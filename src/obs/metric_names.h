@@ -142,7 +142,7 @@ inline constexpr char kNetLoopLagMicros[] = "serve.net.loop_lag_micros";
 inline constexpr char kNetDispatchBatch[] = "serve.net.dispatch_batch";
 inline constexpr char kNetPollerErrors[] = "serve.net.poller_errors";
 
-// -- estimate cache (serve/estimate_cache.cc) -------------------------------
+// -- estimate cache (core/estimate_cache.cc) --------------------------------
 inline constexpr char kCacheHits[] = "cache.hits";
 inline constexpr char kCacheMisses[] = "cache.misses";
 inline constexpr char kCacheEvictions[] = "cache.evictions";

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <utility>
 
-#include "core/estimate_scratch.h"
 #include "serve/serve_metrics.h"
 #include "twig/twig.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "util/timer.h"
 #include "xpath/xpath.h"
 
 namespace treelattice {
@@ -16,16 +16,9 @@ namespace serve {
 
 namespace {
 
-/// Mirrors the CLI's query heuristic: anything that looks like a path
-/// expression goes through the XPath compiler, everything else is twig
-/// syntax.
-Result<Twig> ParseQueryText(const std::string& text, LabelDict* dict) {
-  if (text.find('/') != std::string::npos ||
-      text.find('[') != std::string::npos) {
-    return CompileXPath(text, dict);
-  }
-  return Twig::Parse(text, dict);
-}
+/// Shards of the estimate cache: enough that workers rarely contend on
+/// one shard lock.
+constexpr int kEstimateCacheShards = 8;
 
 std::string_view Trimmed(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
@@ -215,10 +208,10 @@ Server::Server(SnapshotHolder* snapshots, ServerOptions options,
     : snapshots_(snapshots),
       options_(std::move(options)),
       sink_(std::move(sink)) {
-  if (options_.enable_estimate_cache && options_.estimate_cache_capacity > 0) {
+  if (options_.estimate_cache_capacity > 0) {
     EstimateCache::Options cache_options;
     cache_options.capacity = options_.estimate_cache_capacity;
-    cache_options.shards = options_.estimate_cache_shards;
+    cache_options.shards = kEstimateCacheShards;
     cache_options.config_fingerprint =
         EstimatorConfigFingerprint(options_.estimator);
     cache_ = std::make_unique<EstimateCache>(cache_options);
@@ -312,12 +305,13 @@ Server::Stats Server::GetStats() const {
 }
 
 void Server::WorkerLoop() {
-  // The estimator binds to the snapshot's summary and is rebuilt whenever
-  // the serving snapshot changes; the dictionary is a private copy because
-  // query compilation interns labels (a label the snapshot has never seen
-  // gets a fresh id that misses every summary lookup, yielding the natural
-  // estimate of zero). The scratch, dedup table and twig buffer stay warm
-  // across every line this thread answers.
+  // The estimator binds to the snapshot's summary and cache version and is
+  // rebuilt whenever the serving snapshot changes; the dictionary is a
+  // private copy because query compilation interns labels (a label the
+  // snapshot has never seen gets a fresh id that misses every summary
+  // lookup, yielding the natural estimate of zero). The estimator's
+  // scratch and the per-line buffers stay warm across every line this
+  // thread answers on one snapshot.
   Worker worker;
   for (;;) {
     ServeBatch batch;
@@ -341,8 +335,9 @@ void Server::WorkerLoop() {
       worker.snapshot = std::move(current);
       if (worker.snapshot != nullptr) {
         worker.dict = std::make_unique<LabelDict>(worker.snapshot->dict);
-        worker.estimator = std::make_unique<DegradingEstimator>(
-            &worker.snapshot->summary, options_.estimator);
+        worker.estimator = std::make_unique<BatchEstimator>(
+            &worker.snapshot->summary, options_.estimator.primary,
+            cache_.get(), worker.snapshot->version);
       } else {
         worker.dict.reset();
         worker.estimator.reset();
@@ -359,18 +354,10 @@ void Server::WorkerLoop() {
 }
 
 ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
-  // Worker time is split into laps, one clock read each, so every stretch
-  // of the line's processing is charged to exactly one query.
-  std::chrono::steady_clock::time_point lap_start =
-      std::chrono::steady_clock::now();
-  auto lap = [&lap_start] {
-    const std::chrono::steady_clock::time_point now =
-        std::chrono::steady_clock::now();
-    const double micros =
-        std::chrono::duration<double, std::micro>(now - lap_start).count();
-    lap_start = now;
-    return micros;
-  };
+  // Worker time is split into laps: the parse here, then the cache probe
+  // and estimation inside EstimateBatch, which adds them to the parse time
+  // each result is seeded with.
+  WallTimer timer;
   const size_t n = batch.items.size();
   const int64_t snapshot_version =
       worker->snapshot != nullptr ? worker->snapshot->version : 0;
@@ -386,12 +373,15 @@ ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
   out.trace = batch.trace;
   out.items.resize(n);
 
-  // Per-item parse. Parse failures (and the no-snapshot case) answer
-  // here and leave an empty twig, which every later stage skips.
+  // Per-item parse and budget. Parse failures (and the no-snapshot case)
+  // answer here and leave an empty twig, which EstimateBatch skips.
   std::vector<Twig>& twigs = worker->twigs;
+  std::vector<EstimateOptions>& budgets = worker->budgets;
+  std::vector<EstimateResult>& results = worker->results;
   twigs.clear();
   twigs.resize(n);
-  size_t parsed = 0;
+  budgets.assign(n, EstimateOptions{});
+  results.assign(n, EstimateResult{});
   for (size_t i = 0; i < n; ++i) {
     const ServeRequest& item = batch.items[i];
     ServeResponse& response = out.items[i];
@@ -402,19 +392,58 @@ ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
     Status error = Status::OK();
     if (worker->estimator == nullptr) {
       error = Status::NotFound("no summary snapshot loaded");
-    } else if (Result<Twig> query = ParseQueryText(item.query,
-                                                   worker->dict.get());
+    } else if (Result<Twig> query = CompileQuery(item.query,
+                                                 worker->dict.get());
                !query.ok()) {
       error = query.status();
     } else {
       twigs[i] = std::move(*query);
-      ++parsed;
     }
     if (!error.ok()) {
       response.error_code = std::string(StatusCodeToString(error.code()));
       response.error_message = error.message();
     }
-    response.wall_micros = lap();
+    EstimateOptions& budget = budgets[i];
+    budget.deadline_millis = item.deadline_millis > 0.0
+                                 ? item.deadline_millis
+                                 : options_.default_deadline_millis;
+    budget.max_work_steps = item.max_work_steps > 0
+                                ? item.max_work_steps
+                                : options_.default_max_work_steps;
+    budget.cancel = batch.cancel.get();
+    if (out.trace.active) budget.work_steps = &out.trace.work_steps;
+    results[i].wall_micros = timer.LapMicros();
+  }
+
+  if (worker->estimator != nullptr) {
+    IgnoreStatus(worker->estimator->EstimateBatch(twigs, budgets, results),
+                 "the spans are built to the line's length above");
+  }
+
+  uint64_t dup_queries = 0;
+  uint64_t cache_hits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    ServeResponse& response = out.items[i];
+    const EstimateResult& result = results[i];
+    response.wall_micros = result.wall_micros;
+    if (twigs[i].empty()) continue;  // answered at parse
+    dup_queries += result.duplicate ? 1 : 0;
+    cache_hits += result.cached && !result.duplicate ? 1 : 0;
+    if (!result.status.ok()) {
+      response.error_code =
+          std::string(StatusCodeToString(result.status.code()));
+      response.error_message = result.status.message();
+      continue;
+    }
+    response.ok = true;
+    response.estimate = result.estimate;
+    response.rung = std::string(DegradingEstimator::RungName(result.rung));
+    response.degraded = result.degraded;
+    response.cached = result.cached;
+  }
+  if (!batch.scalar) {
+    batch_metrics.dup_queries->Increment(dup_queries);
+    batch_metrics.cache_hits->Increment(cache_hits);
   }
   if (batch.scalar && out.trace.active && !twigs[0].empty()) {
     // Twig shape features: the slow-query log keys on them.
@@ -427,119 +456,6 @@ ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
           std::max(out.trace.twig_fanout,
                    static_cast<uint32_t>(query.children(i).size()));
     }
-  }
-
-  // Dedup on the canonical code: only the first item of each group reaches
-  // the cache and the estimator (serve.batch.dup_queries counts the rest).
-  worker->dedup.Group(twigs);
-  const std::span<const uint32_t> distinct = worker->dedup.distinct();
-  if (!batch.scalar) {
-    batch_metrics.dup_queries->Increment(parsed - distinct.size());
-  }
-
-  // Cache read: any query may be answered from the cache, since entries
-  // are exact full-effort primary answers (a governed query served from it
-  // gets a strictly better result than its budget could buy).
-  size_t misses = 0;
-  size_t memo_budget = 0;  // sum of size^2 over the misses
-  uint64_t cache_hits = 0;
-  for (uint32_t first : distinct) {
-    const Twig& twig = twigs[first];
-    ServeResponse& response = out.items[first];
-    if (cache_ != nullptr) {
-      std::optional<double> hit = cache_->Get(
-          snapshot_version, twig.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
-          twig.CanonicalCode());  // tl-lint: allow(canonical-in-loop)
-      response.wall_micros += lap();
-      if (hit.has_value()) {
-        response.ok = true;
-        response.estimate = *hit;
-        response.rung = std::string(
-            DegradingEstimator::RungName(DegradingEstimator::Rung::kPrimary));
-        response.cached = true;
-        ++cache_hits;
-        continue;
-      }
-    }
-    ++misses;
-    const size_t size = static_cast<size_t>(twig.size());
-    memo_budget += size * size;
-  }
-  if (!batch.scalar) batch_metrics.cache_hits->Increment(cache_hits);
-
-  if (misses > 0) {
-    // Estimate the misses with one line-scoped memo: every sub-twig shared
-    // across the line is probed and voted exactly once. Memo entries are
-    // exact per-code values inserted only after full computation, so
-    // sharing cannot change any result (DESIGN.md §14); fallback rungs
-    // deliberately drop back to a fresh per-call memo.
-    ScopedBatchScratch batch_guard(&worker->scratch, memo_budget);
-    for (uint32_t first : distinct) {
-      ServeResponse& response = out.items[first];
-      if (response.cached) continue;
-      const ServeRequest& item = batch.items[first];
-      const Twig& twig = twigs[first];
-      const double deadline_millis = item.deadline_millis > 0.0
-                                         ? item.deadline_millis
-                                         : options_.default_deadline_millis;
-      EstimateOptions estimate_options;
-      if (deadline_millis > 0.0) {
-        estimate_options = EstimateOptions::WithDeadlineMillis(deadline_millis);
-      }
-      estimate_options.max_work_steps = item.max_work_steps > 0
-                                            ? item.max_work_steps
-                                            : options_.default_max_work_steps;
-      estimate_options.scratch = &worker->scratch;
-      if (out.trace.active) {
-        estimate_options.work_steps = &out.trace.work_steps;
-      }
-      // Budget-governed means the *value* may depend on the budget (a
-      // deadline or step cap can truncate work). A cancel token alone
-      // does not: a run that completes despite being cancellable produced
-      // the exact answer, so it stays cacheable.
-      const bool governed = estimate_options.governed();
-      estimate_options.cancel = batch.cancel.get();
-      Result<DegradingEstimator::DegradedEstimate> estimate =
-          worker->estimator->EstimateDegraded(twig, estimate_options);
-      if (!estimate.ok()) {
-        response.error_code =
-            std::string(StatusCodeToString(estimate.status().code()));
-        response.error_message = estimate.status().message();
-      } else {
-        response.ok = true;
-        response.estimate = estimate->estimate;
-        response.rung =
-            std::string(DegradingEstimator::RungName(estimate->rung));
-        response.degraded = estimate->degraded;
-        // Insert policy: only exact answers. A governed run — even one
-        // that finished on the primary rung — may have been lucky with
-        // its budget; the cheap and airtight rule is to cache ungoverned
-        // primary results only.
-        if (cache_ != nullptr && !governed && !estimate->degraded &&
-            estimate->rung == DegradingEstimator::Rung::kPrimary) {
-          cache_->Put(snapshot_version, twig.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)
-                      twig.CanonicalCode(), estimate->estimate);  // tl-lint: allow(canonical-in-loop)
-        }
-      }
-      response.wall_micros += lap();
-    }
-  }
-
-  // Scatter each group's outcome to its duplicates (the per-item id and
-  // query text stay the duplicate's own).
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t group = worker->dedup.group(i);
-    if (group == QueryDedup::kNoGroup || distinct[group] == i) continue;
-    const ServeResponse& from = out.items[distinct[group]];
-    ServeResponse& to = out.items[i];
-    to.ok = from.ok;
-    to.estimate = from.estimate;
-    to.rung = from.rung;
-    to.degraded = from.degraded;
-    to.cached = from.cached;
-    to.error_code = from.error_code;
-    to.error_message = from.error_message;
-    to.wall_micros = from.wall_micros;
   }
 
   out.trace.StampEstimated();

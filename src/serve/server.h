@@ -15,8 +15,7 @@
 
 #include "core/batch_estimator.h"
 #include "core/degrading_estimator.h"
-#include "core/estimate_scratch.h"
-#include "serve/estimate_cache.h"
+#include "core/estimate_cache.h"
 #include "serve/request_trace.h"
 #include "serve/snapshot.h"
 #include "twig/twig.h"
@@ -135,14 +134,13 @@ struct ServerOptions {
   /// Artificial per-request processing delay — a load-shaping aid for
   /// tests and benches that need to force queue pressure deterministically.
   double worker_delay_millis = 0.0;
-  /// Snapshot-scoped LRU cache of exact ungoverned primary estimates.
-  /// Governed (deadline/step-budget) answers are never inserted; any
-  /// request may still be answered from it, since a cached entry is always
-  /// the exact full-effort answer. Swapping the snapshot implicitly drops
-  /// every cached entry (version-fenced per shard).
-  bool enable_estimate_cache = true;
+  /// Entries of the snapshot-scoped LRU cache of exact ungoverned primary
+  /// estimates; 0 turns the cache off. Governed (deadline/step-budget)
+  /// answers are never inserted; any request may still be answered from
+  /// it, since a cached entry is always the exact full-effort answer.
+  /// Swapping the snapshot implicitly drops every cached entry
+  /// (version-fenced per shard).
   size_t estimate_cache_capacity = 1024;
-  int estimate_cache_shards = 8;
 };
 
 /// A worker pool over a bounded admission queue, answering twig/XPath
@@ -200,11 +198,11 @@ class Server {
   /// to its current snapshot, and buffers that stay warm across lines.
   struct Worker {
     std::shared_ptr<const SummarySnapshot> snapshot;
-    std::unique_ptr<DegradingEstimator> estimator;
+    std::unique_ptr<BatchEstimator> estimator;
     std::unique_ptr<LabelDict> dict;
-    EstimateScratch scratch;
-    QueryDedup dedup;
     std::vector<Twig> twigs;
+    std::vector<EstimateOptions> budgets;
+    std::vector<EstimateResult> results;
   };
 
   void WorkerLoop();

@@ -27,9 +27,12 @@ class SlowQueryLog {
   struct Options {
     /// Requests slower than this are recorded; <= 0 disables recording.
     double threshold_millis = 250.0;
-    /// Ring size: the newest N slow queries are kept.
+    /// Ring size: the newest N slow queries are kept. The ring reserves
+    /// all N entries up front, so N must not exceed kMaxCapacity.
     size_t capacity = 128;
   };
+
+  static constexpr size_t kMaxCapacity = size_t{1} << 16;
 
   struct Entry {
     uint64_t req_id = 0;

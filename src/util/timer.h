@@ -24,6 +24,16 @@ class WallTimer {
   /// Elapsed time in microseconds.
   double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
 
+  /// Microseconds since the last Restart or lap, restarting the timer:
+  /// consecutive laps cover every stretch once, one clock read each.
+  double LapMicros() {
+    const Clock::time_point now = Clock::now();
+    const double micros =
+        std::chrono::duration<double, std::micro>(now - start_).count();
+    start_ = now;
+    return micros;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -196,6 +196,13 @@ Result<Twig> CompileXPath(std::string_view xpath, LabelDict* dict,
   return compiler.Compile();
 }
 
+Result<Twig> CompileQuery(std::string_view text, LabelDict* dict) {
+  if (text.find_first_of("/[") != std::string_view::npos) {
+    return CompileXPath(text, dict);
+  }
+  return Twig::Parse(text, dict);
+}
+
 std::string TwigToXPath(const Twig& twig, const LabelDict& dict) {
   if (twig.empty()) return std::string();
   std::string out = "/";

@@ -50,6 +50,12 @@ Result<Twig> CompileXPath(std::string_view xpath, LabelDict* dict);
 Result<Twig> CompileXPath(std::string_view xpath, LabelDict* dict,
                           const XPathOptions& options);
 
+/// Compiles a query in either syntax the tools accept: text containing
+/// '/' or '[' is the XPath subset above, anything else the twig syntax
+/// "a(b,c(d))" of Twig::Parse. `serve` and the CLI's `estimate` and
+/// `truth` read every query through it.
+Result<Twig> CompileQuery(std::string_view text, LabelDict* dict);
+
 /// Renders a twig back as an XPath expression (first-child spine becomes
 /// the path; remaining children become predicates). Useful for reporting.
 std::string TwigToXPath(const Twig& twig, const LabelDict& dict);

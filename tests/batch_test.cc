@@ -1,8 +1,8 @@
 // Batched estimation suite (DESIGN.md §14): BatchEstimator's bit-identity
-// with the sequential path (including under governed budgets and
-// cancellation, and on a generated stream with duplicates at several batch
-// sizes), the array request-line protocol, and the Server's whole-line
-// admission/shed semantics.
+// with the sequential path (including under governed budgets, and on a
+// generated stream with duplicates at several batch sizes), its per-item
+// budgets, ladder and cache policy, the array request-line protocol, and
+// the Server's whole-line admission/shed semantics.
 
 #include <algorithm>
 #include <chrono>
@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "core/batch_estimator.h"
+#include "core/degrading_estimator.h"
+#include "core/estimate_cache.h"
 #include "core/estimate_scratch.h"
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
@@ -205,6 +207,9 @@ TEST_F(BatchEstimatorTest, SpanMismatchAndEmptyBatchAndEmptyQuery) {
   std::vector<Twig> queries = ParseAll({"a(b)"}, &dict_);
   std::vector<EstimateResult> wrong(2);
   EXPECT_FALSE(batch.EstimateBatch(queries, EstimateOptions(), wrong).ok());
+  std::vector<EstimateResult> one(1);
+  std::vector<EstimateOptions> two_budgets(2);
+  EXPECT_FALSE(batch.EstimateBatch(queries, two_budgets, one).ok());
 
   EXPECT_TRUE(batch
                   .EstimateBatch(std::span<const Twig>(),
@@ -222,26 +227,72 @@ TEST_F(BatchEstimatorTest, SpanMismatchAndEmptyBatchAndEmptyQuery) {
   EXPECT_EQ(results[1].status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(BatchEstimatorTest, SharedGovernorTripsAndReportsWorkSteps) {
-  // A step budget the star query cannot meet: the batch must come back
-  // with per-item failures (never a wrong value) and report steps spent.
-  std::vector<Twig> queries =
-      ParseAll({"a(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11)"}, &dict_);
+/// A star the voting primary cannot finish within kTightSteps steps.
+constexpr char kWideStar[] = "a(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9,t10,t11)";
+constexpr uint64_t kTightSteps = 50;
+
+RecursiveDecompositionEstimator::Options Voting() {
   using Agg = RecursiveDecompositionEstimator::VoteAggregation;
-  BatchEstimator batch(
-      summary_.get(),
-      RecursiveDecompositionEstimator::Options{true, 0, Agg::kMean});
+  return RecursiveDecompositionEstimator::Options{true, 0, Agg::kMean};
+}
+
+TEST_F(BatchEstimatorTest, StepCapTripDegradesTheItemAndReportsWorkSteps) {
+  // A step budget the star query cannot meet: the primary trips, the
+  // fixed-size rung answers, and the steps of both rungs are reported.
+  std::vector<Twig> queries = ParseAll({kWideStar}, &dict_);
+  BatchEstimator batch(summary_.get(), Voting());
   EstimateOptions options;
-  options.max_work_steps = 50;
+  options.max_work_steps = kTightSteps;
   uint64_t steps = 0;
   options.work_steps = &steps;
   std::vector<EstimateResult> results(queries.size());
   ASSERT_TRUE(batch.EstimateBatch(queries, options, results).ok());
-  EXPECT_FALSE(results[0].status.ok());
-  EXPECT_GT(steps, 0u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  EXPECT_TRUE(results[0].degraded);
+  EXPECT_EQ(results[0].rung, DegradingEstimator::Rung::kFixedSize);
+  EXPECT_GT(steps, kTightSteps);
+}
+
+TEST_F(BatchEstimatorTest, StepCapIsPerItemSoACheapQueryAfterATripIsExact) {
+  // One step cap for the whole call: the star trips it, and the cheap
+  // query after it still gets a full budget of its own.
+  std::vector<Twig> queries = ParseAll({kWideStar, "a(b,c)"}, &dict_);
+  RecursiveDecompositionEstimator sequential(summary_.get(), Voting());
+  Result<double> expected = sequential.Estimate(queries[1]);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  BatchEstimator batch(summary_.get(), Voting());
+  EstimateOptions options;
+  options.max_work_steps = kTightSteps;
+  std::vector<EstimateResult> results(queries.size());
+  ASSERT_TRUE(batch.EstimateBatch(queries, options, results).ok());
+  EXPECT_TRUE(results[0].degraded);
+  ASSERT_TRUE(results[1].status.ok()) << results[1].status.ToString();
+  EXPECT_EQ(results[1].rung, DegradingEstimator::Rung::kPrimary);
+  EXPECT_FALSE(results[1].degraded);
+  EXPECT_EQ(results[1].estimate, *expected);
+}
+
+TEST_F(BatchEstimatorTest, ItemDeadlineStartsWhenItsEstimationStarts) {
+  // An absolute deadline already in the past is replaced by one of
+  // deadline_millis from the start of each item's own estimation.
+  std::vector<Twig> queries = ParseAll({kWideStar, "a(b,c)"}, &dict_);
+  BatchEstimator batch(summary_.get(), Voting());
+  EstimateOptions options;
+  options.deadline = Deadline::At(Deadline::Clock::now() -
+                                  std::chrono::milliseconds(1));
+  options.deadline_millis = 60000.0;
+  std::vector<EstimateResult> results(queries.size());
+  ASSERT_TRUE(batch.EstimateBatch(queries, options, results).ok());
+  for (const EstimateResult& result : results) {
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.rung, DegradingEstimator::Rung::kPrimary);
+  }
 }
 
 TEST_F(BatchEstimatorTest, CancelledBatchFailsEveryRecursiveItem) {
+  // Cancellation wants no answer at all: every item fails with
+  // kCancelled, and none steps down the ladder.
   CancelToken cancel;
   cancel.Cancel();
   std::vector<Twig> queries = ParseAll({"a(b,c)", "a(t0,t1,t2)"}, &dict_);
@@ -251,7 +302,59 @@ TEST_F(BatchEstimatorTest, CancelledBatchFailsEveryRecursiveItem) {
   std::vector<EstimateResult> results(queries.size());
   ASSERT_TRUE(batch.EstimateBatch(queries, options, results).ok());
   for (const EstimateResult& result : results) {
-    EXPECT_FALSE(result.status.ok());
+    EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
+    EXPECT_FALSE(result.degraded);
+  }
+}
+
+TEST_F(BatchEstimatorTest, CacheHoldsOnlyUngovernedPrimaryAnswers) {
+  // Per-item budgets decide what is cached: only answers with no deadline
+  // and no step cap that the primary rung gave. A cancel token alone does
+  // not keep an answer out.
+  std::vector<Twig> queries =
+      ParseAll({"a(b,c)", "a(t0,t1,t2)", "a(t3,t4,t5)", kWideStar, "b(c)",
+                "a(c,b)"},
+               &dict_);
+  CancelToken cancel;  // never cancelled
+  std::vector<EstimateOptions> budgets(queries.size());
+  budgets[1].deadline_millis = 60000.0;
+  budgets[2].max_work_steps = 100000000;
+  budgets[3].max_work_steps = kTightSteps;
+  budgets[4].cancel = &cancel;
+  EstimateCache cache(EstimateCache::Options{});
+  constexpr int64_t kVersion = 3;
+  BatchEstimator batch(summary_.get(), Voting(), &cache, kVersion);
+  std::vector<EstimateResult> results(queries.size());
+  ASSERT_TRUE(batch.EstimateBatch(queries, budgets, results).ok());
+  // One cache read per distinct query: five misses for six queries.
+  EXPECT_EQ(cache.GetStats().misses, 5u);
+  for (const EstimateResult& result : results) {
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_FALSE(result.cached);
+  }
+  EXPECT_TRUE(results[3].degraded);
+  EXPECT_TRUE(results[5].duplicate);  // a(c,b) is a(b,c)
+  EXPECT_EQ(results[5].estimate, results[0].estimate);
+
+  auto cached = [&](size_t i) {
+    return cache.Get(kVersion, queries[i].CanonicalHash(),
+                     queries[i].CanonicalCode())
+        .has_value();
+  };
+  EXPECT_TRUE(cached(0));
+  EXPECT_FALSE(cached(1));
+  EXPECT_FALSE(cached(2));
+  EXPECT_FALSE(cached(3));
+  EXPECT_TRUE(cached(4));
+  EXPECT_EQ(cache.size(), 2u);
+
+  // A second call answers the cached queries, duplicate included, from
+  // the cache and estimates the rest again.
+  std::vector<EstimateResult> again(queries.size());
+  ASSERT_TRUE(batch.EstimateBatch(queries, budgets, again).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(again[i].cached, i == 0 || i == 4 || i == 5) << i;
+    EXPECT_EQ(again[i].estimate, results[i].estimate) << i;
   }
 }
 

@@ -53,6 +53,36 @@ grep -q "2.00" "$WORKDIR/est1.out"
 grep -q "2.00" "$WORKDIR/est2.out"
 grep -q "summary" "$WORKDIR/est2.out"
 
+# estimate --batch: one call over every query gives the same estimates as
+# one call per query, a duplicate included
+set -- "item(name,price)" "catalog(items(item(name)),vendors)" \
+    "item(name,price)" "items/item[name]"
+"$CLI" estimate "$WORKDIR/doc.summary" "$@" --estimator=voting --json \
+    > "$WORKDIR/single.json"
+"$CLI" estimate "$WORKDIR/doc.summary" "$@" --estimator=voting --json \
+    --batch > "$WORKDIR/batch.json"
+pairs() {
+  sed 's/^{"query":"\([^"]*\)".*"estimate":\([^,}]*\).*/\1 \2/' "$1"
+}
+test "$(pairs "$WORKDIR/single.json" | wc -l)" -eq 4
+test "$(pairs "$WORKDIR/single.json")" = "$(pairs "$WORKDIR/batch.json")"
+# --batch --json keeps the batch fields
+test "$(grep -c '"batch_size":4,' "$WORKDIR/batch.json")" -eq 4
+grep -q '"batch_wall_micros":' "$WORKDIR/batch.json"
+# --batch --explain prints one trace per query (a trace's root line is the
+# only unindented line ending in its "[...]" tag)
+"$CLI" estimate "$WORKDIR/doc.summary" "item(name,price)" \
+    "catalog(items(item(name)),vendors)" --batch --explain \
+    > "$WORKDIR/batch_explain.out"
+test "$(grep -c '^[^ ].*\]$' "$WORKDIR/batch_explain.out")" -eq 2
+# --estimator=fixed answers with and without --batch
+for mode in --json --batch; do
+  "$CLI" estimate "$WORKDIR/doc.summary" "item(name,price)" \
+      --estimator=fixed "$mode" > "$WORKDIR/fixed.out"
+  grep -q "fixed-size" "$WORKDIR/fixed.out"
+  grep -q '2' "$WORKDIR/fixed.out"
+done
+
 # truth
 "$CLI" truth "$WORKDIR/doc.xml" "item(name,price)" > "$WORKDIR/truth.out"
 grep -q "2" "$WORKDIR/truth.out"
@@ -150,6 +180,21 @@ grep -q '"ok":true' "$WORKDIR/serve.out"
 grep -q '"rung":"primary"' "$WORKDIR/serve.out"
 grep -q '^{"stats":' "$WORKDIR/serve.out"
 grep -q "serve: drained" "$WORKDIR/serve.err"
+
+# serve: a negative size flag, or a slow-log ring too large to reserve, is
+# refused with exit 2 and a message naming the flag, before anything runs
+for flag in --queue=-1 --cache-capacity=-1 --max-steps=-1 \
+    --slow-log-size=-1 --slow-log-size=1000000000000 --max-frame-bytes=-1 \
+    --write-high-water=-1 --max-conns=-1; do
+  rc=0
+  "$CLI" serve "$WORKDIR/doc.summary" "$flag" < /dev/null \
+      > "$WORKDIR/flag.out" 2> "$WORKDIR/flag.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "expected exit 2 for serve $flag, got $rc" >&2
+    exit 1
+  fi
+  grep -q -- "${flag%%=*} must be" "$WORKDIR/flag.err"
+done
 
 # error handling: bad inputs exit non-zero
 if "$CLI" estimate "$WORKDIR/doc.summary" "a//b" 2>/dev/null; then

@@ -28,7 +28,7 @@
 #include "io/fault_env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/estimate_cache.h"
+#include "core/estimate_cache.h"
 #include "serve/server.h"
 #include "serve/slow_log.h"
 #include "serve/snapshot.h"
@@ -262,16 +262,16 @@ TEST(ConcurrencyTest, SharedEstimatorHammer) {
 
 
 TEST(ConcurrencyTest, EstimateCacheHammer) {
-  // 8 threads Put/Get the serve-layer estimate cache across two racing
+  // 8 threads Put/Get the shared estimate cache across two racing
   // snapshot versions while a ninth thread fires full invalidations. The
   // per-shard version fence must hold under every interleaving: a Get at
   // version V either misses or returns exactly the value some thread Put
   // at version V for that code — a value from the other version is a
   // served-stale-estimate bug (and any locking slip is a TSan failure).
-  serve::EstimateCache::Options options;
+  EstimateCache::Options options;
   options.capacity = 64;  // small: forces eviction churn alongside the race
   options.shards = 4;
-  serve::EstimateCache cache(options);
+  EstimateCache cache(options);
 
   constexpr int kCodes = 16;
   std::vector<std::string> codes;
@@ -313,7 +313,7 @@ TEST(ConcurrencyTest, EstimateCacheHammer) {
   stop.store(true, std::memory_order_release);
   invalidator.join();
 
-  serve::EstimateCache::Stats stats = cache.GetStats();
+  EstimateCache::Stats stats = cache.GetStats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 

@@ -217,12 +217,7 @@ TEST_F(GovernedEstimationTest, LadderDegradesToFixedSizeOnStepBudget) {
   EXPECT_TRUE(result->degraded);
   EXPECT_EQ(result->primary_status.code(), StatusCode::kResourceExhausted);
   EXPECT_GE(result->estimate, 0.0);
-
-  // The same query through the plain governed Estimate returns just the
-  // number, and the rung name renders stably for serve responses.
-  Result<double> estimate = ladder.Estimate(*star_query_, options);
-  ASSERT_TRUE(estimate.ok());
-  EXPECT_DOUBLE_EQ(*estimate, result->estimate);
+  // The rung name renders stably for serve responses.
   EXPECT_EQ(DegradingEstimator::RungName(result->rung), "fixed-size");
 }
 

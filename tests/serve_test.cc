@@ -17,8 +17,8 @@
 
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "core/estimate_cache.h"
 #include "obs/metrics.h"
-#include "serve/estimate_cache.h"
 #include "serve/request_trace.h"
 #include "serve/server.h"
 #include "serve/slow_log.h"
@@ -317,7 +317,7 @@ TEST_F(ServerTest, HugeDeadlineAnswersExactlyInsteadOfExpiring) {
   // primary rung answers instead of tripping at once and degrading.
   ServerOptions options;
   options.workers = 1;
-  options.enable_estimate_cache = false;
+  options.estimate_cache_capacity = 0;
   Server server(&snapshots_, options, collector_.Sink());
   for (const char* text :
        {R"json({"query":"a(t0,t1,t2,t3)","deadline_ms":9e12,"id":1})json",
@@ -741,7 +741,7 @@ TEST(RequestTraceTest, FinalizeComputesStageDeltasAndFeedsSlowLog) {
 TEST_F(ServerTest, DisabledCacheNeverMarksResponsesCached) {
   ServerOptions options;
   options.workers = 1;
-  options.enable_estimate_cache = false;
+  options.estimate_cache_capacity = 0;
   Server server(&snapshots_, options, collector_.Sink());
   for (uint64_t id = 1; id <= 2; ++id) {
     ServeRequest request;

@@ -9,9 +9,9 @@
 //               leaf-removed sub-twigs of each size 7..4), one voting
 //               BatchEstimator::EstimateBatch call per family, as
 //               perfbench's optimizer workload does;
-//   serve_cold  distinct size 4..8 queries, each estimated by
-//               DegradingEstimator::EstimateDegraded on one warm
-//               EstimateScratch, as a serve worker does on a cache miss;
+//   serve_cold  distinct size 4..8 queries, each a batch of one to
+//               BatchEstimator::EstimateBatch on one warm estimator with
+//               no cache, as a serve worker answers a cache miss;
 //   mining      the canonical codes and allocations of the suite's one
 //               single-threaded BuildLattice call.
 //
@@ -305,8 +305,9 @@ class WorkCountersTest : public ::testing::Test {
 
   static WorkCounts CountServeCold() {
     const std::vector<std::string> texts = ColdStream();
-    DegradingEstimator estimator(summary_.get());
-    EstimateScratch scratch;
+    BatchEstimator batch(summary_.get(),
+                         DegradingEstimator::Options{}.primary);
+    EstimateResult result;
     WorkCounts counts;
     for (int pass = 0; pass < 2; ++pass) {  // pass 0 warms up
       AllocationCounter allocations;
@@ -318,17 +319,15 @@ class WorkCountersTest : public ::testing::Test {
         // A serve worker canonicalizes at its cache probe, before
         // estimating.
         (void)twig->CanonicalHash();
-        const size_t size = static_cast<size_t>(twig->size());
-        EstimateOptions options;
-        options.scratch = &scratch;
         allocations.Start();
-        {
-          ScopedBatchScratch line(&scratch, size * size);
-          Result<DegradingEstimator::DegradedEstimate> estimate =
-              estimator.EstimateDegraded(*twig, options);
-          EXPECT_TRUE(estimate.ok()) << estimate.status().ToString();
-        }
+        Status status =
+            batch.EstimateBatch(std::span<const Twig>(&*twig, 1),
+                                EstimateOptions{},
+                                std::span<EstimateResult>(&result, 1));
         allocations.Stop();
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+        EXPECT_EQ(result.rung, DegradingEstimator::Rung::kPrimary);
       }
       counts = Since(before);
       counts.inputs = texts.size();

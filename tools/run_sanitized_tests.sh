@@ -1,6 +1,7 @@
 #!/bin/sh
-# Builds and runs the full test suite under AddressSanitizer and
-# UndefinedBehaviorSanitizer (CI entry point for the robustness suite).
+# Builds and runs the full test suite under AddressSanitizer,
+# UndefinedBehaviorSanitizer and ThreadSanitizer (the CI entry point for
+# the robustness suite; CI runs each as its own matrix leg).
 #
 #   tools/run_sanitized_tests.sh [address|undefined|thread ...]
 #

@@ -5,7 +5,8 @@
 //   treelattice stats <summary>    print per-level pattern counts & size
 //   treelattice verify <summary>   check checksums, print per-level integrity
 //   treelattice estimate <summary> <query>... [--estimator=recursive|
-//       voting|voting-median|fixed] estimate selectivity of queries
+//       voting|voting-median|fixed] [--batch] [--json] [--explain]
+//                                  estimate selectivity of queries
 //   treelattice truth <doc.xml> <query>...
 //                                  exact match counts (ground truth)
 //   treelattice serve <summary> [--workers=4] [--queue=128]
@@ -28,12 +29,15 @@
 // and `estimate --json` prints one JSON record per query instead of the
 // human table.
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,22 +139,33 @@ int Usage() {
                "voting estimator the trace shows one\nrepresentative path "
                "and its root may differ from the voted estimate.\n"
                "\n"
-               "estimate --batch answers all queries through the batched "
-               "pipeline\n(DESIGN.md §14): whole-query dedup and a shared "
-               "sub-twig memo — same\nestimates, less work.\n"
-               "serve accepts the "
-               "batch form too: a JSON array request line (of query\nstrings "
-               "or request envelopes) gets one JSON array response line, "
-               "in\norder, both on stdin and over --listen.\n");
+               "estimate answers each query as a batch of one (DESIGN.md "
+               "§14); --batch makes\nall of them one batch: whole-query "
+               "dedup and a shared sub-twig memo — same\nestimates, less "
+               "work. --estimator=fixed answers with the fixed-size\n"
+               "estimator in either form. serve accepts the batch form too: "
+               "a JSON array\nrequest line (of query strings or request "
+               "envelopes) gets one JSON array\nresponse line, in order, "
+               "both on stdin and over --listen.\n"
+               "\n"
+               "serve's size and count flags (--queue, --max-steps, "
+               "--cache-capacity,\n--max-conns, --max-frame-bytes, "
+               "--write-high-water, --slow-log-size) must\nbe non-negative, "
+               "and --slow-log-size at most 65536; --cache=0 or\n"
+               "--cache-capacity=0 turns the estimate cache off.\n");
   return 2;
 }
 
-Result<Twig> ParseQuery(const std::string& text, LabelDict* dict) {
-  if (text.find('/') != std::string::npos ||
-      text.find('[') != std::string::npos) {
-    return CompileXPath(text, dict);
-  }
-  return Twig::Parse(text, dict);
+/// The recursive estimator options an --estimator kind names:
+/// "recursive", "voting" or "voting-median"; nullopt for any other kind.
+std::optional<RecursiveDecompositionEstimator::Options> RecursiveOptionsFor(
+    const std::string& kind) {
+  using Options = RecursiveDecompositionEstimator::Options;
+  using Agg = RecursiveDecompositionEstimator::VoteAggregation;
+  if (kind == "recursive") return Options{false, 0, Agg::kMean};
+  if (kind == "voting") return Options{true, 0, Agg::kMean};
+  if (kind == "voting-median") return Options{true, 0, Agg::kMedian};
+  return std::nullopt;
 }
 
 /// Positional (non --flag) arguments after the subcommand.
@@ -331,93 +346,27 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
     dict = std::move(*sidecar);
   }
 
-  std::string kind = flags.GetString("estimator", "recursive");
-  std::unique_ptr<SelectivityEstimator> estimator;
-  using Options = RecursiveDecompositionEstimator::Options;
-  using Agg = RecursiveDecompositionEstimator::VoteAggregation;
-  if (kind == "recursive") {
-    estimator = std::make_unique<RecursiveDecompositionEstimator>(&summary);
-  } else if (kind == "voting") {
-    estimator = std::make_unique<RecursiveDecompositionEstimator>(
-        &summary, Options{true, 0, Agg::kMean});
-  } else if (kind == "voting-median") {
-    estimator = std::make_unique<RecursiveDecompositionEstimator>(
-        &summary, Options{true, 0, Agg::kMedian});
-  } else if (kind == "fixed") {
-    estimator = std::make_unique<FixedSizeDecompositionEstimator>(&summary);
-  } else {
+  // --estimator=fixed answers with the fixed-size estimator; every other
+  // kind goes through the BatchEstimator.
+  const std::string kind = flags.GetString("estimator", "recursive");
+  const std::optional<RecursiveDecompositionEstimator::Options> recursive =
+      RecursiveOptionsFor(kind);
+  if (!recursive && kind != "fixed") {
     std::fprintf(stderr, "unknown estimator '%s'\n", kind.c_str());
     return 2;
   }
-
-  if (flags.GetBool("batch", false)) {
-    if (kind == "fixed") {
-      std::fprintf(stderr,
-                   "--batch drives the recursive/voting estimators; "
-                   "--estimator=fixed has no batched form\n");
-      return 2;
-    }
-    Options batch_options;
-    if (kind == "voting") {
-      batch_options = Options{true, 0, Agg::kMean};
-    } else if (kind == "voting-median") {
-      batch_options = Options{true, 0, Agg::kMedian};
-    }
-    BatchEstimator batch_estimator(&summary, batch_options);
-    std::vector<Twig> twigs;
-    std::vector<size_t> arg_index;
-    int failures = 0;
-    for (size_t i = 1; i < args.size(); ++i) {
-      Result<Twig> query = ParseQuery(args[i], &*dict);
-      if (!query.ok()) {
-        std::fprintf(stderr, "%s: %s\n", args[i].c_str(),
-                     query.status().ToString().c_str());
-        ++failures;
-        continue;
-      }
-      twigs.push_back(std::move(*query));
-      arg_index.push_back(i);
-    }
-    std::vector<EstimateResult> results(twigs.size());
-    WallTimer timer;
-    Status batched = batch_estimator.EstimateBatch(
-        twigs, EstimateOptions(), results);
-    const double wall_micros = timer.ElapsedMicros();
-    if (!batched.ok()) {
-      std::fprintf(stderr, "%s\n", batched.ToString().c_str());
-      return 1;
-    }
-    const bool batch_json = flags.GetBool("json", false);
-    for (size_t k = 0; k < twigs.size(); ++k) {
-      const std::string& text = args[arg_index[k]];
-      if (!results[k].status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", text.c_str(),
-                     results[k].status.ToString().c_str());
-        ++failures;
-        continue;
-      }
-      if (batch_json) {
-        JsonWriter w;
-        w.BeginObject();
-        w.Key("query").String(text);
-        w.Key("estimator").String(batch_estimator.name());
-        w.Key("estimate").Double(results[k].estimate);
-        w.Key("batch_size").Uint(twigs.size());
-        w.Key("batch_wall_micros").Double(wall_micros);
-        w.EndObject();
-        std::printf("%s\n", w.str().c_str());
-      } else {
-        std::printf("%-50s %14.2f   (batch of %zu, %.0f us total, %s)\n",
-                    text.c_str(), results[k].estimate, twigs.size(),
-                    wall_micros, batch_estimator.name().c_str());
-      }
-    }
-    return failures == 0 ? 0 : 1;
-  }
+  FixedSizeDecompositionEstimator fixed(&summary);
+  BatchEstimator batch(&summary, recursive.value_or(
+      RecursiveDecompositionEstimator::Options{}));
+  const bool batched = flags.GetBool("batch", false);
+  std::string name =
+      recursive ? RecursiveDecompositionEstimator(&summary, *recursive).name()
+                : fixed.name();
+  if (batched) name = "batch+" + name;
 
   const bool explain = flags.GetBool("explain", false);
   const bool json = flags.GetBool("json", false);
-  // Per-query counter deltas for --json. Every estimator shares the
+  // Per-call counter deltas for --json. Every estimator shares the
   // estimator.* names, so one set of before/after reads works for all.
   EstimatorMetrics& em = EstimatorMetrics::Get();
   struct NamedCounter {
@@ -432,52 +381,88 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
       {"zero_overlap_fallbacks", em.zero_overlap_fallbacks},
       {"memo_hits", em.memo_hits},
   };
+
+  // One parse -> estimate -> render loop. Under --batch one call covers
+  // every query; otherwise each query is a call (a batch of one).
+  const std::span<const std::string> texts(args.data() + 1, args.size() - 1);
+  const size_t per_call = batched ? texts.size() : 1;
   int failures = 0;
-  for (size_t i = 1; i < args.size(); ++i) {
-    Result<Twig> query = ParseQuery(args[i], &*dict);
-    if (!query.ok()) {
-      std::fprintf(stderr, "%s: %s\n", args[i].c_str(),
-                   query.status().ToString().c_str());
-      ++failures;
-      continue;
+  for (size_t start = 0; start < texts.size(); start += per_call) {
+    std::vector<Twig> twigs;
+    std::vector<const std::string*> shown;
+    for (const std::string& text : texts.subspan(start, per_call)) {
+      Result<Twig> query = CompileQuery(text, &*dict);
+      if (!query.ok()) {
+        std::fprintf(stderr, "%s: %s\n", text.c_str(),
+                     query.status().ToString().c_str());
+        ++failures;
+        continue;
+      }
+      twigs.push_back(std::move(*query));
+      shown.push_back(&text);
     }
+    if (twigs.empty()) continue;
+
+    std::vector<EstimateResult> results(twigs.size());
     uint64_t before[std::size(delta_counters)];
     for (size_t c = 0; c < std::size(delta_counters); ++c) {
       before[c] = delta_counters[c].counter->value();
     }
     WallTimer timer;
-    Result<double> estimate = estimator->Estimate(*query);
-    double wall_micros = timer.ElapsedMicros();
-    if (!estimate.ok()) {
-      std::fprintf(stderr, "%s: %s\n", args[i].c_str(),
-                   estimate.status().ToString().c_str());
-      ++failures;
-      continue;
-    }
-    if (json) {
-      JsonWriter w;
-      w.BeginObject();
-      w.Key("query").String(args[i]);
-      w.Key("estimator").String(estimator->name());
-      w.Key("estimate").Double(*estimate);
-      w.Key("wall_micros").Double(wall_micros);
-      w.Key("counters").BeginObject();
-      for (size_t c = 0; c < std::size(delta_counters); ++c) {
-        w.Key(delta_counters[c].key)
-            .Uint(delta_counters[c].counter->value() - before[c]);
-      }
-      w.EndObject();
-      w.EndObject();
-      std::printf("%s\n", w.str().c_str());
+    if (recursive) {
+      IgnoreStatus(batch.EstimateBatch(twigs, EstimateOptions(), results),
+                   "one result per twig");
     } else {
-      std::printf("%-50s %14.2f   (%.0f us, %s)\n", args[i].c_str(),
-                  *estimate, wall_micros, estimator->name().c_str());
+      for (size_t k = 0; k < twigs.size(); ++k) {
+        Result<double> estimate = fixed.Estimate(twigs[k]);
+        results[k].status = estimate.status();
+        results[k].estimate = estimate.ok() ? *estimate : 0.0;
+      }
     }
-    if (explain) {
-      Result<std::unique_ptr<ExplainNode>> trace =
-          ExplainEstimate(summary, *query, *dict);
-      if (trace.ok()) {
-        std::printf("%s", RenderExplain(**trace).c_str());
+    const double wall_micros = timer.ElapsedMicros();
+
+    for (size_t k = 0; k < twigs.size(); ++k) {
+      const std::string& text = *shown[k];
+      if (!results[k].status.ok()) {
+        std::fprintf(stderr, "%s: %s\n", text.c_str(),
+                     results[k].status.ToString().c_str());
+        ++failures;
+        continue;
+      }
+      if (json) {
+        JsonWriter w;
+        w.BeginObject();
+        w.Key("query").String(text);
+        w.Key("estimator").String(name);
+        w.Key("estimate").Double(results[k].estimate);
+        if (batched) {
+          w.Key("batch_size").Uint(twigs.size());
+          w.Key("batch_wall_micros").Double(wall_micros);
+        } else {
+          w.Key("wall_micros").Double(wall_micros);
+          w.Key("counters").BeginObject();
+          for (size_t c = 0; c < std::size(delta_counters); ++c) {
+            w.Key(delta_counters[c].key)
+                .Uint(delta_counters[c].counter->value() - before[c]);
+          }
+          w.EndObject();
+        }
+        w.EndObject();
+        std::printf("%s\n", w.str().c_str());
+      } else if (batched) {
+        std::printf("%-50s %14.2f   (batch of %zu, %.0f us total, %s)\n",
+                    text.c_str(), results[k].estimate, twigs.size(),
+                    wall_micros, name.c_str());
+      } else {
+        std::printf("%-50s %14.2f   (%.0f us, %s)\n", text.c_str(),
+                    results[k].estimate, wall_micros, name.c_str());
+      }
+      if (explain) {
+        Result<std::unique_ptr<ExplainNode>> trace =
+            ExplainEstimate(summary, twigs[k], *dict);
+        if (trace.ok()) {
+          std::printf("%s", RenderExplain(**trace).c_str());
+        }
       }
     }
   }
@@ -495,7 +480,7 @@ int RunTruth(int argc, char** argv) {
   MatchCounter counter(*doc);
   int failures = 0;
   for (size_t i = 1; i < args.size(); ++i) {
-    Result<Twig> query = ParseQuery(args[i], &doc->mutable_dict());
+    Result<Twig> query = CompileQuery(args[i], &doc->mutable_dict());
     if (!query.ok()) {
       std::fprintf(stderr, "%s: %s\n", args[i].c_str(),
                    query.status().ToString().c_str());
@@ -527,12 +512,28 @@ void InstallServeSignalHandlers() {
   sigaction(SIGINT, &action, nullptr);
 }
 
+/// Reads `serve`'s size or count flag --`name`, which must lie in
+/// [0, max]; otherwise prints an error naming the flag and clears *ok.
+uint64_t SizeFlag(const Flags& flags, const char* name, int64_t fallback,
+                  bool* ok, uint64_t max = INT64_MAX) {
+  const int64_t value = flags.GetInt(name, fallback);
+  if (value >= 0 && static_cast<uint64_t>(value) <= max) {
+    return static_cast<uint64_t>(value);
+  }
+  std::fprintf(stderr, "serve: --%s must be between 0 and %llu, not %lld\n",
+               name, static_cast<unsigned long long>(max),
+               static_cast<long long>(value));
+  *ok = false;
+  return 0;
+}
+
 /// The TCP leg of `serve --listen`: the Transport owns the event loop and
 /// its Server; this function supplies the control handler (#reload hot-swap
-/// with a JSON ack) and turns the signal flag into a graceful drain.
+/// with a JSON ack) and turns the signal flag into a graceful drain. `net`
+/// arrives with its size limits set.
 int RunServeTcp(const std::string& summary_path, const std::string& listen,
-                serve::ServerOptions options, serve::ReloadOptions reload,
-                serve::SnapshotHolder* snapshots,
+                serve::ServerOptions options, serve::Transport::Options net,
+                serve::ReloadOptions reload, serve::SnapshotHolder* snapshots,
                 serve::SlowQueryLog* slow_log, const Flags& flags) {
   Result<HostPort> host_port = ParseHostPort(listen);
   if (!host_port.ok()) {
@@ -541,17 +542,11 @@ int RunServeTcp(const std::string& summary_path, const std::string& listen,
     return 2;
   }
 
-  serve::Transport::Options net;
   net.host = host_port->host;
   net.port = host_port->port;
-  net.max_connections = static_cast<int>(flags.GetInt("max-conns", 1024));
-  net.max_frame_bytes =
-      static_cast<size_t>(flags.GetInt("max-frame-bytes", 1 << 20));
   net.idle_timeout_millis = flags.GetDouble("idle-timeout-ms", 300000.0);
   net.request_timeout_millis = flags.GetDouble("request-timeout-ms", 30000.0);
   net.drain_deadline_millis = flags.GetDouble("drain-ms", 5000.0);
-  net.write_high_water =
-      static_cast<size_t>(flags.GetInt("write-high-water", 1 << 20));
   net.write_low_water = net.write_high_water / 4;
   net.force_poll = flags.GetInt("poll", 0) != 0;
   net.faults.seed = static_cast<uint64_t>(flags.GetInt("net-fault-seed", 0));
@@ -643,31 +638,37 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   if (args.size() != 1) return Usage();
   const std::string& summary_path = args[0];
 
+  // Every size flag is checked before the summary loads, whichever mode
+  // it belongs to.
+  bool ok = true;
   serve::ServerOptions options;
   options.workers = static_cast<int>(flags.GetInt("workers", 4));
-  options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue", 128));
+  options.queue_capacity = SizeFlag(flags, "queue", 128, &ok);
   options.default_deadline_millis = flags.GetDouble("deadline-ms", 0.0);
-  options.default_max_work_steps =
-      static_cast<uint64_t>(flags.GetInt("max-steps", 0));
+  options.default_max_work_steps = SizeFlag(flags, "max-steps", 0, &ok);
   options.worker_delay_millis = flags.GetDouble("worker-delay-ms", 0.0);
-  options.enable_estimate_cache = flags.GetInt("cache", 1) != 0;
+  const uint64_t cache_capacity = SizeFlag(flags, "cache-capacity", 1024, &ok);
   options.estimate_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache-capacity", 1024));
+      flags.GetInt("cache", 1) != 0 ? cache_capacity : 0;
+  serve::Transport::Options net;
+  net.max_connections =
+      static_cast<int>(SizeFlag(flags, "max-conns", 1024, &ok, INT_MAX));
+  net.max_frame_bytes = SizeFlag(flags, "max-frame-bytes", 1 << 20, &ok);
+  net.write_high_water = SizeFlag(flags, "write-high-water", 1 << 20, &ok);
+  serve::SlowQueryLog::Options slow_options;
+  slow_options.threshold_millis = flags.GetDouble("slow-threshold-ms", 250.0);
+  slow_options.capacity = SizeFlag(flags, "slow-log-size", 128, &ok,
+                                   serve::SlowQueryLog::kMaxCapacity);
+  if (!ok) return 2;
 
-  std::string kind = flags.GetString("estimator", "voting");
-  using PrimaryOptions = RecursiveDecompositionEstimator::Options;
-  using Agg = RecursiveDecompositionEstimator::VoteAggregation;
-  if (kind == "voting") {
-    options.estimator.primary = PrimaryOptions{true, 0, Agg::kMean};
-  } else if (kind == "voting-median") {
-    options.estimator.primary = PrimaryOptions{true, 0, Agg::kMedian};
-  } else if (kind == "recursive") {
-    options.estimator.primary = PrimaryOptions{false, 0, Agg::kMean};
-  } else {
+  const std::string kind = flags.GetString("estimator", "voting");
+  const std::optional<RecursiveDecompositionEstimator::Options> primary =
+      RecursiveOptionsFor(kind);
+  if (!primary) {
     std::fprintf(stderr, "unknown estimator '%s'\n", kind.c_str());
     return 2;
   }
+  options.estimator.primary = *primary;
 
   serve::ReloadOptions reload;
   reload.attempts = static_cast<int>(flags.GetInt("reload-attempts", 3));
@@ -694,14 +695,10 @@ int RunServe(int argc, char** argv, const Flags& flags) {
 
   // The slow-query ring is shared by both modes: the transport finalizes
   // into it on the TCP path, the stdin sink below on the pipe path.
-  serve::SlowQueryLog::Options slow_options;
-  slow_options.threshold_millis = flags.GetDouble("slow-threshold-ms", 250.0);
-  slow_options.capacity =
-      static_cast<size_t>(flags.GetInt("slow-log-size", 128));
   serve::SlowQueryLog slow_log(slow_options);
 
   if (std::string listen = flags.GetString("listen", ""); !listen.empty()) {
-    return RunServeTcp(summary_path, listen, std::move(options), reload,
+    return RunServeTcp(summary_path, listen, std::move(options), net, reload,
                        &snapshots, &slow_log, flags);
   }
 
