@@ -141,6 +141,8 @@ inline constexpr char kNetDrainMicros[] = "serve.net.drain_micros";
 inline constexpr char kNetLoopLagMicros[] = "serve.net.loop_lag_micros";
 inline constexpr char kNetDispatchBatch[] = "serve.net.dispatch_batch";
 inline constexpr char kNetPollerErrors[] = "serve.net.poller_errors";
+inline constexpr char kNetWrites[] = "serve.net.writes";
+inline constexpr char kNetInterestChanges[] = "serve.net.interest_changes";
 
 // -- estimate cache (core/estimate_cache.cc) --------------------------------
 inline constexpr char kCacheHits[] = "cache.hits";

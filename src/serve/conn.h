@@ -100,8 +100,8 @@ struct Conn {
 
   /// Lifetime byte positions on the output stream — `out` is compacted,
   /// so flush markers (below) anchor to these instead of offsets into it.
-  uint64_t total_enqueued = 0;
   uint64_t total_flushed = 0;
+  uint64_t total_enqueued() const { return total_flushed + pending_out(); }
 
   /// A response line awaiting its socket flush: once `total_flushed`
   /// reaches `bytes_end`, the response's last byte hit the kernel and the
@@ -117,6 +117,12 @@ struct Conn {
   /// Readiness interest as last told to the poller.
   bool want_read = true;
   bool want_write = false;
+  /// The last flush stopped short: the kernel refused bytes (EAGAIN). Only
+  /// then does the connection ask the poller for write readiness.
+  bool write_blocked = false;
+  /// Output was enqueued since the last flush; the loop flushes every such
+  /// connection once per wake.
+  bool flush_due = false;
   /// Reading stopped because pending_out() crossed the high-water mark;
   /// reads resume below the low-water mark (write backpressure).
   bool paused = false;

@@ -40,6 +40,8 @@ void WriteStatusBody(const StatusSnapshot& status, JsonWriter* w) {
     w->Key("idle_timeouts").Uint(net.idle_timeouts);
     w->Key("request_timeouts").Uint(net.request_timeouts);
     w->Key("poller_errors").Uint(net.poller_errors);
+    w->Key("writes").Uint(net.writes);
+    w->Key("interest_changes").Uint(net.interest_changes);
     w->Key("injected_faults").Uint(net.injected_faults);
     w->EndObject();
   }

@@ -30,6 +30,8 @@ struct TransportStats {
   uint64_t backpressure_stalls = 0;
   uint64_t resets = 0;  // abortive closes (RST/EPIPE/injected)
   uint64_t poller_errors = 0;  // EventPoller failures (normally zero)
+  uint64_t writes = 0;  // write calls on serving sockets, EAGAIN included
+  uint64_t interest_changes = 0;  // poller re-arms (EventPoller::Modify)
   uint64_t injected_faults = 0;
   double drain_micros = 0.0;  // shutdown-to-loop-exit, once Run returns
 };

@@ -165,6 +165,14 @@ struct AdminMetrics {
 ///                                 normally zero; a nonzero value means a
 ///                                 connection's readiness interest went
 ///                                 stale and the timeout sweep reaped it
+///   serve.net.writes              write calls on serving sockets, EAGAIN
+///                                 included; at most one per connection
+///                                 per loop wake unless the kernel stops
+///                                 the write short
+///   serve.net.interest_changes    poller re-arms (EventPoller::Modify):
+///                                 write interest is asked for only after
+///                                 EAGAIN, read interest dropped on pause,
+///                                 half-close and drain
 struct NetMetrics {
   obs::Counter* accepted;
   obs::Counter* rejected;
@@ -183,6 +191,8 @@ struct NetMetrics {
   obs::Histogram* loop_lag_micros;
   obs::Histogram* dispatch_batch;
   obs::Counter* poller_errors;
+  obs::Counter* writes;
+  obs::Counter* interest_changes;
 
   static NetMetrics& Get() {
     static NetMetrics m = [] {
@@ -204,7 +214,9 @@ struct NetMetrics {
                         registry->gauge(names::kNetDrainMicros),
                         registry->histogram(names::kNetLoopLagMicros),
                         registry->histogram(names::kNetDispatchBatch),
-                        registry->counter(names::kNetPollerErrors)};
+                        registry->counter(names::kNetPollerErrors),
+                        registry->counter(names::kNetWrites),
+                        registry->counter(names::kNetInterestChanges)};
     }();
     return m;
   }

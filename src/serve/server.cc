@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "serve/serve_metrics.h"
@@ -43,31 +44,36 @@ uint64_t EstimatorConfigFingerprint(const DegradingEstimator::Options& o) {
   return fp;
 }
 
+/// Writes one response as a JSON object value.
+void WriteResponse(const ServeResponse& response, JsonWriter* w) {
+  w->BeginObject();
+  // "id" stays first: line-oriented consumers (smoke tests, shell greps)
+  // key on the '{"id":' prefix.
+  w->Key("id").Uint(response.id);
+  w->Key("req").Uint(response.req);
+  w->Key("query").String(response.query);
+  w->Key("ok").Bool(response.ok);
+  if (response.ok) {
+    w->Key("estimate").Double(response.estimate);
+    w->Key("rung").String(response.rung);
+    w->Key("degraded").Bool(response.degraded);
+    w->Key("cached").Bool(response.cached);
+  } else {
+    w->Key("error").BeginObject();
+    w->Key("code").String(response.error_code);
+    w->Key("message").String(response.error_message);
+    w->EndObject();
+  }
+  w->Key("wall_micros").Double(response.wall_micros);
+  w->Key("snapshot_version").Int(response.snapshot_version);
+  w->EndObject();
+}
+
 }  // namespace
 
 std::string ServeResponse::ToJsonLine() const {
   JsonWriter w;
-  w.BeginObject();
-  // "id" stays first: line-oriented consumers (smoke tests, shell greps)
-  // key on the '{"id":' prefix.
-  w.Key("id").Uint(id);
-  w.Key("req").Uint(req);
-  w.Key("query").String(query);
-  w.Key("ok").Bool(ok);
-  if (ok) {
-    w.Key("estimate").Double(estimate);
-    w.Key("rung").String(rung);
-    w.Key("degraded").Bool(degraded);
-    w.Key("cached").Bool(cached);
-  } else {
-    w.Key("error").BeginObject();
-    w.Key("code").String(error_code);
-    w.Key("message").String(error_message);
-    w.EndObject();
-  }
-  w.Key("wall_micros").Double(wall_micros);
-  w.Key("snapshot_version").Int(snapshot_version);
-  w.EndObject();
+  WriteResponse(*this, &w);
   return w.TakeString();
 }
 
@@ -76,9 +82,11 @@ namespace {
 /// Decodes one query envelope: a scalar line's object or an array line's
 /// object element.
 Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
-  // Ids and step caps are uint64; 2^64 and above cannot be represented
-  // (a double-to-uint64 cast of such a value is undefined).
+  // Step caps are uint64; 2^64 and above cannot be represented (a
+  // double-to-uint64 cast of such a value is undefined).
   constexpr double kUint64Limit = 18446744073709551616.0;
+  // Every integer up to 2^53 is exact in a double.
+  constexpr double kExactDoubleLimit = 9007199254740992.0;
   if (!parsed.is_object()) {
     return Status::InvalidArgument("request JSON must be an object");
   }
@@ -107,13 +115,20 @@ Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
     request.max_work_steps = static_cast<uint64_t>(steps->number_value);
   }
   if (const JsonValue* id = parsed.Find("id")) {
-    if (!id->is_number() || id->number_value < 0.0) {
-      return Status::InvalidArgument("\"id\" must be a non-negative number");
+    // The response echoes the id as sent. An integer literal reads
+    // exactly; a fraction or exponent form reads through its double, so
+    // only an integral value within the exact range is taken.
+    const double value = id->number_value;
+    if (id->has_uint) {
+      request.id = id->uint_value;
+    } else if (id->is_number() && value >= 0.0 && value <= kExactDoubleLimit &&
+               std::trunc(value) == value) {
+      request.id = static_cast<uint64_t>(value);
+    } else {
+      return Status::InvalidArgument(
+          "\"id\" must be an integer from 0 to 2^64-1, and at most 2^53 in "
+          "fraction or exponent form");
     }
-    if (id->number_value >= kUint64Limit) {
-      return Status::InvalidArgument("\"id\" must be below 2^64");
-    }
-    request.id = static_cast<uint64_t>(id->number_value);
   }
   return request;
 }
@@ -173,13 +188,21 @@ Status ParseRequestLine(std::string_view line, size_t max_items,
   return Status::OK();
 }
 
-std::string ServeBatchResponse::ToJsonLine() const {
-  if (scalar) return items.front().ToJsonLine();
-  JsonWriter w;
+void ServeBatchResponse::AppendJsonLine(std::string* out) const {
+  JsonWriter w(out);
+  if (scalar) {
+    WriteResponse(items.front(), &w);
+    return;
+  }
   w.BeginArray();
-  for (const ServeResponse& item : items) w.Raw(item.ToJsonLine());
+  for (const ServeResponse& item : items) WriteResponse(item, &w);
   w.EndArray();
-  return w.TakeString();
+}
+
+std::string ServeBatchResponse::ToJsonLine() const {
+  std::string line;
+  AppendJsonLine(&line);
+  return line;
 }
 
 RequestOutcome OutcomeOf(const ServeBatchResponse& response) {

@@ -94,8 +94,12 @@ struct ServeBatchResponse {
   /// (serialized, flushed) and terminal accounting by the sink's owner.
   RequestTrace trace;
 
-  /// The newline-free JSON wire rendering: the one response object of a
-  /// scalar line, or an array of the per-item objects.
+  /// Appends the newline-free JSON wire rendering to `*out`: the one
+  /// response object of a scalar line, or an array of the per-item
+  /// objects. The transport renders straight into a connection's output
+  /// buffer this way.
+  void AppendJsonLine(std::string* out) const;
+  /// AppendJsonLine into a fresh string.
   std::string ToJsonLine() const;
 };
 

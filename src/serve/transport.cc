@@ -126,6 +126,8 @@ Transport::Stats Transport::GetStats() const {
       backpressure_stalls_.load(std::memory_order_relaxed);
   stats.resets = resets_.load(std::memory_order_relaxed);
   stats.poller_errors = poller_errors_.load(std::memory_order_relaxed);
+  stats.writes = writes_.load(std::memory_order_relaxed);
+  stats.interest_changes = interest_changes_.load(std::memory_order_relaxed);
   stats.injected_faults = io_.injected_faults();
   stats.drain_micros = drain_micros_.load(std::memory_order_relaxed);
   return stats;
@@ -353,11 +355,7 @@ void Transport::AcceptNew() {
       response.error_message = "connection limit reached; retry later";
       std::string line = response.ToJsonLine();
       line.push_back('\n');
-      NetIoResult wrote = io_.Write(fd, line.data(), line.size());
-      if (wrote.ok()) {
-        bytes_out_.fetch_add(wrote.bytes, std::memory_order_relaxed);
-        metrics.bytes_out->Increment(wrote.bytes);
-      }
+      WriteSocket(fd, line);
       close(fd);
       continue;
     }
@@ -503,8 +501,15 @@ void Transport::HandleControlLine(Conn* conn, const std::string& line) {
 
 void Transport::EnqueueLine(Conn* conn, std::string_view line) {
   conn->out.append(line);
+  EndLine(conn);
+}
+
+void Transport::EndLine(Conn* conn) {
   conn->out.push_back('\n');
-  conn->total_enqueued += line.size() + 1;
+  if (!conn->flush_due) {
+    conn->flush_due = true;
+    flush_due_fds_.push_back(conn->fd);
+  }
   if (!conn->paused &&
       conn->pending_out() > options_.write_high_water) {
     // Backpressure: stop reading until the peer drains its responses.
@@ -513,7 +518,6 @@ void Transport::EnqueueLine(Conn* conn, std::string_view line) {
     backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
     NetMetrics::Get().backpressure_stalls->Increment();
   }
-  UpdateInterest(conn);
 }
 
 void Transport::EnqueueErrorLine(Conn* conn, uint64_t id, uint64_t req,
@@ -532,27 +536,27 @@ void Transport::EnqueueErrorLine(Conn* conn, uint64_t id, uint64_t req,
 }
 
 void Transport::FlushConn(Conn* conn) {
-  NetMetrics& metrics = NetMetrics::Get();
   while (conn->pending_out() > 0) {
-    NetIoResult wrote = io_.Write(conn->fd, conn->out.data() + conn->out_offset,
-                                  conn->pending_out());
+    NetIoResult wrote = WriteSocket(
+        conn->fd, std::string_view(conn->out).substr(conn->out_offset));
     if (wrote.kind == NetIoResult::Kind::kWouldBlock) break;
     if (!wrote.ok()) {
       // EPIPE/ECONNRESET on write: nobody is listening any more; finishing
       // the in-flight estimates would only burn workers.
       if (IsResetErrno(wrote.error)) {
         resets_.fetch_add(1, std::memory_order_relaxed);
-        metrics.resets->Increment();
+        NetMetrics::Get().resets->Increment();
       }
       CloseConn(conn, /*abortive=*/true);
       return;
     }
     conn->out_offset += wrote.bytes;
     conn->total_flushed += wrote.bytes;
-    bytes_out_.fetch_add(wrote.bytes, std::memory_order_relaxed);
-    metrics.bytes_out->Increment(wrote.bytes);
     conn->last_activity = Clock::now();
   }
+  // Bytes left means the kernel refused them; only then does the poller
+  // need to report the socket writable.
+  conn->write_blocked = conn->pending_out() > 0;
   FinalizeFlushed(conn);
   if (conn->pending_out() == 0) {
     conn->out.clear();
@@ -572,10 +576,12 @@ void Transport::FlushConn(Conn* conn) {
 void Transport::UpdateInterest(Conn* conn) {
   const bool want_read =
       conn->state == Conn::State::kOpen && !conn->paused && !draining_;
-  const bool want_write = conn->pending_out() > 0;
+  const bool want_write = conn->write_blocked;
   if (want_read == conn->want_read && want_write == conn->want_write) return;
   conn->want_read = want_read;
   conn->want_write = want_write;
+  interest_changes_.fetch_add(1, std::memory_order_relaxed);
+  NetMetrics::Get().interest_changes->Increment();
   Status modified = poller_.Modify(conn->fd, want_read, want_write);
   if (!modified.ok()) {
     // The kernel's view of this fd is now stale, so the loop may never see
@@ -585,6 +591,18 @@ void Transport::UpdateInterest(Conn* conn) {
     // would invalidate the conns_ iterator of BeginDrain's caller.
     CountPollerError();
   }
+}
+
+NetIoResult Transport::WriteSocket(int fd, std::string_view data) {
+  NetMetrics& metrics = NetMetrics::Get();
+  writes_.fetch_add(1, std::memory_order_relaxed);
+  metrics.writes->Increment();
+  NetIoResult wrote = io_.Write(fd, data.data(), data.size());
+  if (wrote.ok()) {
+    bytes_out_.fetch_add(wrote.bytes, std::memory_order_relaxed);
+    metrics.bytes_out->Increment(wrote.bytes);
+  }
+  return wrote;
 }
 
 void Transport::RemoveFromPoller(int fd) {
@@ -619,13 +637,12 @@ void Transport::CloseConn(Conn* conn, bool abortive) {
 }
 
 void Transport::DrainCompletions() {
-  std::vector<ServeBatchResponse> batch;
   {
     std::lock_guard<std::mutex> lock(completion_mu_);
-    batch.swap(completions_);
+    drained_.swap(completions_);
   }
   NetMetrics& metrics = NetMetrics::Get();
-  for (ServeBatchResponse& response : batch) {
+  for (const ServeBatchResponse& response : drained_) {
     auto route_it = routes_.find(response.trace.req_id);
     if (route_it == routes_.end()) continue;  // should not happen
     const Route route = route_it->second;
@@ -647,22 +664,31 @@ void Transport::DrainCompletions() {
     --conn->in_flight;
     responses_delivered_.fetch_add(route.queries, std::memory_order_relaxed);
     RequestTrace trace = response.trace;
-    const std::string line = response.ToJsonLine();
+    response.AppendJsonLine(&conn->out);
+    EndLine(conn);
     trace.StampSerialized();
-    EnqueueLine(conn, line);
     if (trace.active) {
       // The flush stamp waits for the kernel to take the line's last byte;
       // the marker anchors to the output stream's lifetime byte position.
       Conn::PendingFinalize marker;
-      marker.bytes_end = conn->total_enqueued;
+      marker.bytes_end = conn->total_enqueued();
       marker.trace = trace;
       marker.outcome = OutcomeOf(response);
       conn->pending_finalize.push_back(std::move(marker));
     }
-    // Opportunistic flush: saves one poller round-trip per response and
-    // lets half-closed/draining connections finish immediately.
+  }
+  drained_.clear();
+  // One write per connection per wake: the lines rendered above and those
+  // the dispatch enqueued leave together, and half-closed or draining
+  // connections that are done close here.
+  for (size_t i = 0; i < flush_due_fds_.size(); ++i) {
+    auto it = conns_.find(flush_due_fds_[i]);
+    if (it == conns_.end() || !it->second->flush_due) continue;
+    Conn* conn = it->second.get();
+    conn->flush_due = false;
     FlushConn(conn);
   }
+  flush_due_fds_.clear();
 }
 
 void Transport::FinalizeFlushed(Conn* conn) {
@@ -712,13 +738,8 @@ void Transport::SweepTimeouts() {
     EnqueueErrorLine(conn, ++conn->next_client_id, /*req=*/0, "",
                      StatusCode::kDeadlineExceeded,
                      "request frame not completed in time");
-    std::string_view out(conn->out.data() + conn->out_offset,
-                         conn->pending_out());
-    NetIoResult wrote = io_.Write(conn->fd, out.data(), out.size());
-    if (wrote.ok()) {
-      bytes_out_.fetch_add(wrote.bytes, std::memory_order_relaxed);
-      metrics.bytes_out->Increment(wrote.bytes);
-    }
+    WriteSocket(conn->fd,
+                std::string_view(conn->out).substr(conn->out_offset));
     CloseConn(conn, /*abortive=*/true);
   }
   for (int fd : victims_idle) {

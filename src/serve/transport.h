@@ -156,12 +156,20 @@ class Transport {
   void HandleFrame(Conn* conn, NdjsonFramer::Event event);
   void HandleControlLine(Conn* conn, const std::string& line);
   void EnqueueLine(Conn* conn, std::string_view line);
+  /// Ends the line just appended to conn->out: adds its newline, marks the
+  /// connection for this wake's flush and pauses reading above high water.
+  void EndLine(Conn* conn);
   /// `req` is the process-unique request id echoed in the error line; 0
   /// lets the transport assign a fresh one.
   void EnqueueErrorLine(Conn* conn, uint64_t id, uint64_t req,
                         std::string_view query, StatusCode code,
                         std::string_view message);
+  /// Re-arms the poller when the connection's interest changed: read while
+  /// open, unpaused and not draining; write only while `write_blocked`.
   void UpdateInterest(Conn* conn);
+  /// One write on a serving socket, counted in serve.net.writes (EAGAIN
+  /// included) and, for the bytes it moved, serve.net.bytes_out.
+  NetIoResult WriteSocket(int fd, std::string_view data);
   /// Teardown-path poller deregistration: counts (never propagates) a
   /// failed Remove — the caller closes the fd right after, which finishes
   /// the kernel-side deregistration either way.
@@ -169,6 +177,8 @@ class Transport {
   /// Tallies one EventPoller failure (serve.net.poller_errors + #stats).
   void CountPollerError();
   void CloseConn(Conn* conn, bool abortive);
+  /// Renders every finished response into its connection's buffer, then
+  /// flushes each connection with output due once.
   void DrainCompletions();
   void SweepTimeouts();
   void BeginDrain();
@@ -211,6 +221,11 @@ class Transport {
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;       // by fd
   std::unordered_map<uint64_t, int> conn_fd_by_id_;
   std::unordered_map<uint64_t, Route> routes_;  // internal id -> conn
+  /// Fds of connections whose flush_due was set since the last flush. A
+  /// closed fd, or one reused by a connection without flush_due, is skipped.
+  std::vector<int> flush_due_fds_;
+  /// Swapped with completions_ each wake, so both keep their capacity.
+  std::vector<ServeBatchResponse> drained_;
   std::chrono::steady_clock::time_point last_sweep_;
 
   // Drain state (loop thread).
@@ -230,7 +245,7 @@ class Transport {
       frames_oversized_{0}, requests_admitted_{0}, responses_delivered_{0},
       responses_orphaned_{0}, bytes_in_{0}, bytes_out_{0}, idle_timeouts_{0},
       request_timeouts_{0}, backpressure_stalls_{0}, resets_{0},
-      poller_errors_{0};
+      poller_errors_{0}, writes_{0}, interest_changes_{0};
   std::atomic<double> drain_micros_{0.0};
 };
 

@@ -1,8 +1,8 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace treelattice {
@@ -12,7 +12,12 @@ namespace treelattice {
 
 void JsonWriter::AppendEscaped(std::string_view value, std::string* out) {
   out->push_back('"');
-  for (unsigned char c : value) {
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < value.size(); ++i) {
+    const auto c = static_cast<unsigned char>(value[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(value.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out->append("\\\"");
@@ -35,16 +40,15 @@ void JsonWriter::AppendEscaped(std::string_view value, std::string* out) {
       case '\t':
         out->append("\\t");
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out->append("\\u00");
+        out->push_back(kHex[c >> 4]);
+        out->push_back(kHex[c & 0xF]);
+      }
     }
   }
+  out->append(value.data() + run, value.size() - run);
   out->push_back('"');
 }
 
@@ -54,90 +58,96 @@ void JsonWriter::MaybeComma() {
     return;  // value completes the "key": pair; no comma in between
   }
   if (!first_in_scope_.empty()) {
-    if (!first_in_scope_.back()) out_.push_back(',');
+    if (!first_in_scope_.back()) out_->push_back(',');
     first_in_scope_.back() = false;
   }
 }
 
 JsonWriter& JsonWriter::BeginObject() {
   MaybeComma();
-  out_.push_back('{');
+  out_->push_back('{');
   first_in_scope_.push_back(true);
   return *this;
 }
 
 JsonWriter& JsonWriter::EndObject() {
-  out_.push_back('}');
+  out_->push_back('}');
   first_in_scope_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::BeginArray() {
   MaybeComma();
-  out_.push_back('[');
+  out_->push_back('[');
   first_in_scope_.push_back(true);
   return *this;
 }
 
 JsonWriter& JsonWriter::EndArray() {
-  out_.push_back(']');
+  out_->push_back(']');
   first_in_scope_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::Key(std::string_view key) {
   MaybeComma();
-  AppendEscaped(key, &out_);
-  out_.push_back(':');
+  AppendEscaped(key, out_);
+  out_->push_back(':');
   pending_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::String(std::string_view value) {
   MaybeComma();
-  AppendEscaped(value, &out_);
+  AppendEscaped(value, out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   MaybeComma();
-  out_.append(std::to_string(value));
+  char buf[24];
+  out_->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::Uint(uint64_t value) {
   MaybeComma();
-  out_.append(std::to_string(value));
+  char buf[24];
+  out_->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::Raw(std::string_view json) {
   MaybeComma();
-  out_.append(json);
+  out_->append(json);
   return *this;
 }
 
 JsonWriter& JsonWriter::Double(double value) {
   MaybeComma();
   if (!std::isfinite(value)) {
-    out_.append("null");
+    out_->append("null");
     return *this;
   }
+  // 17 significant digits round-trip every double. to_chars in "general"
+  // form at that precision is specified to give printf's "%.17g" bytes,
+  // without printf's format parsing and locale lookup.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out_.append(buf);
+  out_->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                  std::chars_format::general, 17)
+                        .ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::Bool(bool value) {
   MaybeComma();
-  out_.append(value ? "true" : "false");
+  out_->append(value ? "true" : "false");
   return *this;
 }
 
 JsonWriter& JsonWriter::Null() {
   MaybeComma();
-  out_.append("null");
+  out_->append("null");
   return *this;
 }
 
@@ -404,9 +414,15 @@ class JsonParser {
       }
     }
     out->type = JsonValue::Type::kNumber;
-    out->number_value =
-        std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                    nullptr);
+    const std::string_view literal = text_.substr(start, pos_ - start);
+    if (literal.find_first_not_of("0123456789") == std::string_view::npos) {
+      // A plain integer literal also reads exactly; a value of 2^64 or more
+      // leaves has_uint unset.
+      const std::from_chars_result exact = std::from_chars(
+          literal.data(), literal.data() + literal.size(), out->uint_value);
+      out->has_uint = exact.ec == std::errc();
+    }
+    out->number_value = std::strtod(std::string(literal).c_str(), nullptr);
     return Status::OK();
   }
 

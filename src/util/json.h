@@ -13,9 +13,20 @@ namespace treelattice {
 
 /// Minimal streaming JSON writer: explicit Begin/End calls with automatic
 /// comma placement. Produces compact (no whitespace) RFC 8259 output.
-/// Non-finite doubles are emitted as null (JSON has no NaN/Inf).
+/// Non-finite doubles are emitted as null (JSON has no NaN/Inf); finite
+/// ones render with the bytes of printf's "%.17g", integers with those of
+/// std::to_string.
 class JsonWriter {
  public:
+  /// Writes into the writer's own string (str(), TakeString()).
+  JsonWriter() = default;
+  /// Appends to `*out`, which must outlive the writer; str() and
+  /// TakeString() then refer to it.
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
   JsonWriter& BeginObject();
   JsonWriter& EndObject();
   JsonWriter& BeginArray();
@@ -36,8 +47,8 @@ class JsonWriter {
   /// `json` is itself well-formed (e.g. another writer's str()).
   JsonWriter& Raw(std::string_view json);
 
-  const std::string& str() const { return out_; }
-  std::string TakeString() { return std::move(out_); }
+  const std::string& str() const { return *out_; }
+  std::string TakeString() { return std::move(*out_); }
 
   /// Appends a JSON-escaped, quoted copy of `value` to `*out`.
   static void AppendEscaped(std::string_view value, std::string* out);
@@ -45,7 +56,8 @@ class JsonWriter {
  private:
   void MaybeComma();
 
-  std::string out_;
+  std::string own_;
+  std::string* out_ = &own_;
   // One entry per open scope: true until the first element is written.
   std::vector<bool> first_in_scope_;
   bool pending_key_ = false;
@@ -62,6 +74,11 @@ class JsonValue {
   Type type = Type::kNull;
   bool bool_value = false;
   double number_value = 0.0;
+  /// Set for a number written as a plain integer literal (digits only: no
+  /// sign, fraction or exponent) that fits 64 bits; `uint_value` then holds
+  /// it exactly, where `number_value` may have rounded it.
+  bool has_uint = false;
+  uint64_t uint_value = 0;
   std::string string_value;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;

@@ -12,6 +12,7 @@
 //     per query for an array line — fuzzer-chosen query bytes (quotes,
 //     backslashes, control bytes, UTF-8 fragments) must survive the JSON
 //     escaping round trip
+//   * every accepted id re-parses from the rendered line to the same value
 
 #include <cstdint>
 #include <string>
@@ -69,6 +70,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } else if (!parsed->is_array() ||
              parsed->array.size() != batch.items.size()) {
     __builtin_trap();
+  }
+  for (size_t i = 0; i < batch.items.size(); ++i) {
+    const treelattice::JsonValue& object =
+        batch.scalar ? *parsed : parsed->array[i];
+    const treelattice::JsonValue* id = object.Find("id");
+    if (id == nullptr || !id->has_uint ||
+        id->uint_value != batch.items[i].id) {
+      __builtin_trap();
+    }
   }
   return 0;
 }

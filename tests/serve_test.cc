@@ -241,6 +241,50 @@ TEST(RequestLineTest, IdsAndStepCapsOf2To64AndAboveAreRejected) {
   EXPECT_EQ(batch.items[0].max_work_steps, 10000000000000000000u);
 }
 
+TEST(RequestLineTest, IdAbove2To53IsEchoedAsSent) {
+  // A double holds 2^53 + 1 only as 2^53; the id must not pass through one.
+  ServeBatch batch;
+  ASSERT_TRUE(ParseRequestLine(R"({"query":"a","id":9007199254740993})", 0,
+                               &batch)
+                  .ok());
+  EXPECT_EQ(batch.items[0].id, 9007199254740993u);
+  ServeResponse response;
+  response.id = batch.items[0].id;
+  EXPECT_EQ(response.ToJsonLine().rfind(R"({"id":9007199254740993,)", 0), 0u)
+      << response.ToJsonLine();
+}
+
+TEST(RequestLineTest, FractionalIdIsRejectedNotTruncated) {
+  for (const char* line : {R"({"query":"a","id":1.5})",
+                           R"(["a",{"query":"b","id":2.5}])"}) {
+    ServeBatch batch;
+    Status parsed = ParseRequestLine(line, 0, &batch);
+    EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.message().find("\"id\""), std::string::npos)
+        << parsed.message();
+  }
+  // Fraction and exponent forms of an integer up to 2^53 still read.
+  ServeBatch batch;
+  ASSERT_TRUE(ParseRequestLine(R"({"query":"a","id":4.0})", 0, &batch).ok());
+  EXPECT_EQ(batch.items[0].id, 4u);
+  ASSERT_TRUE(
+      ParseRequestLine(R"({"query":"a","id":9.007199254740992e15})", 0, &batch)
+          .ok());
+  EXPECT_EQ(batch.items[0].id, 9007199254740992u);
+  EXPECT_EQ(ParseRequestLine(R"({"query":"a","id":9.007199254740994e15})", 0,
+                             &batch)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RequestLineTest, IdOf2To64Minus1IsAccepted) {
+  ServeBatch batch;
+  Status parsed = ParseRequestLine(
+      R"({"query":"a","id":18446744073709551615})", 0, &batch);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  EXPECT_EQ(batch.items[0].id, UINT64_MAX);
+}
+
 TEST(ResponseJsonTest, SuccessAndErrorLinesAreValidJson) {
   ServeResponse ok_response;
   ok_response.id = 3;

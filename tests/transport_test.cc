@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -518,6 +519,81 @@ TEST(TransportTest, ControlHandlerAnswersAndUnknownControlErrors) {
   ASSERT_NE(value.Find("error"), nullptr);
   EXPECT_EQ(value.Find("error")->Find("code")->string_value,
             "InvalidArgument");
+}
+
+/// Polls `done` until it holds or 10 s pass; returns its last value.
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(TransportTest, SequentialExchangesWriteOnceEachAndNeverRearmThePoller) {
+  TestTransport server;
+  {
+    Client client(server.port());
+    for (uint64_t id = 1; id <= 100; ++id) {
+      client.Send(RequestLine(id));
+      ASSERT_TRUE(client.NextLine().has_value()) << "response " << id;
+    }
+  }
+  // The client's close ends the connection on its own, so Stop's drain
+  // finds no connection to re-arm.
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.transport().GetStats().active == 0; }));
+  server.Stop();
+  Transport::Stats stats = server.transport().GetStats();
+  EXPECT_EQ(stats.responses_delivered, 100u);
+  // Every response left in the write that followed its completion, so the
+  // connection never asked the poller for write readiness.
+  EXPECT_EQ(stats.writes, 100u);
+  EXPECT_EQ(stats.interest_changes, 0u);
+}
+
+TEST(TransportTest, LinesDueTogetherLeaveInOneWrite) {
+  // One client write carries 32 queries and then a control line whose
+  // handler holds the loop until all 32 are answered, so the loop finds 33
+  // lines due on one connection at once.
+  constexpr uint64_t kQueries = 32;
+  std::atomic<Transport*> serving{nullptr};
+  auto control = [&serving](std::string_view line) -> std::string {
+    if (line != "#hold") return std::string();
+    WaitUntil([&] { return serving.load()->GetServerStats().ok >= kQueries; });
+    return "{\"held\":true}";
+  };
+  TestTransport server({}, {}, control);
+  serving.store(&server.transport());
+  {
+    Client client(server.port());
+    std::string burst;
+    for (uint64_t id = 1; id <= kQueries; ++id) burst += RequestLine(id);
+    client.Send(burst + "#hold\n");
+    int ok = 0;
+    int held = 0;
+    for (uint64_t i = 0; i <= kQueries; ++i) {
+      std::optional<std::string> line = client.NextLine();
+      ASSERT_TRUE(line.has_value()) << "response " << i;
+      JsonValue value = MustParse(*line);
+      if (value.Find("held") != nullptr) {
+        ++held;
+      } else if (value.Find("ok")->bool_value) {
+        ++ok;
+      }
+    }
+    EXPECT_EQ(ok, static_cast<int>(kQueries));
+    EXPECT_EQ(held, 1);
+  }
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.transport().GetStats().active == 0; }));
+  server.Stop();
+  // One write for the lines found together; a second at most for an answer
+  // counted in "ok" just before its completion reached the loop.
+  EXPECT_LE(server.transport().GetStats().writes, 2u);
 }
 
 // --- Admin plane ---------------------------------------------------------

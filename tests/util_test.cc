@@ -1,5 +1,11 @@
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -243,6 +249,100 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   EXPECT_EQ(w.str(), "[1.5,null,null]");
 }
 
+// The reference renderings Double, Int and Uint must reproduce byte for
+// byte: printf's "%.17g" and std::to_string.
+std::string PrintfDouble(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+std::string WrittenDouble(double value) {
+  JsonWriter w;
+  w.Double(value);
+  return w.TakeString();
+}
+
+TEST(JsonWriterTest, DoubleHasPrintfBytesOnEdgeValues) {
+  const double two53 = std::ldexp(1.0, 53);
+  const double edges[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::nextafter(DBL_MIN, 0.0),  // largest subnormal
+                          1234.5 * std::numeric_limits<double>::denorm_min(),
+                          DBL_MIN,
+                          -DBL_MIN,
+                          DBL_MAX,
+                          -DBL_MAX,
+                          two53 - 1,
+                          two53,
+                          two53 + 2,  // 2^53 + 1 rounds to 2^53
+                          1e21,
+                          1e20,
+                          -1e21,
+                          1e16,
+                          1e17,
+                          1e-4,
+                          1e-5,
+                          0.1,
+                          0.5,
+                          1.0,
+                          2.0,
+                          3.0,
+                          7.0,
+                          10.0,
+                          42.0,
+                          100.0,
+                          -1.0,
+                          123456789.0};
+  for (double value : edges) {
+    EXPECT_EQ(WrittenDouble(value), PrintfDouble(value)) << value;
+  }
+}
+
+TEST(JsonWriterTest, DoubleHasPrintfBytesOnRandomBitPatterns) {
+  std::mt19937_64 rng(20061);
+  int non_finite = 0;
+  for (int i = 0; i < (1 << 20); ++i) {
+    const uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (!std::isfinite(value)) {
+      ++non_finite;
+      ASSERT_EQ(WrittenDouble(value), "null") << bits;
+      continue;
+    }
+    ASSERT_EQ(WrittenDouble(value), PrintfDouble(value)) << bits;
+  }
+  // About 1 pattern in 2048 has an all-ones exponent.
+  EXPECT_GT(non_finite, 0);
+}
+
+TEST(JsonWriterTest, IntegersHaveToStringBytes) {
+  for (int64_t value : {std::numeric_limits<int64_t>::min(),
+                        std::numeric_limits<int64_t>::max(), int64_t{0},
+                        int64_t{-1}}) {
+    JsonWriter w;
+    w.Int(value);
+    EXPECT_EQ(w.str(), std::to_string(value));
+  }
+  for (uint64_t value : {std::numeric_limits<uint64_t>::max(), uint64_t{0}}) {
+    JsonWriter w;
+    w.Uint(value);
+    EXPECT_EQ(w.str(), std::to_string(value));
+  }
+}
+
+TEST(JsonWriterTest, AppendsToACallersBuffer) {
+  std::string line = "prefix:";
+  {
+    JsonWriter w(&line);
+    w.BeginArray().Uint(1).Double(0.5).EndArray();
+  }
+  EXPECT_EQ(line, "prefix:[1,0.5]");
+}
+
 TEST(JsonWriterTest, RawSplicesVerbatim) {
   JsonWriter w;
   w.BeginObject().Key("m").Raw(R"({"x":1})").Key("n").Int(2).EndObject();
@@ -288,6 +388,29 @@ TEST(JsonParseTest, FindOnNonObjectIsNull) {
   Result<JsonValue> parsed = ParseJson("[1,2]");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Find("x"), nullptr);
+}
+
+TEST(JsonParseTest, IntegerLiteralsAlsoReadExactly) {
+  struct Case {
+    const char* text;
+    bool has_uint;
+    uint64_t uint_value;
+  };
+  for (const Case& c : {Case{"0", true, 0},
+                        Case{"9007199254740993", true, 9007199254740993u},
+                        Case{"18446744073709551615", true, UINT64_MAX},
+                        Case{"18446744073709551616", false, 0},
+                        Case{"-1", false, 0}, Case{"1.0", false, 0},
+                        Case{"1e3", false, 0}}) {
+    Result<JsonValue> parsed = ParseJson(c.text);
+    ASSERT_TRUE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed->has_uint, c.has_uint) << c.text;
+    if (c.has_uint) {
+      EXPECT_EQ(parsed->uint_value, c.uint_value) << c.text;
+    }
+  }
+  // The double stays as before: the nearest one to the literal.
+  EXPECT_EQ(ParseJson("9007199254740993")->number_value, 9007199254740992.0);
 }
 
 // Regression coverage for the poller's edge Status values: the transport
