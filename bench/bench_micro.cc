@@ -19,7 +19,6 @@
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
 #include "match/matcher.h"
-#include "mining/freqt_builder.h"
 #include "mining/lattice_builder.h"
 #include "summary/lattice_summary.h"
 #include "twig/decompose.h"
@@ -103,21 +102,6 @@ void BM_LatticeBuildNoApriori(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatticeBuildNoApriori)->Unit(benchmark::kMillisecond);
-
-void BM_LatticeBuildFreqt(benchmark::State& state) {
-  // Same workload as BM_LatticeBuild/4 for a direct generate-and-count vs
-  // rightmost-extension (occurrence lists) comparison.
-  DatasetOptions generate;
-  generate.scale = 100;
-  Document doc = GenerateXmark(generate);
-  LatticeBuildOptions options;
-  options.max_level = 4;
-  for (auto _ : state) {
-    auto summary = BuildLatticeFreqt(doc, options);
-    benchmark::DoNotOptimize(summary.ok());
-  }
-}
-BENCHMARK(BM_LatticeBuildFreqt)->Unit(benchmark::kMillisecond);
 
 void BM_LatticeBuildParallel(benchmark::State& state) {
   DatasetOptions generate;

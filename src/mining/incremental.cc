@@ -11,101 +11,6 @@
 
 namespace treelattice {
 
-namespace {
-
-/// Counts matches of `twig` in `doc` whose root image lies in `anchors`.
-/// Nodes with id >= exclude_from are treated as absent (pass the first new
-/// node id to count "as if before the insertion"; kInvalidNode disables).
-/// The DP is memoized per (twig node, document node) and only explores the
-/// anchors' descendants, so cost is bounded by the anchor subtrees.
-class AnchoredCounter {
- public:
-  AnchoredCounter(const Document& doc, const Twig& twig, NodeId exclude_from)
-      : doc_(doc), twig_(twig), exclude_from_(exclude_from) {
-    memo_.resize(static_cast<size_t>(twig.size()));
-  }
-
-  uint64_t CountRootedAt(const std::vector<NodeId>& anchors) {
-    uint64_t total = 0;
-    for (NodeId v : anchors) {
-      if (Excluded(v)) continue;
-      total = SaturatingAdd(total, Count(twig_.root(), v));
-    }
-    return total;
-  }
-
- private:
-  bool Excluded(NodeId v) const {
-    return exclude_from_ != kInvalidNode && v >= exclude_from_;
-  }
-
-  uint64_t Count(int q, NodeId v) {
-    if (doc_.Label(v) != twig_.label(q)) return 0;
-    auto& table = memo_[static_cast<size_t>(q)];
-    if (auto it = table.find(v); it != table.end()) return it->second;
-
-    const std::vector<int>& q_children = twig_.children(q);
-    uint64_t result = 1;
-    if (!q_children.empty()) {
-      bool duplicate_labels = false;
-      for (size_t i = 0; i + 1 < q_children.size() && !duplicate_labels;
-           ++i) {
-        for (size_t j = i + 1; j < q_children.size(); ++j) {
-          if (twig_.label(q_children[i]) == twig_.label(q_children[j])) {
-            duplicate_labels = true;
-            break;
-          }
-        }
-      }
-      if (!duplicate_labels) {
-        for (int qc : q_children) {
-          uint64_t sum = 0;
-          for (NodeId w = doc_.FirstChild(v); w != kInvalidNode;
-               w = doc_.NextSibling(w)) {
-            if (Excluded(w)) continue;
-            sum = SaturatingAdd(sum, Count(qc, w));
-          }
-          if (sum == 0) {
-            result = 0;
-            break;
-          }
-          result = SaturatingMul(result, sum);
-        }
-      } else {
-        // Injective assignment via bitmask DP (small query fanout).
-        const size_t m = q_children.size();
-        const size_t full = size_t{1} << m;
-        std::vector<uint64_t> dp(full, 0);
-        dp[0] = 1;
-        for (NodeId w = doc_.FirstChild(v); w != kInvalidNode;
-             w = doc_.NextSibling(w)) {
-          if (Excluded(w)) continue;
-          for (size_t mask = full; mask-- > 0;) {
-            if (dp[mask] == 0) continue;
-            for (size_t bit = 0; bit < m; ++bit) {
-              if (mask & (size_t{1} << bit)) continue;
-              uint64_t c = Count(q_children[bit], w);
-              if (c == 0) continue;
-              size_t next = mask | (size_t{1} << bit);
-              dp[next] = SaturatingAdd(dp[next], SaturatingMul(dp[mask], c));
-            }
-          }
-        }
-        result = dp[full - 1];
-      }
-    }
-    table.emplace(v, result);
-    return result;
-  }
-
-  const Document& doc_;
-  const Twig& twig_;
-  NodeId exclude_from_;
-  std::vector<std::unordered_map<NodeId, uint64_t>> memo_;
-};
-
-}  // namespace
-
 Result<IncrementalLattice> IncrementalLattice::Create(Document doc,
                                                       int max_level) {
   LatticeBuildOptions options;
@@ -126,7 +31,8 @@ Result<size_t> IncrementalLattice::InsertSubtree(NodeId parent,
   }
 
   // Splice the subtree into the owned document (ids are appended, so the
-  // first new id doubles as the "before" exclusion threshold).
+  // first new id is the node-id limit that counts the document as it was
+  // before the splice).
   const NodeId first_new = static_cast<NodeId>(doc_.NumNodes());
   {
     std::vector<NodeId> map(static_cast<size_t>(subtree.size()));
@@ -195,12 +101,12 @@ Result<size_t> IncrementalLattice::InsertSubtree(NodeId parent,
     std::vector<Twig> next;
     std::unordered_set<std::string> next_seen;
     for (const Twig& pattern : current) {
-      AnchoredCounter after(doc_, pattern, kInvalidNode);
-      uint64_t after_count = after.CountRootedAt(anchors);
+      const uint64_t after_count = MatchCounter::CountRootedAt(
+          doc_, pattern, anchors, static_cast<NodeId>(doc_.NumNodes()));
       if (after_count == 0) continue;  // cannot extend either
 
-      AnchoredCounter before(doc_, pattern, first_new);
-      uint64_t before_count = before.CountRootedAt(anchors);
+      const uint64_t before_count =
+          MatchCounter::CountRootedAt(doc_, pattern, anchors, first_new);
       if (after_count != before_count) {
         uint64_t delta = after_count - before_count;
         std::string code = pattern.CanonicalCode();

@@ -17,9 +17,9 @@ namespace treelattice {
 
 namespace {
 
-/// Mining telemetry, shared by both builders: how many candidates were
-/// enumerated, how many the Apriori check discarded before counting, how
-/// many patterns survived, and per-level build latency.
+/// Mining telemetry: how many candidates were enumerated, how many the
+/// Apriori check discarded before counting, how many patterns survived,
+/// and per-level build latency.
 struct MiningMetrics {
   obs::Counter* candidates_generated;
   obs::Counter* candidates_pruned_apriori;

@@ -39,7 +39,7 @@ inline constexpr char kEstimatorDegraded[] = "estimator.degraded";
 // whole twigs and for the estimator's node subsets alike.
 inline constexpr char kTwigCanonicalCodes[] = "twig.canonical_codes";
 
-// -- mining (mining/lattice_builder.cc, mining/freqt_builder.cc) ------------
+// -- mining (mining/lattice_builder.cc) -------------------------------------
 inline constexpr char kMiningCandidatesGenerated[] =
     "mining.candidates_generated";
 inline constexpr char kMiningCandidatesPrunedApriori[] =
@@ -47,12 +47,6 @@ inline constexpr char kMiningCandidatesPrunedApriori[] =
 inline constexpr char kMiningCandidatesCounted[] = "mining.candidates_counted";
 inline constexpr char kMiningPatternsInserted[] = "mining.patterns_inserted";
 inline constexpr char kMiningLevelBuildMicros[] = "mining.level_build_micros";
-inline constexpr char kMiningFreqtOrderedPatterns[] =
-    "mining.freqt.ordered_patterns";
-inline constexpr char kMiningFreqtPeakOccurrences[] =
-    "mining.freqt.peak_occurrences";
-inline constexpr char kMiningFreqtLevelBuildMicros[] =
-    "mining.freqt.level_build_micros";
 
 // -- summary persistence (summary/summary_format.cc) ------------------------
 inline constexpr char kSummarySaves[] = "summary.saves";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "serve/serve_metrics.h"
@@ -79,12 +78,26 @@ std::string ServeResponse::ToJsonLine() const {
 
 namespace {
 
+/// Reads a field holding a non-negative integer. A plain integer literal
+/// reads exactly. A fraction or exponent form must be exactly an integer
+/// (ParseJson checks its digits) of at most `max_in_form`, and reads
+/// through its double. Anything else is refused with `error`.
+Result<uint64_t> ReadUintField(const JsonValue& value, double max_in_form,
+                               const char* error) {
+  if (value.has_uint) return value.uint_value;
+  if (!value.is_number() || !value.integral ||
+      !(value.number_value <= max_in_form)) {
+    return Status::InvalidArgument(error);
+  }
+  return static_cast<uint64_t>(value.number_value);
+}
+
 /// Decodes one query envelope: a scalar line's object or an array line's
 /// object element.
 Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
-  // Step caps are uint64; 2^64 and above cannot be represented (a
-  // double-to-uint64 cast of such a value is undefined).
-  constexpr double kUint64Limit = 18446744073709551616.0;
+  // The largest double below 2^64: a double-to-uint64 cast of 2^64 or
+  // more is undefined.
+  constexpr double kBelowUint64Limit = 18446744073709549568.0;
   // Every integer up to 2^53 is exact in a double.
   constexpr double kExactDoubleLimit = 9007199254740992.0;
   if (!parsed.is_object()) {
@@ -105,30 +118,19 @@ Result<ServeRequest> ParseRequestEnvelope(const JsonValue& parsed) {
     request.deadline_millis = deadline->number_value;
   }
   if (const JsonValue* steps = parsed.Find("max_steps")) {
-    if (!steps->is_number() || steps->number_value < 0.0) {
-      return Status::InvalidArgument(
-          "\"max_steps\" must be a non-negative number");
-    }
-    if (steps->number_value >= kUint64Limit) {
-      return Status::InvalidArgument("\"max_steps\" must be below 2^64");
-    }
-    request.max_work_steps = static_cast<uint64_t>(steps->number_value);
+    TL_ASSIGN_OR_RETURN(
+        request.max_work_steps,
+        ReadUintField(*steps, kBelowUint64Limit,
+                      "\"max_steps\" must be an integer from 0 to 2^64-1"));
   }
   if (const JsonValue* id = parsed.Find("id")) {
-    // The response echoes the id as sent. An integer literal reads
-    // exactly; a fraction or exponent form reads through its double, so
-    // only an integral value within the exact range is taken.
-    const double value = id->number_value;
-    if (id->has_uint) {
-      request.id = id->uint_value;
-    } else if (id->is_number() && value >= 0.0 && value <= kExactDoubleLimit &&
-               std::trunc(value) == value) {
-      request.id = static_cast<uint64_t>(value);
-    } else {
-      return Status::InvalidArgument(
-          "\"id\" must be an integer from 0 to 2^64-1, and at most 2^53 in "
-          "fraction or exponent form");
-    }
+    // The response echoes the id as sent, so a fraction or exponent form
+    // is taken only within the range its double holds exactly.
+    TL_ASSIGN_OR_RETURN(
+        request.id,
+        ReadUintField(*id, kExactDoubleLimit,
+                      "\"id\" must be an integer from 0 to 2^64-1, and at "
+                      "most 2^53 in fraction or exponent form"));
   }
   return request;
 }

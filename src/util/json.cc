@@ -377,43 +377,56 @@ class JsonParser {
     return Error("bad literal");
   }
 
-  Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
-    }
-    if (!std::isdigit(static_cast<unsigned char>(
-            pos_ < text_.size() ? text_[pos_] : '\0'))) {
-      return Error("bad number");
-    }
+  /// Consumes a run of digits; returns it (empty when none).
+  std::string_view Digits() {
+    const size_t start = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
+    return text_.substr(start, pos_ - start);
+  }
+
+  Status ParseNumber(JsonValue* out) {
+    const size_t start = pos_;
+    const bool negative = Consume('-');
+    const std::string_view whole = Digits();
+    if (whole.empty()) return Error("bad number");
+    std::string_view fraction;
     if (Consume('.')) {
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("bad fraction");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      fraction = Digits();
+      if (fraction.empty()) return Error("bad fraction");
     }
+    int64_t exponent = 0;
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
+      const bool exponent_negative = Consume('-');
+      if (!exponent_negative) Consume('+');
+      const std::string_view digits = Digits();
+      if (digits.empty()) return Error("bad exponent");
+      // Once the exponent exceeds the text's length the point lies past
+      // every digit, as for any larger one, so its magnitude stops there.
+      for (char d : digits) {
+        if (exponent <= static_cast<int64_t>(text_.size())) {
+          exponent = exponent * 10 + (d - '0');
+        }
       }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Error("bad exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
+      if (exponent_negative) exponent = -exponent;
     }
     out->type = JsonValue::Type::kNumber;
+    // The exact value is the digits of `whole` and `fraction` with the
+    // decimal point after the first whole.size() + exponent of them: an
+    // integer when no nonzero digit lies past that point.
+    const int64_t point = static_cast<int64_t>(whole.size()) + exponent;
+    bool zero = true;
+    bool integral = true;
+    for (size_t i = 0; i < whole.size() + fraction.size(); ++i) {
+      const char d = i < whole.size() ? whole[i] : fraction[i - whole.size()];
+      if (d == '0') continue;
+      zero = false;
+      if (static_cast<int64_t>(i) >= point) integral = false;
+    }
+    out->integral = integral && (!negative || zero);
     const std::string_view literal = text_.substr(start, pos_ - start);
     if (literal.find_first_not_of("0123456789") == std::string_view::npos) {
       // A plain integer literal also reads exactly; a value of 2^64 or more

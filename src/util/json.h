@@ -79,6 +79,11 @@ class JsonValue {
   /// it exactly, where `number_value` may have rounded it.
   bool has_uint = false;
   uint64_t uint_value = 0;
+  /// Set for a number whose literal, read exactly on its decimal digits, is
+  /// a non-negative integer, whatever its form: 4, 4.0, 4e0 and 0.4e1 set
+  /// it; 4.5, 1.00000000000000000001 and -4 do not. A fraction or exponent
+  /// form reads only through `number_value`, which is exact up to 2^53.
+  bool integral = false;
   std::string string_value;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;

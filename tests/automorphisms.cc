@@ -1,4 +1,4 @@
-#include "twig/automorphisms.h"
+#include "automorphisms.h"
 
 #include <algorithm>
 #include <string>

@@ -1,5 +1,5 @@
-#ifndef TREELATTICE_TWIG_AUTOMORPHISMS_H_
-#define TREELATTICE_TWIG_AUTOMORPHISMS_H_
+#ifndef TREELATTICE_TESTS_AUTOMORPHISMS_H_
+#define TREELATTICE_TESTS_AUTOMORPHISMS_H_
 
 #include <cstdint>
 #include <vector>
@@ -31,4 +31,4 @@ uint64_t CountOrderedVariants(const Twig& twig);
 
 }  // namespace treelattice
 
-#endif  // TREELATTICE_TWIG_AUTOMORPHISMS_H_
+#endif  // TREELATTICE_TESTS_AUTOMORPHISMS_H_

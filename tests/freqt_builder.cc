@@ -1,4 +1,4 @@
-#include "mining/freqt_builder.h"
+#include "freqt_builder.h"
 
 #include <algorithm>
 #include <string>
@@ -6,10 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "twig/automorphisms.h"
+#include "automorphisms.h"
 #include "twig/twig.h"
 #include "util/saturating.h"
 #include "util/timer.h"
@@ -17,26 +14,6 @@
 namespace treelattice {
 
 namespace {
-
-/// Freqt-specific telemetry: ordered (pre-canonicalization) patterns
-/// enumerated, peak occurrence-list volume, and per-level latency.
-struct FreqtMetrics {
-  obs::Counter* ordered_patterns;
-  obs::Gauge* peak_occurrences;
-  obs::Histogram* level_build_micros;
-
-  static FreqtMetrics& Get() {
-    static FreqtMetrics m = [] {
-      obs::MetricsRegistry* registry = obs::MetricsRegistry::Default();
-      namespace names = obs::metric_names;
-      return FreqtMetrics{
-          registry->counter(names::kMiningFreqtOrderedPatterns),
-          registry->gauge(names::kMiningFreqtPeakOccurrences),
-          registry->histogram(names::kMiningFreqtLevelBuildMicros)};
-    }();
-    return m;
-  }
-};
 
 /// One rightmost-path occurrence of an ordered pattern: the document-node
 /// images of the rightmost path (root first) plus the number of ordered
@@ -61,8 +38,6 @@ Result<LatticeSummary> BuildLatticeFreqt(const Document& doc,
   if (options.max_level < 2) {
     return Status::InvalidArgument("BuildLatticeFreqt: max_level must be >= 2");
   }
-  obs::TraceSpan build_span("mining.freqt.build", "mining");
-  build_span.SetArg("max_level", static_cast<uint64_t>(options.max_level));
   WallTimer timer;
   LatticeSummary summary(options.max_level);
   FreqtBuildStats local;
@@ -132,12 +107,8 @@ Result<LatticeSummary> BuildLatticeFreqt(const Document& doc,
 
   TL_RETURN_IF_ERROR(flush_level(current));
   local.ordered_patterns += current.size();
-  FreqtMetrics::Get().ordered_patterns->Increment(current.size());
 
   for (int level = 2; level <= options.max_level; ++level) {
-    obs::TraceSpan level_span("mining.freqt.level", "mining");
-    level_span.SetArg("level", static_cast<uint64_t>(level));
-    WallTimer level_timer;
     std::vector<OrderedPattern> next;
     size_t occurrence_volume = 0;
     for (const OrderedPattern& pattern : current) {
@@ -196,12 +167,7 @@ Result<LatticeSummary> BuildLatticeFreqt(const Document& doc,
     local.ordered_patterns += next.size();
     local.peak_occurrences = std::max(local.peak_occurrences,
                                       occurrence_volume);
-    FreqtMetrics::Get().ordered_patterns->Increment(next.size());
-    FreqtMetrics::Get().peak_occurrences->SetMax(
-        static_cast<int64_t>(occurrence_volume));
     TL_RETURN_IF_ERROR(flush_level(next));
-    FreqtMetrics::Get().level_build_micros->Record(
-        static_cast<uint64_t>(level_timer.ElapsedMicros()));
     current = std::move(next);
     if (current.empty()) break;
   }

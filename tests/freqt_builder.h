@@ -1,5 +1,5 @@
-#ifndef TREELATTICE_MINING_FREQT_BUILDER_H_
-#define TREELATTICE_MINING_FREQT_BUILDER_H_
+#ifndef TREELATTICE_TESTS_FREQT_BUILDER_H_
+#define TREELATTICE_TESTS_FREQT_BUILDER_H_
 
 #include "mining/lattice_builder.h"
 #include "summary/lattice_summary.h"
@@ -29,9 +29,11 @@ struct FreqtBuildStats {
 /// unordered form and multiplying by the twig's automorphism count:
 ///   matches(T) = |Aut(T)| * sum over ordered variants V of embeddings(V).
 ///
-/// The result is identical to BuildLattice (property-tested); the
-/// trade-off is classic Freqt: no per-candidate counting passes, at the
-/// cost of occurrence-list memory proportional to embedding path volume.
+/// It counts by another route than BuildLattice, so freqt_test keeps it as
+/// that builder's oracle: both must produce the same summary. It is not a
+/// production miner: at benchmark scale it runs many times slower than
+/// BuildLattice (EXPERIMENTS.md), and its occurrence lists take memory
+/// proportional to embedding path volume.
 /// options.apriori_prune and num_threads are ignored (inapplicable: the
 /// rightmost-extension enumeration subsumes Apriori).
 Result<LatticeSummary> BuildLatticeFreqt(const Document& doc,
@@ -40,4 +42,4 @@ Result<LatticeSummary> BuildLatticeFreqt(const Document& doc,
 
 }  // namespace treelattice
 
-#endif  // TREELATTICE_MINING_FREQT_BUILDER_H_
+#endif  // TREELATTICE_TESTS_FREQT_BUILDER_H_

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "automorphisms.h"
 #include "datagen/datasets.h"
 #include "datagen/random_tree.h"
-#include "mining/freqt_builder.h"
+#include "freqt_builder.h"
 #include "mining/lattice_builder.h"
-#include "twig/automorphisms.h"
 #include "xml/parser.h"
 
 namespace treelattice {

@@ -1,4 +1,5 @@
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +112,41 @@ TEST(MatchCounterTest, EmptyQueryAndEmptyDocument) {
   Document doc = PaperFigure1Document();
   MatchCounter counter2(doc);
   EXPECT_EQ(counter2.Count(t), 0u);
+}
+
+TEST(MatchCounterTest, CountRootedAtTakesRootsAndANodeLimit) {
+  // Preorder ids: r=0, a=1, b=2, a=3, b=4, b=5, c=6.
+  auto doc = ParseXmlString("<r><a><b/></a><a><b/><b/></a><c/></r>");
+  ASSERT_TRUE(doc.ok());
+  Twig query = MustParse("a(b)", &doc->mutable_dict());
+  EXPECT_EQ(MatchCounter(*doc).Count(query), 3u);
+  const NodeId all = static_cast<NodeId>(doc->NumNodes());
+  const std::vector<NodeId> anchors = {1, 3};
+  const std::vector<NodeId> second = {3};
+  const std::vector<NodeId> other_labels = {0, 6};
+  EXPECT_EQ(MatchCounter::CountRootedAt(*doc, query, anchors, all), 3u);
+  EXPECT_EQ(MatchCounter::CountRootedAt(*doc, query, second, all), 2u);
+  // Roots of another label add nothing.
+  EXPECT_EQ(MatchCounter::CountRootedAt(*doc, query, other_labels, all), 0u);
+  // Nodes at or past the limit are absent, as roots and as children.
+  EXPECT_EQ(MatchCounter::CountRootedAt(*doc, query, anchors, 5), 2u);
+  EXPECT_EQ(MatchCounter::CountRootedAt(*doc, query, anchors, 3), 1u);
+}
+
+TEST(MatchCounterTest, PathQueryAtTheParserNestingLimit) {
+  // The counter recurses once per query level, so a path query at the
+  // twig parser's nesting limit (4,096 levels) must count without
+  // exhausting the stack; the address-sanitizer build has the largest
+  // frames. It fits a 5,000-node path at 5000 - 4096 + 1 places.
+  Document doc;
+  NodeId parent = kInvalidNode;
+  for (int i = 0; i < 5000; ++i) parent = doc.AddNode("a", parent);
+  std::string text;
+  for (int i = 0; i < 4096; ++i) text += i == 0 ? "a" : "(a";
+  text += std::string(4095, ')');
+  Twig query = MustParse(text, &doc.mutable_dict());
+  ASSERT_EQ(query.size(), 4096);
+  EXPECT_EQ(MatchCounter(doc).Count(query), 905u);
 }
 
 TEST(MatchCounterTest, MatchesAgreeWithBruteForceOnFixedExamples) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "datagen/random_tree.h"
+#include "io/env.h"
 #include "match/matcher.h"
 #include "mining/lattice_builder.h"
+#include "summary/summary_format.h"
+#include "temp_path.h"
 #include "xml/parser.h"
 
 namespace treelattice {
@@ -168,6 +171,16 @@ TEST(LatticeBuilderTest, PatternCapMarksIncomplete) {
   EXPECT_LT(summary->complete_through_level(), 4);
 }
 
+/// The bytes SaveSummaryV2 writes for `summary`.
+std::string SavedBytes(const LatticeSummary& summary, const LabelDict& dict) {
+  const std::string path = UniqueTempPath("lattice.summary");
+  EXPECT_TRUE(SaveSummaryV2(summary, &dict, Env::Default(), path).ok());
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(Env::Default(), path, &bytes).ok());
+  EXPECT_TRUE(Env::Default()->DeleteFile(path).ok());
+  return bytes;
+}
+
 TEST(LatticeBuilderTest, ParallelCountingMatchesSequential) {
   RandomTreeOptions tree;
   tree.seed = 47;
@@ -178,20 +191,24 @@ TEST(LatticeBuilderTest, ParallelCountingMatchesSequential) {
   LatticeBuildOptions sequential;
   sequential.max_level = 4;
   sequential.num_threads = 1;
-  LatticeBuildOptions parallel = sequential;
-  parallel.num_threads = 4;
-
   auto a = BuildLattice(doc, sequential);
-  auto b = BuildLattice(doc, parallel);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->NumPatterns(), b->NumPatterns());
-  for (int level = 1; level <= 4; ++level) {
-    ASSERT_EQ(a->NumPatterns(level), b->NumPatterns(level));
-    for (const std::string& code : a->PatternsAtLevel(level)) {
-      EXPECT_EQ(a->LookupCode(code), b->LookupCode(code)) << code;
+  ASSERT_TRUE(a.ok());
+  const std::string a_bytes = SavedBytes(*a, doc.dict());
+  for (int threads : {2, 4, 8}) {
+    LatticeBuildOptions parallel = sequential;
+    parallel.num_threads = threads;
+    auto b = BuildLattice(doc, parallel);
+    ASSERT_TRUE(b.ok());
+    ASSERT_EQ(a->NumPatterns(), b->NumPatterns()) << threads << " threads";
+    for (int level = 1; level <= 4; ++level) {
+      ASSERT_EQ(a->NumPatterns(level), b->NumPatterns(level));
+      for (const std::string& code : a->PatternsAtLevel(level)) {
+        EXPECT_EQ(a->LookupCode(code), b->LookupCode(code)) << code;
+      }
     }
+    EXPECT_EQ(a->complete_through_level(), b->complete_through_level());
+    EXPECT_EQ(SavedBytes(*b, doc.dict()), a_bytes) << threads << " threads";
   }
-  EXPECT_EQ(a->complete_through_level(), b->complete_through_level());
 }
 
 TEST(LatticeBuilderTest, SingleNodeDocument) {

@@ -277,6 +277,46 @@ TEST(RequestLineTest, FractionalIdIsRejectedNotTruncated) {
             StatusCode::kInvalidArgument);
 }
 
+/// The status ParseRequestLine gives `line`, checked to name `field` when
+/// it refuses it.
+Status ParseNaming(const char* line, const char* field) {
+  ServeBatch batch;
+  Status parsed = ParseRequestLine(line, 0, &batch);
+  if (!parsed.ok()) {
+    EXPECT_NE(parsed.message().find(field), std::string::npos)
+        << parsed.message();
+  }
+  return parsed;
+}
+
+TEST(RequestLineTest, StepCapOfOneHalfIsRejectedNotTakenAsNoCap) {
+  // Truncated, 0.5 would become 0, the "server default" that runs the
+  // request uncapped.
+  const char* line = R"json({"query":"item(name,price)","max_steps":0.5})json";
+  EXPECT_EQ(ParseNaming(line, "\"max_steps\"").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(RequestLineTest, FractionalStepCapIsRejectedNotTruncated) {
+  const char* line = R"json({"query":"item(name,price)","max_steps":1.5})json";
+  EXPECT_EQ(ParseNaming(line, "\"max_steps\"").code(),
+            StatusCode::kInvalidArgument);
+  // Fraction and exponent forms of an integer still read.
+  ServeBatch batch;
+  ASSERT_TRUE(
+      ParseRequestLine(R"({"query":"a","max_steps":1.5e1})", 0, &batch).ok());
+  EXPECT_EQ(batch.items[0].max_work_steps, 15u);
+}
+
+TEST(RequestLineTest, IdWithMoreDigitsThanADoubleHoldsIsRejected) {
+  // Through its double this literal reads as exactly 1; its digits do not.
+  const char* line = R"json({"query":"a","id":1.00000000000000000001})json";
+  EXPECT_EQ(ParseNaming(line, "\"id\"").code(), StatusCode::kInvalidArgument);
+  ServeBatch batch;
+  ASSERT_TRUE(ParseRequestLine(R"({"query":"a","id":70e-1})", 0, &batch).ok());
+  EXPECT_EQ(batch.items[0].id, 7u);
+}
+
 TEST(RequestLineTest, IdOf2To64Minus1IsAccepted) {
   ServeBatch batch;
   Status parsed = ParseRequestLine(

@@ -413,6 +413,23 @@ TEST(JsonParseTest, IntegerLiteralsAlsoReadExactly) {
   EXPECT_EQ(ParseJson("9007199254740993")->number_value, 9007199254740992.0);
 }
 
+TEST(JsonParseTest, NumbersKnowWhetherTheirLiteralIsAnInteger) {
+  // Checked on the digits, not on the double they round to.
+  for (const char* text : {"0", "4", "4.0", "4e0", "0.4e1", "40e-1",
+                           "123.450e2", "1E+2", "-0.0", "0e-999", "1e400"}) {
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_TRUE(parsed->integral) << text;
+  }
+  for (const char* text : {"4.5", "1.00000000000000000001", "-4", "-4.0",
+                           "1.2345e3", "4e-1", "1e-400", "0.1e0"}) {
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_FALSE(parsed->integral) << text;
+  }
+  EXPECT_FALSE(ParseJson("\"4\"")->integral);
+}
+
 // Regression coverage for the poller's edge Status values: the transport
 // now routes every Add/Modify/Remove failure through CountPollerError
 // instead of discarding it, so the contract below is load-bearing.
