@@ -118,19 +118,6 @@ void BM_LatticeBuildParallel(benchmark::State& state) {
 BENCHMARK(BM_LatticeBuildParallel)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_RecursiveDecomposition(benchmark::State& state) {
-  std::vector<Twig> queries = SharedQueries(static_cast<int>(state.range(0)));
-  size_t i = 0;
-  for (auto _ : state) {
-    const Twig& q = queries[i % queries.size()];
-    auto pairs = ValidLeafPairs(q);
-    benchmark::DoNotOptimize(
-        SplitByLeafPair(q, pairs[0].first, pairs[0].second).ok());
-    ++i;
-  }
-}
-BENCHMARK(BM_RecursiveDecomposition)->Arg(4)->Arg(8);
-
 void BM_FixedSizeCover(benchmark::State& state) {
   std::vector<Twig> queries = SharedQueries(static_cast<int>(state.range(0)));
   size_t i = 0;

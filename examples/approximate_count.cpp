@@ -9,7 +9,10 @@
 //
 // Run: ./build/examples/approximate_count
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "core/recursive_estimator.h"
@@ -35,13 +38,18 @@ int main() {
   }
 
   // Persist the summary and reload it — the estimator below never touches
-  // the document again.
-  const std::string path = "/tmp/treelattice_imdb.summary";
+  // the document again. The file is this process's own and is removed
+  // once read back.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("treelattice_imdb_" + std::to_string(getpid()) + ".summary"))
+          .string();
   if (Status s = summary->SaveToFile(path); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
   Result<LatticeSummary> loaded = LatticeSummary::LoadFromFile(path);
+  std::remove(path.c_str());
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;

@@ -1,13 +1,14 @@
 // Explaining an estimate: compile an XPath query to a twig, estimate its
-// selectivity, and print the decomposition trace showing exactly which
-// lattice entries produced the number — the "EXPLAIN" of a cardinality
-// estimator, useful when debugging optimizer plans.
+// selectivity, and print the decomposition the estimator recorded while
+// answering: which lattice entries produced the number and how the votes
+// combined them — the "EXPLAIN" of a cardinality estimator, useful when
+// debugging optimizer plans.
 //
 // Run: ./build/examples/explain_estimate
 
 #include <cstdio>
 
-#include "core/explain.h"
+#include "core/decomposition_record.h"
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
 #include "match/matcher.h"
@@ -32,7 +33,9 @@ int main() {
   std::printf("3-lattice: %zu patterns, %.1f KB\n\n", summary->NumPatterns(),
               double(summary->MemoryBytes()) / 1024.0);
 
-  RecursiveDecompositionEstimator estimator(&*summary);
+  RecursiveDecompositionEstimator::Options voting;
+  voting.voting = true;
+  RecursiveDecompositionEstimator estimator(&*summary, voting);
   MatchCounter exact(doc);
 
   for (const char* xpath :
@@ -45,17 +48,21 @@ int main() {
                    query.status().ToString().c_str());
       return 1;
     }
-    Result<double> estimate = estimator.Estimate(*query);
-    Result<std::unique_ptr<ExplainNode>> trace =
-        ExplainEstimate(*summary, *query, doc.dict());
-    if (!estimate.ok() || !trace.ok()) {
+    // The estimator fills the record while it answers, so the record's
+    // root is the estimate itself, bit for bit.
+    DecompositionRecord record;
+    EstimateOptions explain;
+    explain.record = &record;
+    Result<double> estimate = estimator.Estimate(*query, explain);
+    if (!estimate.ok() || record.entries.empty() ||
+        record.entries[0].value != *estimate) {
       std::fprintf(stderr, "estimation failed for %s\n", xpath);
       return 1;
     }
     std::printf("XPath:    %s\n", xpath);
     std::printf("estimate: %.2f   true: %llu\n", *estimate,
                 static_cast<unsigned long long>(exact.Count(*query)));
-    std::printf("%s\n", RenderExplain(**trace).c_str());
+    std::printf("%s\n", record.Render(*query, doc.dict()).c_str());
   }
   return 0;
 }

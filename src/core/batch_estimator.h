@@ -54,9 +54,10 @@ struct EstimateResult {
 ///
 /// Budgets are per item: each distinct query gets a fresh governor from
 /// its own options, so no query's budget depends on what ran before it.
-/// Memo entries are exact per-code values inserted only after full
-/// computation, so results are bit-identical to estimating each query
-/// alone with a fresh memo (BatchStreamTest in tests/batch_test.cc).
+/// Memo entries are inserted only after full computation, but a shape's
+/// value follows the spelling of the query that reached it first, so a
+/// batch can answer a query differently from a call of its own; queries in
+/// canonical spelling agree in the uncapped modes (DESIGN.md §14).
 /// Not thread-safe: one BatchEstimator per thread. The cache may be shared
 /// between threads.
 class BatchEstimator {

@@ -71,7 +71,8 @@ class DegradingEstimator {
  private:
   /// Budget for a fallback rung: a fresh deadline of half the original
   /// duration (when known) and a fresh step budget; the cancel token is
-  /// carried through unchanged.
+  /// carried through unchanged. The record is not: it explains the
+  /// primary rung's recursion only.
   EstimateOptions FallbackBudget(const EstimateOptions& original) const;
 
   RecursiveDecompositionEstimator primary_;

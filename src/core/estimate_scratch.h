@@ -106,13 +106,14 @@ struct DepthWorkspace {
 ///
 /// Batch mode (DESIGN.md §14): BeginBatch() resets the code memo once for
 /// a whole batch of queries and makes subsequent BeginQuery() calls keep
-/// it, so distinct queries share every sub-twig estimate. This is sound
-/// because memo entries are inserted only after a sub-twig's estimate is
-/// fully computed — each entry equals the deterministic pure-function
-/// value of its code for the fixed (summary, options), independent of
-/// which query put it there — so batch results stay bit-identical to
-/// sequential runs. The subset memo is reset for every query in either
-/// mode: its keys name nodes of one query.
+/// it, so distinct queries share every sub-twig estimate. Entries are
+/// inserted only after a sub-twig's estimate is fully computed, so each
+/// is a finished value. It is not a function of the code alone: leaf
+/// pairs follow the child order of the query that reached the shape
+/// first, so a batched answer can differ from a sequential one; canonical
+/// spelling avoids that in the uncapped modes (ROADMAP item 2(a)). The
+/// subset memo is reset for every query in either mode: its keys name
+/// nodes of one query.
 class EstimateScratch {
  public:
   /// Starts `query`: resets the subset memo, lays out the query's node

@@ -10,6 +10,7 @@
 
 namespace treelattice {
 
+class DecompositionRecord;
 class EstimateScratch;
 
 /// Per-request resource limits for an estimation, threaded through the
@@ -40,6 +41,11 @@ struct EstimateOptions {
   /// ungoverned runs (no governor, nothing counting) add nothing. Does not
   /// make the options governed().
   uint64_t* work_steps = nullptr;
+  /// When non-null, the recursive estimator writes into it the Lemma 1
+  /// decomposition that produced its answer (core/decomposition_record.h):
+  /// the output `treelattice estimate --explain` renders. The ladder hands
+  /// it to its primary rung only. Null on every serve and benchmark path.
+  DecompositionRecord* record = nullptr;
 
   /// An options object whose deadline is `millis` from now.
   static EstimateOptions WithDeadlineMillis(double millis) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/decomposition_record.h"
 #include "core/estimator_metrics.h"
 #include "obs/trace.h"
 #include "util/hash.h"
@@ -9,12 +10,6 @@
 namespace treelattice {
 
 namespace {
-
-/// A node subset of `words` words as a subset-memo key.
-std::string_view SubsetKey(const uint64_t* nodes, size_t words) {
-  return std::string_view(reinterpret_cast<const char*>(nodes),
-                          words * sizeof(uint64_t));
-}
 
 uint64_t SubsetHash(const uint64_t* nodes, size_t words) {
   uint64_t hash = Mix64(nodes[0]);
@@ -29,6 +24,29 @@ int ChildrenInSubset(const Twig& query, const uint64_t* nodes, int node) {
     if (NodeSetHas(nodes, child) && ++count == 2) break;
   }
   return count;
+}
+
+// Visit nests one frame per removed node, up to Twig::kMaxDepth deep, so
+// its cold parts live out of line: a query at the cap then fits an 8 MB
+// stack even under the address sanitizer.
+
+/// A decomposed sub-twig's value from its votes: their median, or their
+/// mean summed in the order taken.
+[[gnu::noinline]] double Aggregate(std::vector<double>* votes, bool median) {
+  if (median) {
+    std::sort(votes->begin(), votes->end());
+    const size_t mid = votes->size() / 2;
+    return votes->size() % 2 == 1 ? (*votes)[mid]
+                                  : 0.5 * ((*votes)[mid - 1] + (*votes)[mid]);
+  }
+  double sum = 0.0;
+  for (double v : *votes) sum += v;
+  return sum / static_cast<double>(votes->size());
+}
+
+[[gnu::noinline]] Status NoLeafPair(int size) {
+  return Status::Internal("no valid leaf pair for twig of size " +
+                          std::to_string(size));
 }
 
 /// Fallback scratch for callers that do not supply one (ungoverned
@@ -57,17 +75,19 @@ Result<double> RecursiveDecompositionEstimator::Estimate(const Twig& query) {
 Result<double> RecursiveDecompositionEstimator::Estimate(
     const Twig& query, const EstimateOptions& options) {
   if (!options.governed()) {
-    return EstimateWithGovernor(query, nullptr, options.scratch);
+    return EstimateWithGovernor(query, nullptr, options.scratch,
+                                options.record);
   }
   CostGovernor governor = options.MakeGovernor();
   Result<double> result =
-      EstimateWithGovernor(query, &governor, options.scratch);
+      EstimateWithGovernor(query, &governor, options.scratch, options.record);
   if (options.work_steps != nullptr) *options.work_steps += governor.steps();
   return result;
 }
 
 Result<double> RecursiveDecompositionEstimator::EstimateWithGovernor(
-    const Twig& query, CostGovernor* governor, EstimateScratch* scratch) {
+    const Twig& query, CostGovernor* governor, EstimateScratch* scratch,
+    DecompositionRecord* record) {
   if (query.empty()) {
     return Status::InvalidArgument("Estimate: empty query");
   }
@@ -75,7 +95,8 @@ Result<double> RecursiveDecompositionEstimator::EstimateWithGovernor(
   span.SetArg("query_size", static_cast<uint64_t>(query.size()));
   if (scratch == nullptr) scratch = &ThreadLocalScratch();
   scratch->BeginQuery(query);
-  Recursion recursion{query, scratch, governor};
+  if (record != nullptr) *record = DecompositionRecord();
+  Recursion recursion{query, scratch, governor, record};
   Result<double> result =
       Visit(&recursion, scratch->all_nodes(), query.size(), 0);
   if (result.ok()) {
@@ -96,7 +117,10 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
   }
   if (depth > r->max_depth) r->max_depth = depth;
   EstimateScratch& scratch = *r->scratch;
-  const std::string_view key = SubsetKey(nodes, scratch.words());
+  DecompositionRecord* const record = r->record;
+  using Source = DecompositionRecord::Source;
+  const std::span<const uint64_t> subset(nodes, scratch.words());
+  const std::string_view key = NodeSetBytes(subset);
   const uint64_t key_hash = SubsetHash(nodes, scratch.words());
   if (const double* hit = scratch.subsets().Find(key_hash, key)) {
     metrics.memo_hits->Increment();
@@ -114,8 +138,7 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
     code = query.CanonicalCode();
     hash = query.CanonicalHash();
   } else {
-    query.SubsetCode(std::span<const uint64_t>(nodes, scratch.words()),
-                     &scratch.code_scratch(), &ws.code);
+    query.SubsetCode(subset, &scratch.code_scratch(), &ws.code);
     code = ws.code;
     hash = HashBytes(code);
   }
@@ -123,6 +146,7 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
     metrics.memo_hits->Increment();
     const double value = *hit;
     scratch.subsets().Insert(key_hash, key, value);
+    if (record != nullptr) record->Add(subset, code, Source::kMemo, value);
     return value;
   }
 
@@ -130,15 +154,12 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
   if (auto count = summary_->LookupHashed(hash, code)) {
     metrics.summary_hits->Increment();
     value = static_cast<double>(*count);
-  } else if (size <= summary_->complete_through_level()) {
-    // The summary is exhaustive at this size: the pattern does not occur.
+    if (record != nullptr) record->Add(subset, code, Source::kSummary, value);
+  } else if (size <= summary_->complete_through_level() || size < 3) {
+    // The summary is exhaustive at this size, and sizes 1-2 are always
+    // retained by construction and pruning: the pattern does not occur.
     metrics.exhaustive_zeros->Increment();
-    value = 0.0;
-  } else if (size < 3) {
-    // Sizes 1-2 are always retained by construction and pruning; a miss
-    // means zero occurrences even in a pruned summary.
-    metrics.exhaustive_zeros->Increment();
-    value = 0.0;
+    if (record != nullptr) record->Add(subset, code, Source::kZero, value);
   } else {
     metrics.summary_misses->Increment();
     // Degree-1 nodes in the order the leaf pairs are taken: the query's
@@ -159,10 +180,7 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
     }
     const size_t removable = ws.removable.size();
     const size_t pairs = removable * (removable - 1) / 2;
-    if (pairs == 0) {
-      return Status::Internal("no valid leaf pair for twig of size " +
-                              std::to_string(size));
-    }
+    if (pairs == 0) return NoLeafPair(size);
     size_t limit = 1;
     if (options_.voting) {
       limit = pairs;
@@ -173,6 +191,10 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
     }
     metrics.decompositions->Increment();
     metrics.voting_fanout->Record(limit);
+    const uint32_t entry =
+        record == nullptr
+            ? 0
+            : record->Add(subset, code, Source::kDecomposition, 0.0);
     // Each vote's T1 = T \ v, T2 = T \ u and overlap T \ {u, v} are bit
     // clears of this subset into this depth's buffer; deeper levels use
     // workspaces > depth, never this one.
@@ -193,10 +215,16 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
         NodeSetRemove(t2, u);
         std::copy_n(t1, words, overlap);
         NodeSetRemove(overlap, u);
-        double e1 = 0.0, e2 = 0.0, eo = 0.0;
-        TL_ASSIGN_OR_RETURN(e1, Visit(r, t1, size - 1, depth + 1));
-        TL_ASSIGN_OR_RETURN(e2, Visit(r, t2, size - 1, depth + 1));
-        TL_ASSIGN_OR_RETURN(eo, Visit(r, overlap, size - 2, depth + 1));
+        // One Result for the three visits keeps the frame small.
+        Result<double> part = Visit(r, t1, size - 1, depth + 1);
+        if (!part.ok()) return part;
+        const double e1 = *part;
+        part = Visit(r, t2, size - 1, depth + 1);
+        if (!part.ok()) return part;
+        const double e2 = *part;
+        part = Visit(r, overlap, size - 2, depth + 1);
+        if (!part.ok()) return part;
+        const double eo = *part;
         double est = 0.0;
         if (e1 > 0.0 && e2 > 0.0 && eo > 0.0) {
           est = e1 * e2 / eo;
@@ -205,20 +233,16 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
         }
         // tl-analyze: allow(hot-alloc) -- amortized per-depth vote buffer
         ws.votes.push_back(est);
+        if (record != nullptr) {
+          record->AddVote(entry, {t1, words}, {t2, words}, {overlap, words},
+                          est);
+        }
       }
     }
-    if (options_.aggregation == VoteAggregation::kMedian &&
-        options_.voting) {
-      std::sort(ws.votes.begin(), ws.votes.end());
-      size_t mid = ws.votes.size() / 2;
-      value = (ws.votes.size() % 2 == 1)
-                  ? ws.votes[mid]
-                  : 0.5 * (ws.votes[mid - 1] + ws.votes[mid]);
-    } else {
-      double sum = 0.0;
-      for (double v : ws.votes) sum += v;
-      value = sum / static_cast<double>(ws.votes.size());
-    }
+    value = Aggregate(&ws.votes, options_.voting &&
+                                     options_.aggregation ==
+                                         VoteAggregation::kMedian);
+    if (record != nullptr) record->entries[entry].value = value;
   }
   scratch.memo().Insert(hash, code, value);
   scratch.subsets().Insert(key_hash, key, value);

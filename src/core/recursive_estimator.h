@@ -65,9 +65,11 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
   /// fixed-size estimator's recursive fallback so that one budget covers
   /// the whole query, not each fallback separately. `governor` may be
   /// nullptr for ungoverned estimation; `scratch` may be nullptr to use
-  /// the internal thread_local scratch.
+  /// the internal thread_local scratch. A non-null `record` is cleared and
+  /// then filled with this query's decomposition.
   Result<double> EstimateWithGovernor(const Twig& query, CostGovernor* governor,
-                                      EstimateScratch* scratch);
+                                      EstimateScratch* scratch,
+                                      DecompositionRecord* record = nullptr);
 
   std::string name() const override {
     if (!options_.voting) return "recursive";
@@ -77,11 +79,12 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
   }
 
  private:
-  /// One query's recursion: its twig, scratch and governor.
+  /// One query's recursion: its twig, scratch, governor and record.
   struct Recursion {
     const Twig& query;
     EstimateScratch* scratch;
-    CostGovernor* governor;  ///< nullptr when ungoverned
+    CostGovernor* governor;       ///< nullptr when ungoverned
+    DecompositionRecord* record;  ///< nullptr unless explaining
     int max_depth = 0;
   };
 

@@ -68,10 +68,6 @@ inline constexpr char kIoFilesOpened[] = "io.files_opened";
 inline constexpr char kIoFaultInjectedFailures[] =
     "io.fault.injected_failures";
 
-// -- match (match/brute_force.cc) -------------------------------------------
-inline constexpr char kMatchBruteForceNodesVisited[] =
-    "match.brute_force.nodes_visited";
-
 // -- serve (serve/server.cc, serve/snapshot.cc) -----------------------------
 inline constexpr char kServeRequests[] = "serve.requests";
 inline constexpr char kServeResponsesOk[] = "serve.responses_ok";

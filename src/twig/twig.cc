@@ -338,16 +338,6 @@ namespace {
 /// Shared recursive-descent parser over "label(child,child,...)" where a
 /// label is either an identifier (ParseText) or a decimal id (ParseCode).
 struct TwigTextParser {
-  /// Nesting bound. The parser itself is iterative, so this guards the
-  /// recursive consumers downstream (estimator decomposition) and plain
-  /// resource sanity, not the parse stack. Matches
-  /// LatticeSummary::kMaxLevelCap (a pattern's depth cannot exceed its
-  /// node count, which the summary caps at 4096), so no legitimate stored
-  /// pattern is rejected while adversarial inputs — e.g. a corrupt summary
-  /// section holding "0(0(0(..." a million parens deep — fail with a
-  /// diagnostic.
-  static constexpr int kMaxDepth = 4096;
-
   std::string_view text;
   size_t pos = 0;
   LabelDict* dict;  // null => labels are decimal ids
@@ -405,9 +395,12 @@ struct TwigTextParser {
       int node = twig.AddNode(label, parent);
       SkipSpace();
       if (!AtEnd() && Peek() == '(') {
-        if (static_cast<int>(open.size()) >= kMaxDepth) {
+        // Twig::kMaxDepth guards the recursive consumers downstream, not
+        // the parse stack: a corrupt summary section holding "0(0(0(..." a
+        // million parens deep fails here with a diagnostic.
+        if (static_cast<int>(open.size()) >= Twig::kMaxDepth) {
           return Status::ParseError("twig nesting deeper than " +
-                                    std::to_string(kMaxDepth) +
+                                    std::to_string(Twig::kMaxDepth) +
                                     " at offset " + std::to_string(pos));
         }
         ++pos;  // consume '('

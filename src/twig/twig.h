@@ -27,6 +27,11 @@ inline void NodeSetRemove(uint64_t* nodes, int node) {
   const size_t n = static_cast<size_t>(node);
   nodes[n / 64] &= ~(uint64_t{1} << (n % 64));
 }
+/// A node set's words as bytes: its memo key.
+inline std::string_view NodeSetBytes(std::span<const uint64_t> nodes) {
+  return std::string_view(reinterpret_cast<const char*>(nodes.data()),
+                          nodes.size_bytes());
+}
 
 /// Reusable buffers of the canonicalizer (Twig::SubsetCode), indexed by
 /// node. Keep one per thread and pass it to every call: a warm scratch
@@ -66,6 +71,11 @@ class Twig {
   Twig(Twig&& other) noexcept;
   Twig& operator=(Twig&& other) noexcept;
   ~Twig();
+
+  /// Deepest nesting, in edges from the root, that Parse and CompileXPath
+  /// accept, so the recursions downstream (estimator, matcher) never see
+  /// more. LatticeSummary::kMaxLevelCap caps a pattern's size at the same.
+  static constexpr int kMaxDepth = 4096;
 
   /// Adds a node labeled `label` under `parent` (-1 for the root, allowed
   /// only for the first node). Returns the new node index.

@@ -33,6 +33,17 @@ class XPathCompiler {
     if (twig.empty()) {
       return Status::InvalidArgument("empty XPath expression");
     }
+    // The depth Twig::Parse refuses, so both syntaxes accept the same
+    // twigs. A node's parent precedes it.
+    std::vector<int> depth(static_cast<size_t>(twig.size()), 0);
+    for (int i = 1; i < twig.size(); ++i) {
+      const int d = depth[static_cast<size_t>(twig.parent(i))] + 1;
+      if (d > Twig::kMaxDepth) {
+        return Status::InvalidArgument("twig nesting deeper than " +
+                                       std::to_string(Twig::kMaxDepth));
+      }
+      depth[static_cast<size_t>(i)] = d;
+    }
     return twig;
   }
 

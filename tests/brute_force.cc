@@ -1,9 +1,6 @@
-#include "match/brute_force.h"
+#include "brute_force.h"
 
 #include <vector>
-
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 
 namespace treelattice {
 
@@ -11,25 +8,23 @@ namespace {
 
 /// Extends a partial mapping by assigning query node `q` (whose parent is
 /// already mapped, or is the query root) and recursing over the preorder
-/// list. Returns the number of completions. `visited` accumulates candidate
-/// document nodes examined, flushed to the registry once per count.
+/// list. Returns the number of completions.
 uint64_t Extend(const Document& doc, const Twig& query,
                 const std::vector<int>& preorder, size_t pos,
-                std::vector<NodeId>& mapping, uint64_t& visited) {
+                std::vector<NodeId>& mapping) {
   if (pos == preorder.size()) return 1;
   int q = preorder[pos];
   int qp = query.parent(q);
 
   uint64_t total = 0;
   auto try_candidate = [&](NodeId v) {
-    ++visited;
     if (doc.Label(v) != query.label(q)) return;
     // Enforce injectivity.
     for (int other = 0; other < query.size(); ++other) {
       if (mapping[static_cast<size_t>(other)] == v) return;
     }
     mapping[static_cast<size_t>(q)] = v;
-    total += Extend(doc, query, preorder, pos + 1, mapping, visited);
+    total += Extend(doc, query, preorder, pos + 1, mapping);
     mapping[static_cast<size_t>(q)] = kInvalidNode;
   };
 
@@ -53,12 +48,7 @@ uint64_t BruteForceCount(const Document& doc, const Twig& query) {
   if (query.empty() || doc.empty()) return 0;
   std::vector<int> preorder = query.PreorderNodes();
   std::vector<NodeId> mapping(static_cast<size_t>(query.size()), kInvalidNode);
-  uint64_t visited = 0;
-  uint64_t total = Extend(doc, query, preorder, 0, mapping, visited);
-  static obs::Counter* nodes_visited = obs::MetricsRegistry::Default()->counter(
-      obs::metric_names::kMatchBruteForceNodesVisited);
-  nodes_visited->Increment(visited);
-  return total;
+  return Extend(doc, query, preorder, 0, mapping);
 }
 
 }  // namespace treelattice

@@ -75,6 +75,28 @@ grep -q '"batch_wall_micros":' "$WORKDIR/batch.json"
     "catalog(items(item(name)),vendors)" --batch --explain \
     > "$WORKDIR/batch_explain.out"
 test "$(grep -c '^[^ ].*\]$' "$WORKDIR/batch_explain.out")" -eq 2
+# --explain records the call that answers: for a query that decomposes,
+# the root line (its only unindented line ending in "]") carries the
+# --json estimate to all 17 digits under voting, and lists its votes
+q="catalog(items(item(name,price),item(name)),vendors)"
+"$CLI" estimate "$WORKDIR/doc.summary" "$q" --estimator=voting --json \
+    > "$WORKDIR/voting.json"
+"$CLI" estimate "$WORKDIR/doc.summary" "$q" --estimator=voting --explain \
+    > "$WORKDIR/voting_explain.out"
+want=$(sed 's/.*"estimate":\([^,}]*\).*/\1/' "$WORKDIR/voting.json")
+got=$(sed -n 's/^[^ ].* ~*= \([^ ]*\)   \[.*\]$/\1/p' \
+    "$WORKDIR/voting_explain.out")
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+  echo "explain root '$got' is not the voting estimate '$want'" >&2
+  exit 1
+fi
+grep -q "^  vote 2 = T1 \* T2 / overlap" "$WORKDIR/voting_explain.out"
+# --estimator=fixed has no decomposition to explain: exit 2 with a message
+rc=0
+"$CLI" estimate "$WORKDIR/doc.summary" "$q" --estimator=fixed --explain \
+    > "$WORKDIR/fixed_explain.out" 2> "$WORKDIR/fixed_explain.err" || rc=$?
+test "$rc" -eq 2
+grep -q "explain" "$WORKDIR/fixed_explain.err"
 # --estimator=fixed answers with and without --batch
 for mode in --json --batch; do
   "$CLI" estimate "$WORKDIR/doc.summary" "item(name,price)" \

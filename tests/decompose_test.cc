@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "leaf_pair_split.h"
 #include "twig/decompose.h"
 #include "util/rng.h"
 

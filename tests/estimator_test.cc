@@ -13,9 +13,9 @@
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
 #include "datagen/random_tree.h"
+#include "leaf_pair_split.h"
 #include "match/matcher.h"
 #include "mining/lattice_builder.h"
-#include "twig/decompose.h"
 #include "util/hash.h"
 #include "workload/workload.h"
 #include "xml/parser.h"

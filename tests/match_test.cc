@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "brute_force.h"
 #include "datagen/random_tree.h"
-#include "match/brute_force.h"
 #include "match/matcher.h"
 #include "util/rng.h"
 #include "xml/parser.h"

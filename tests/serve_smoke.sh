@@ -156,6 +156,32 @@ test "$SHED_RESPONSES" -eq 30
 grep -q '"code":"ResourceExhausted"' "$WORKDIR/shed.out"
 grep -q "serve: drained" "$WORKDIR/shed.err"
 
+# --- phase 2b: stdin is framed as a TCP connection is -------------------
+
+# A line longer than 64 KiB is one request with one response (a valid
+# query whose one label is 70,000 bytes; it estimates 0).
+LABEL=$(head -c 70000 /dev/zero | tr '\0' x)
+printf 'item(%s)\n' "$LABEL" \
+  | "$CLI" serve "$WORKDIR/doc.summary" --workers=1 \
+  > "$WORKDIR/long.out" 2> "$WORKDIR/long.err"
+assert_all_json "$WORKDIR/long.out"
+test "$(grep -c '^{"id":' "$WORKDIR/long.out")" -eq 1
+grep -q '"ok":true' "$WORKDIR/long.out"
+
+# --max-frame-bytes bounds a stdin line too: a 2,000-byte line under a
+# 1,000-byte limit gets the TCP path's error, and the next line, the last
+# one and without its newline, is still answered.
+LABEL=$(head -c 2000 /dev/zero | tr '\0' x)
+printf 'item(%s)\nitem(name,price)' "$LABEL" \
+  | "$CLI" serve "$WORKDIR/doc.summary" --workers=1 --max-frame-bytes=1000 \
+  > "$WORKDIR/frame.out" 2> "$WORKDIR/frame.err"
+assert_all_json "$WORKDIR/frame.out"
+test "$(grep -c '^{"id":' "$WORKDIR/frame.out")" -eq 2
+grep -q '"message":"request line exceeds max frame size of 1000 bytes"' \
+    "$WORKDIR/frame.out"
+test "$(grep -c '"query":"item(name,price)","ok":true' "$WORKDIR/frame.out")" \
+    -eq 1
+
 # --- phase 3: SIGTERM mid-stream drains instead of dropping --------------
 
 mkfifo "$WORKDIR/in2"

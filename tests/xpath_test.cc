@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/recursive_estimator.h"
 #include "match/matcher.h"
+#include "mining/lattice_builder.h"
 #include "xml/parser.h"
 #include "xpath/xpath.h"
 
@@ -178,17 +180,80 @@ TEST(XPathTest, PredicateDepthBoundary) {
   }
 }
 
-// A long path spine is not recursion in the compiler or the renderer;
-// both must handle thousands of steps (regression: RenderNode used to
-// recurse per step).
+// A long path spine is not recursion in the renderer: it renders 5,000
+// steps (regression: RenderNode used to recurse per step). Compiling
+// 5,000 steps is refused, since the spine is deeper than Twig::kMaxDepth.
 TEST(XPathTest, LongPathSpineCompilesAndRenders) {
+  LabelDict dict;
+  const LabelId a = dict.Intern("a");
+  Twig path;
+  path.AddNode(a, -1);
+  for (int i = 1; i < 5000; ++i) path.AddNode(a, i - 1);
   std::string q;
   for (int i = 0; i < 5000; ++i) q += "/a";
+  EXPECT_EQ(TwigToXPath(path, dict), q);
+  auto compiled = CompileXPath(q, &dict);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_NE(compiled.status().message().find("twig nesting deeper than 4096"),
+            std::string::npos)
+      << compiled.status().ToString();
+}
+
+/// An `nodes`-node path of label `a` in twig syntax, and in XPath.
+std::string TwigPath(int nodes) {
+  std::string q;
+  for (int i = 1; i < nodes; ++i) q += "a(";
+  q += "a";
+  q.append(static_cast<size_t>(nodes - 1), ')');
+  return q;
+}
+std::string XPathPath(int nodes) {
+  std::string q;
+  for (int i = 0; i < nodes; ++i) q += "/a";
+  return q;
+}
+
+// Both syntaxes accept a twig Twig::kMaxDepth edges deep and refuse one
+// edge more, with the same words; predicates and value tests count too.
+TEST(XPathTest, DepthCapMatchesTheTwigParser) {
+  const int deepest = Twig::kMaxDepth + 1;  // nodes on the deepest path
   LabelDict dict;
-  auto twig = CompileXPath(q, &dict);
+  auto twig = Twig::Parse(TwigPath(deepest), &dict);
+  auto xpath = CompileXPath(XPathPath(deepest), &dict);
   ASSERT_TRUE(twig.ok()) << twig.status().ToString();
-  EXPECT_EQ(twig->size(), 5000);
-  EXPECT_EQ(TwigToXPath(*twig, dict), q);
+  ASSERT_TRUE(xpath.ok()) << xpath.status().ToString();
+  EXPECT_TRUE(*twig == *xpath);
+  EXPECT_TRUE(CompileXPath(XPathPath(deepest - 1) + "[a]", &dict).ok());
+  for (const Result<Twig>& deeper :
+       {Twig::Parse(TwigPath(deepest + 1), &dict),
+        CompileXPath(XPathPath(deepest + 1), &dict),
+        CompileQuery(XPathPath(deepest + 1), &dict),
+        CompileXPath(XPathPath(deepest) + "[a]", &dict),
+        CompileXPath(XPathPath(deepest) + "=\"x\"", &dict)}) {
+    ASSERT_FALSE(deeper.ok());
+    EXPECT_NE(deeper.status().message().find("twig nesting deeper than 4096"),
+              std::string::npos)
+        << deeper.status().ToString();
+  }
+}
+
+// The deepest accepted XPath query also estimates: the recursion takes
+// one frame per level and stays within the stack (a 40,000-step path used
+// to overflow it).
+TEST(XPathTest, DeepestAcceptedPathEstimates) {
+  auto doc = ParseXmlString("<r><a><a><a><a/></a></a></a><a/></r>");
+  ASSERT_TRUE(doc.ok());
+  LatticeBuildOptions options;
+  options.max_level = 3;
+  auto summary = BuildLattice(*doc, options);
+  ASSERT_TRUE(summary.ok());
+  auto query =
+      CompileXPath(XPathPath(Twig::kMaxDepth + 1), &doc->mutable_dict());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  RecursiveDecompositionEstimator estimator(&*summary);
+  auto estimate = estimator.Estimate(*query);
+  ASSERT_TRUE(estimate.ok()) << estimate.status().ToString();
+  EXPECT_GE(*estimate, 0.0);
 }
 
 }  // namespace

@@ -29,6 +29,9 @@
 // and `estimate --json` prints one JSON record per query instead of the
 // human table.
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdint>
@@ -42,8 +45,8 @@
 #include <vector>
 
 #include "core/batch_estimator.h"
+#include "core/decomposition_record.h"
 #include "core/estimator_metrics.h"
-#include "core/explain.h"
 #include "core/fixed_size_estimator.h"
 #include "core/pruning.h"
 #include "core/recursive_estimator.h"
@@ -135,15 +138,15 @@ int Usage() {
                "\n"
                "estimate --json prints one JSON record per query (estimate, "
                "wall micros,\nsummary lookup and decomposition counters). "
-               "--explain traces the non-voting\ndecomposition path: with a "
-               "voting estimator the trace shows one\nrepresentative path "
-               "and its root may differ from the voted estimate.\n"
+               "--explain prints under\neach estimate the decomposition "
+               "recorded by the call that answered it; its root\nline is the "
+               "estimate at 17 digits (not with --estimator=fixed).\n"
                "\n"
                "estimate answers each query as a batch of one (DESIGN.md "
                "§14); --batch makes\nall of them one batch: whole-query "
-               "dedup and a shared sub-twig memo — same\nestimates, less "
-               "work. --estimator=fixed answers with the fixed-size\n"
-               "estimator in either form. serve accepts the batch form too: "
+               "dedup and a shared sub-twig memo — less\nwork, and the same "
+               "estimates for canonically spelled queries. --estimator=fixed\n"
+               "answers in either form. serve accepts the batch form too: "
                "a JSON array\nrequest line (of query strings or request "
                "envelopes) gets one JSON array\nresponse line, in order, "
                "both on stdin and over --listen.\n"
@@ -152,7 +155,9 @@ int Usage() {
                "--cache-capacity,\n--max-conns, --max-frame-bytes, "
                "--write-high-water, --slow-log-size) must\nbe non-negative, "
                "and --slow-log-size at most 65536; --cache=0 or\n"
-               "--cache-capacity=0 turns the estimate cache off.\n");
+               "--cache-capacity=0 turns the estimate cache off. "
+               "--max-frame-bytes bounds a\nrequest line on stdin and over "
+               "--listen alike.\n");
   return 2;
 }
 
@@ -355,6 +360,11 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
     std::fprintf(stderr, "unknown estimator '%s'\n", kind.c_str());
     return 2;
   }
+  const bool explain = flags.GetBool("explain", false);
+  if (explain && !recursive) {
+    std::fprintf(stderr, "--explain needs a recursive estimator, not fixed\n");
+    return 2;
+  }
   FixedSizeDecompositionEstimator fixed(&summary);
   BatchEstimator batch(&summary, recursive.value_or(
       RecursiveDecompositionEstimator::Options{}));
@@ -364,7 +374,6 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
                 : fixed.name();
   if (batched) name = "batch+" + name;
 
-  const bool explain = flags.GetBool("explain", false);
   const bool json = flags.GetBool("json", false);
   // Per-call counter deltas for --json. Every estimator shares the
   // estimator.* names, so one set of before/after reads works for all.
@@ -404,13 +413,18 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
     if (twigs.empty()) continue;
 
     std::vector<EstimateResult> results(twigs.size());
+    // Under --explain each query gets a record, written by the call whose
+    // answers are printed.
+    std::vector<DecompositionRecord> records(explain ? twigs.size() : 0);
+    std::vector<EstimateOptions> options(explain ? twigs.size() : 1);
+    for (size_t k = 0; k < records.size(); ++k) options[k].record = &records[k];
     uint64_t before[std::size(delta_counters)];
     for (size_t c = 0; c < std::size(delta_counters); ++c) {
       before[c] = delta_counters[c].counter->value();
     }
     WallTimer timer;
     if (recursive) {
-      IgnoreStatus(batch.EstimateBatch(twigs, EstimateOptions(), results),
+      IgnoreStatus(batch.EstimateBatch(twigs, options, results),
                    "one result per twig");
     } else {
       for (size_t k = 0; k < twigs.size(); ++k) {
@@ -458,11 +472,10 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
                     results[k].estimate, wall_micros, name.c_str());
       }
       if (explain) {
-        Result<std::unique_ptr<ExplainNode>> trace =
-            ExplainEstimate(summary, twigs[k], *dict);
-        if (trace.ok()) {
-          std::printf("%s", RenderExplain(**trace).c_str());
-        }
+        // A duplicate ran as its first occurrence, whose record holds it.
+        size_t first = 0;
+        while (!(twigs[first] == twigs[k])) ++first;
+        std::printf("%s", records[first].Render(twigs[first], *dict).c_str());
       }
     }
   }
@@ -722,15 +735,30 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   std::fprintf(stderr, "serve: ready (%d workers, queue %zu)\n",
                options.workers, options.queue_capacity);
 
+  // stdin is framed as a TCP connection is (serve/conn.h): a line longer
+  // than --max-frame-bytes gets one error response, the next line is read
+  // normally, and a last line without its newline is still answered.
+  serve::NdjsonFramer framer(net.max_frame_bytes);
+  std::vector<serve::NdjsonFramer::Event> lines;
+  size_t next_line = 0;
+  bool eof = false;
   uint64_t next_id = 0;
-  char line[65536];
   while (g_serve_shutdown == 0) {
-    if (std::fgets(line, sizeof(line), stdin) == nullptr) break;
-    std::string_view text = line;
-    while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
-      text.remove_suffix(1);
+    if (next_line == lines.size()) {
+      if (eof) break;
+      char chunk[65536];
+      const ssize_t got = read(STDIN_FILENO, chunk, sizeof(chunk));
+      if (got < 0 && errno == EINTR) continue;  // re-checks the signal flag
+      eof = got <= 0;  // EOF or a read error: drain
+      lines.clear();
+      next_line = 0;
+      framer.Feed(eof ? std::string_view("\n")
+                      : std::string_view(chunk, static_cast<size_t>(got)),
+                  &lines);
+      continue;
     }
-    if (text.empty()) continue;
+    const serve::NdjsonFramer::Event& line = lines[next_line++];
+    const std::string_view text = line.line;
     if (text == "#reload") {
       Status s =
           serve::ReloadSummary(Env::Default(), summary_path, reload,
@@ -769,7 +797,12 @@ int RunServe(int argc, char** argv, const Flags& flags) {
     serve::RequestTrace trace = serve::RequestTrace::Begin(next_id);
     serve::ServeBatch batch;
     if (Status parsed =
-            serve::ParseRequestLine(text, options.queue_capacity, &batch);
+            line.kind == serve::NdjsonFramer::EventKind::kOversized
+                ? Status::InvalidArgument(
+                      "request line exceeds max frame size of " +
+                      std::to_string(net.max_frame_bytes) + " bytes")
+                : serve::ParseRequestLine(text, options.queue_capacity,
+                                          &batch);
         !parsed.ok()) {
       serve::ServeResponse response;
       response.id = next_id;
