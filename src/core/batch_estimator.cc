@@ -128,9 +128,6 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
       EstimateResult& result = results[first];
       if (result.cached) continue;
       EstimateOptions item = options[options.size() == 1 ? 0 : first];
-      if (item.deadline_millis > 0.0) {
-        item.deadline = Deadline::After(item.deadline_millis);
-      }
       item.scratch = &scratch_;
       Result<DegradingEstimator::DegradedEstimate> estimate =
           ladder_.EstimateDegraded(query, item);
@@ -143,7 +140,7 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
         // Stage 4: insert only exact answers. A deadline or step cap may
         // truncate work, so even a primary answer under one is left out; a
         // cancel token alone does not change a completed answer.
-        if (cache_ != nullptr && item.deadline.is_infinite() &&
+        if (cache_ != nullptr && item.deadline_millis <= 0.0 &&
             item.max_work_steps == 0 &&
             estimate->rung == DegradingEstimator::Rung::kPrimary) {
           cache_->Put(cache_version_,

@@ -75,8 +75,7 @@ class BatchEstimator {
   /// length. `options` holds one budget per query, or a single one that
   /// applies to every query; a duplicate runs under its first occurrence's
   /// budget. A positive `deadline_millis` starts that query's deadline
-  /// when its own estimation starts (it replaces `deadline`); otherwise
-  /// `deadline` is an absolute instant. `scratch` is ignored: the batch
+  /// when its own estimation starts. `scratch` is ignored: the batch
   /// keeps its own. Per-query failures land in results[i].status; an empty
   /// query fails with kInvalidArgument.
   TL_HOT Status EstimateBatch(std::span<const Twig> queries,

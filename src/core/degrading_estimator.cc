@@ -48,18 +48,8 @@ EstimateOptions DegradingEstimator::FallbackBudget(
   fallback.max_work_steps = original.max_work_steps;
   fallback.scratch = original.scratch;
   fallback.work_steps = original.work_steps;  // rungs accumulate into one tally
-  if (original.deadline_millis > 0.0) {
-    double grace = original.deadline_millis * kFallbackDeadlineFraction;
-    fallback.deadline = Deadline::After(grace);
-    fallback.deadline_millis = grace;
-  } else if (!original.deadline.is_infinite()) {
-    // Deadline of unknown duration: grant whatever remains of it, or half
-    // a millisecond of grace when already past due.
-    double remaining = original.deadline.remaining_millis();
-    double grace = remaining > 0.5 ? remaining : 0.5;
-    fallback.deadline = Deadline::After(grace);
-    fallback.deadline_millis = grace;
-  }
+  fallback.deadline_millis =
+      original.deadline_millis * kFallbackDeadlineFraction;
   return fallback;
 }
 

@@ -70,7 +70,7 @@ class DegradingEstimator {
 
  private:
   /// Budget for a fallback rung: a fresh deadline of half the original
-  /// duration (when known) and a fresh step budget; the cancel token is
+  /// one (when there is one) and a fresh step budget; the cancel token is
   /// carried through unchanged. The record is not: it explains the
   /// primary rung's recursion only.
   EstimateOptions FallbackBudget(const EstimateOptions& original) const;

@@ -15,11 +15,12 @@ class EstimateScratch;
 
 /// Per-request resource limits for an estimation, threaded through the
 /// estimator call chain (recursion, voting, fixed-size fallbacks). All
-/// limits are optional; the default is ungoverned. The deadline is
-/// absolute, so nested estimators charge against the caller's budget
-/// rather than restarting it.
+/// limits are optional; the default is ungoverned.
 struct EstimateOptions {
-  Deadline deadline;
+  /// Deadline in milliseconds, started by MakeGovernor when an estimator
+  /// (one rung of the ladder) starts; 0 or less means none. The ladder
+  /// grants each fallback rung a fresh share of it.
+  double deadline_millis = 0.0;
   /// Cooperative cancellation; may be flipped from another thread. Not
   /// owned — must outlive the Estimate call.
   const CancelToken* cancel = nullptr;
@@ -31,10 +32,6 @@ struct EstimateOptions {
   /// and be used by one thread at a time. nullptr makes estimators fall
   /// back to an internal thread_local scratch.
   EstimateScratch* scratch = nullptr;
-  /// The deadline's original duration in milliseconds when it was built
-  /// with WithDeadlineMillis; 0 when unknown. The degradation ladder uses
-  /// it to size the grace budget of fallback rungs.
-  double deadline_millis = 0.0;
   /// When non-null, governed runs add their governor's charged step count
   /// here on return (success or budget trip) — the per-request work-steps
   /// tally surfaced by request tracing. Accumulative across ladder rungs;
@@ -47,20 +44,15 @@ struct EstimateOptions {
   /// it to its primary rung only. Null on every serve and benchmark path.
   DecompositionRecord* record = nullptr;
 
-  /// An options object whose deadline is `millis` from now.
-  static EstimateOptions WithDeadlineMillis(double millis) {
-    EstimateOptions options;
-    options.deadline = Deadline::After(millis);
-    options.deadline_millis = millis;
-    return options;
-  }
-
   bool governed() const {
-    return !deadline.is_infinite() || cancel != nullptr || max_work_steps > 0;
+    return deadline_millis > 0.0 || cancel != nullptr || max_work_steps > 0;
   }
 
+  /// A governor for one estimator run; its deadline starts now.
   CostGovernor MakeGovernor() const {
-    return CostGovernor(deadline, cancel, max_work_steps);
+    return CostGovernor(deadline_millis > 0.0 ? Deadline::After(deadline_millis)
+                                              : Deadline::Infinite(),
+                        cancel, max_work_steps);
   }
 };
 

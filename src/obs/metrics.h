@@ -17,9 +17,9 @@ namespace obs {
 /// Global observability switch. Reads the TREELATTICE_OBS environment
 /// variable once on first use: "off", "0", or "false" disable all metric
 /// collection (every Increment/Set/Record becomes a cheap early-out branch
-/// so instrumented builds can be A/B-measured; see
-/// tools/check_metrics_overhead.sh). Anything else — including unset —
-/// leaves collection on.
+/// so one build can be measured with and without telemetry:
+/// tools/check_metrics_overhead.py runs perfbench's workloads in off/on
+/// pairs). Anything else — including unset — leaves collection on.
 bool Enabled();
 
 /// Test hook: overrides the environment-derived switch for this process.

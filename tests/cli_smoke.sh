@@ -203,11 +203,14 @@ grep -q '"rung":"primary"' "$WORKDIR/serve.out"
 grep -q '^{"stats":' "$WORKDIR/serve.out"
 grep -q "serve: drained" "$WORKDIR/serve.err"
 
-# serve: a negative size flag, or a slow-log ring too large to reserve, is
-# refused with exit 2 and a message naming the flag, before anything runs
+# serve: a numeric flag that does not parse completely or lies outside its
+# range (a negative size, a slow-log ring too large to reserve, a worker
+# count past int) is refused with exit 2 and a message naming the flag,
+# before anything runs
 for flag in --queue=-1 --cache-capacity=-1 --max-steps=-1 \
     --slow-log-size=-1 --slow-log-size=1000000000000 --max-frame-bytes=-1 \
-    --write-high-water=-1 --max-conns=-1; do
+    --write-high-water=-1 --max-conns=-1 --workers=4294967297 \
+    --workers=abc --queue=12x --max-frame-bytes=1MB --deadline-ms=5ms; do
   rc=0
   "$CLI" serve "$WORKDIR/doc.summary" "$flag" < /dev/null \
       > "$WORKDIR/flag.out" 2> "$WORKDIR/flag.err" || rc=$?
@@ -217,6 +220,17 @@ for flag in --queue=-1 --cache-capacity=-1 --max-steps=-1 \
   fi
   grep -q -- "${flag%%=*} must be" "$WORKDIR/flag.err"
 done
+
+# build: a --level past the summary's level cap is refused the same way,
+# before any mining
+rc=0
+"$CLI" build "$WORKDIR/doc.xml" --out="$WORKDIR/level.summary" \
+    --level=4294967298 > "$WORKDIR/flag.out" 2> "$WORKDIR/flag.err" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "expected exit 2 for build --level=4294967298, got $rc" >&2
+  exit 1
+fi
+grep -q -- "--level must be" "$WORKDIR/flag.err"
 
 # error handling: bad inputs exit non-zero
 if "$CLI" estimate "$WORKDIR/doc.summary" "a//b" 2>/dev/null; then

@@ -184,10 +184,37 @@ TEST_F(GovernedEstimationTest, DeadlineTripsRecursiveEstimator) {
       summary_.get(),
       RecursiveDecompositionEstimator::Options{
           true, 0, RecursiveDecompositionEstimator::VoteAggregation::kMean});
-  Result<double> estimate =
-      voting.Estimate(*star_query_, EstimateOptions::WithDeadlineMillis(20.0));
+  EstimateOptions options;
+  options.deadline_millis = 20.0;
+  Result<double> estimate = voting.Estimate(*star_query_, options);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(GovernedEstimationTest, DeadlineMillisAloneGovernsEveryEstimator) {
+  // deadline_millis is the whole deadline: a direct caller that sets only
+  // it is governed. The deadline trips first, since a million steps of
+  // this star take about 100 ms on a 4-vCPU host, far past 5 ms.
+  EstimateOptions options;
+  options.deadline_millis = 5.0;
+  options.max_work_steps = 1'000'000;
+  RecursiveDecompositionEstimator voting(
+      summary_.get(),
+      RecursiveDecompositionEstimator::Options{
+          true, 0, RecursiveDecompositionEstimator::VoteAggregation::kMean});
+  Result<double> estimate = voting.Estimate(*star_query_, options);
+  ASSERT_FALSE(estimate.ok());
+  EXPECT_EQ(estimate.status().code(), StatusCode::kDeadlineExceeded);
+
+  // The ladder's primary rung trips the same way. Whether the fixed-size
+  // rung then answers within its 2.5 ms grace depends on the host; either
+  // way the primary's failure is the one reported.
+  DegradingEstimator ladder(summary_.get());
+  Result<DegradingEstimator::DegradedEstimate> degraded =
+      ladder.EstimateDegraded(*star_query_, options);
+  const Status primary =
+      degraded.ok() ? degraded->primary_status : degraded.status();
+  EXPECT_EQ(primary.code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(GovernedEstimationTest, UngovernedOptionsChangeNothing) {
@@ -230,9 +257,11 @@ TEST_F(GovernedEstimationTest, DeadlineAnswersDegradedWithinTwiceDeadline) {
   // governor's 64-step clock interval.
   constexpr double kDeadlineMillis = 100.0;
   DegradingEstimator ladder(summary_.get());
+  EstimateOptions options;
+  options.deadline_millis = kDeadlineMillis;
   const auto start = std::chrono::steady_clock::now();
-  Result<DegradingEstimator::DegradedEstimate> result = ladder.EstimateDegraded(
-      *star_query_, EstimateOptions::WithDeadlineMillis(kDeadlineMillis));
+  Result<DegradingEstimator::DegradedEstimate> result =
+      ladder.EstimateDegraded(*star_query_, options);
   const double elapsed_millis =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)

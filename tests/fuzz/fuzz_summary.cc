@@ -5,6 +5,7 @@
 // a file Verify reports intact must Load without salvage.
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -17,11 +18,16 @@
 
 namespace {
 
-// One scratch file per process; iterations overwrite it in place.
+// One scratch file per process; iterations overwrite it in place, and it
+// is removed, with the .tmp sibling a failed save can leave, at exit.
 const std::string& ScratchPath() {
   static const std::string* path = [] {
     const char* tmp = ::getenv("TMPDIR");
     std::string base = (tmp != nullptr && tmp[0] != '\0') ? tmp : "/tmp";
+    std::atexit([] {
+      std::remove(ScratchPath().c_str());
+      std::remove((ScratchPath() + ".tmp").c_str());
+    });
     return new std::string(base + "/tl_fuzz_summary." +
                            std::to_string(::getpid()) + ".bin");
   }();

@@ -56,7 +56,8 @@ TEST(CodingTest, FixedWidthRoundTrip) {
 
 TEST(PosixEnvTest, WriteReadRoundTrip) {
   Env* env = Env::Default();
-  std::string path = UniqueTempPath("io_roundtrip.bin");
+  const ScopedTempPath path_file("io_roundtrip.bin");
+  const std::string& path = path_file.path();
   std::string payload("binary\0payload", 14);
   std::string contents;
   ASSERT_TRUE(WriteFileAtomic(env, path, payload).ok());
@@ -73,7 +74,8 @@ TEST(PosixEnvTest, WriteReadRoundTrip) {
 
 TEST(PosixEnvTest, RandomAccessReadsAtOffsets) {
   Env* env = Env::Default();
-  std::string path = UniqueTempPath("io_offsets.bin");
+  const ScopedTempPath path_file("io_offsets.bin");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(WriteFileAtomic(env, path, "0123456789").ok());
   Result<std::unique_ptr<RandomAccessFile>> file =
       env->NewRandomAccessFile(path);
@@ -88,7 +90,8 @@ TEST(PosixEnvTest, RandomAccessReadsAtOffsets) {
 
 TEST(PosixEnvTest, MissingFileErrors) {
   Env* env = Env::Default();
-  std::string path = UniqueTempPath("io_never_written.bin");
+  const ScopedTempPath path_file("io_never_written.bin");
+  const std::string& path = path_file.path();
   EXPECT_FALSE(env->FileExists(path));
   EXPECT_FALSE(env->NewRandomAccessFile(path).ok());
   EXPECT_FALSE(env->GetFileSize(path).ok());
@@ -99,8 +102,10 @@ TEST(PosixEnvTest, MissingFileErrors) {
 
 TEST(PosixEnvTest, RenameReplacesAtomically) {
   Env* env = Env::Default();
-  std::string from = UniqueTempPath("io_rename_from.bin");
-  std::string to = UniqueTempPath("io_rename_to.bin");
+  const ScopedTempPath from_file("io_rename_from.bin");
+  const std::string& from = from_file.path();
+  const ScopedTempPath to_file("io_rename_to.bin");
+  const std::string& to = to_file.path();
   ASSERT_TRUE(WriteFileAtomic(env, from, "new").ok());
   ASSERT_TRUE(WriteFileAtomic(env, to, "old").ok());
   ASSERT_TRUE(env->RenameFile(from, to).ok());
@@ -112,7 +117,8 @@ TEST(PosixEnvTest, RenameReplacesAtomically) {
 
 TEST(FaultEnvTest, WriteFailureLeavesNoDestination) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_write.bin");
+  const ScopedTempPath path_file("io_fault_write.bin");
+  const std::string& path = path_file.path();
   env.config().fail_write_after_bytes = 10;
   Status status = WriteFileAtomic(&env, path, std::string(100, 'x'));
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -122,7 +128,8 @@ TEST(FaultEnvTest, WriteFailureLeavesNoDestination) {
 
 TEST(FaultEnvTest, TornWriteLeavesNoDestination) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_torn.bin");
+  const ScopedTempPath path_file("io_fault_torn.bin");
+  const std::string& path = path_file.path();
   env.config().fail_write_after_bytes = 10;
   env.config().torn_writes = true;
   Status status = WriteFileAtomic(&env, path, std::string(100, 'x'));
@@ -135,7 +142,8 @@ TEST(FaultEnvTest, TornWriteLeavesNoDestination) {
 
 TEST(FaultEnvTest, SyncFailurePropagates) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_sync.bin");
+  const ScopedTempPath path_file("io_fault_sync.bin");
+  const std::string& path = path_file.path();
   env.config().fail_sync = true;
   Status status = WriteFileAtomic(&env, path, "data");
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -145,7 +153,8 @@ TEST(FaultEnvTest, SyncFailurePropagates) {
 
 TEST(FaultEnvTest, RenameFailurePreservesOldDestination) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_rename.bin");
+  const ScopedTempPath path_file("io_fault_rename.bin");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(WriteFileAtomic(&env, path, "old contents").ok());
   env.config().fail_rename = true;
   Status status = WriteFileAtomic(&env, path, "new contents");
@@ -159,7 +168,8 @@ TEST(FaultEnvTest, RenameFailurePreservesOldDestination) {
 
 TEST(FaultEnvTest, CleanupNeverMasksTheOriginalError) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_mask.bin");
+  const ScopedTempPath path_file("io_fault_mask.bin");
+  const std::string& path = path_file.path();
   env.config().fail_rename = true;
   Status status = WriteFileAtomic(&env, path, "payload");
   EXPECT_EQ(status.code(), StatusCode::kIOError);
@@ -175,7 +185,8 @@ TEST(FaultEnvTest, CleanupNeverMasksTheOriginalError) {
 
 TEST(FaultEnvTest, ShortReadsAreLoopedOver) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_short.bin");
+  const ScopedTempPath path_file("io_fault_short.bin");
+  const std::string& path = path_file.path();
   std::string payload(1000, 'y');
   ASSERT_TRUE(WriteFileAtomic(&env, path, payload).ok());
   env.config().short_read_cap = 7;
@@ -187,7 +198,8 @@ TEST(FaultEnvTest, ShortReadsAreLoopedOver) {
 
 TEST(FaultEnvTest, ReadErrorPropagates) {
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("io_fault_eio.bin");
+  const ScopedTempPath path_file("io_fault_eio.bin");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(WriteFileAtomic(&env, path, "data").ok());
   env.config().fail_read = true;
   std::string contents;

@@ -2,8 +2,6 @@
 // adversarial structures must produce clean Status errors, never crashes
 // or hangs.
 
-#include <unistd.h>
-
 #include <fstream>
 #include <string>
 
@@ -125,7 +123,8 @@ TEST(DeepNestingTest, SummaryHandlesPathPatternsOfMaxLevel) {
 }
 
 TEST(MalformedSummaryTest, TruncatedFileRejected) {
-  std::string path = UniqueTempPath("tl_truncated_summary.txt");
+  const ScopedTempPath path_file("tl_truncated_summary.txt");
+  const std::string& path = path_file.path();
   {
     std::ofstream out(path);
     out << "TLSUMMARY v1\n4 4\n5\n10 0\n";  // claims 5 entries, has 1
@@ -136,7 +135,8 @@ TEST(MalformedSummaryTest, TruncatedFileRejected) {
 }
 
 TEST(MalformedSummaryTest, GarbageCodeRejected) {
-  std::string path = UniqueTempPath("tl_garbage_summary.txt");
+  const ScopedTempPath path_file("tl_garbage_summary.txt");
+  const std::string& path = path_file.path();
   {
     std::ofstream out(path);
     out << "TLSUMMARY v1\n4 4\n1\n10 not-a-code\n";
@@ -157,14 +157,12 @@ struct SummaryFuzzFixture {
   LabelDict dict;
   LatticeSummary summary{3};
   std::string bytes;
-  const std::string reference_path = UniqueTempPath("tl_fuzz_reference");
-  const std::string case_path = UniqueTempPath("tl_fuzz_case");
+  const ScopedTempPath reference_file{"tl_fuzz_reference"};
+  const ScopedTempPath case_file{"tl_fuzz_case"};
+  const std::string& reference_path = reference_file.path();
+  const std::string& case_path = case_file.path();
 
   SummaryFuzzFixture() { Init(); }
-  ~SummaryFuzzFixture() {
-    unlink(reference_path.c_str());
-    unlink(case_path.c_str());
-  }
 
   // gtest fatal assertions are only usable in void functions, so the
   // constructor delegates.
@@ -267,12 +265,14 @@ TEST(SummaryFileFuzz, RandomMultiByteCorruptionLoadsCleanly) {
 
 TEST(SummaryFileFuzz, V1RandomTruncationNeverCrashes) {
   SummaryFuzzFixture fx;
-  std::string path = UniqueTempPath("tl_fuzz_v1.txt");
+  const ScopedTempPath path_file("tl_fuzz_v1.txt");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFileV1(path).ok());
   std::string v1_bytes;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &v1_bytes).ok());
   for (size_t cut = 0; cut < v1_bytes.size(); ++cut) {
-    std::string cut_path = UniqueTempPath("tl_fuzz_v1_cut.txt");
+    const ScopedTempPath cut_path_file("tl_fuzz_v1_cut.txt");
+    const std::string& cut_path = cut_path_file.path();
     ASSERT_TRUE(WriteFileAtomic(Env::Default(), cut_path,
                                 v1_bytes.substr(0, cut))
                     .ok());
@@ -288,8 +288,10 @@ TEST(SummaryFileFuzz, V1RandomTruncationNeverCrashes) {
 
 TEST(SummaryFileFuzz, CrossVersionLoadsReportTheirFormat) {
   SummaryFuzzFixture fx;
-  std::string v1_path = UniqueTempPath("tl_cross_v1.txt");
-  std::string v2_path = UniqueTempPath("tl_cross_v2.tls");
+  const ScopedTempPath v1_path_file("tl_cross_v1.txt");
+  const std::string& v1_path = v1_path_file.path();
+  const ScopedTempPath v2_path_file("tl_cross_v2.tls");
+  const std::string& v2_path = v2_path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFileV1(v1_path).ok());
   ASSERT_TRUE(fx.summary.SaveToFile(v2_path).ok());
 

@@ -42,7 +42,8 @@ struct Fixture {
 
 TEST(SummaryV2Test, RoundTripWithDict) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_roundtrip.tls");
+  const ScopedTempPath path_file("fmt_roundtrip.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(
       SaveSummaryV2(fx.summary, &fx.dict, Env::Default(), path).ok());
 
@@ -65,7 +66,8 @@ TEST(SummaryV2Test, RoundTripWithDict) {
 
 TEST(SummaryV2Test, RoundTripWithoutDict) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_nodict.tls");
+  const ScopedTempPath path_file("fmt_nodict.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   Result<LoadedSummary> loaded = LoadSummary(Env::Default(), path);
   ASSERT_TRUE(loaded.ok());
@@ -76,7 +78,8 @@ TEST(SummaryV2Test, RoundTripWithoutDict) {
 
 TEST(SummaryV2Test, EmptySummaryRoundTrips) {
   LatticeSummary empty(2);
-  std::string path = UniqueTempPath("fmt_empty.tls");
+  const ScopedTempPath path_file("fmt_empty.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(empty.SaveToFile(path).ok());
   Result<LatticeSummary> loaded = LatticeSummary::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -86,7 +89,8 @@ TEST(SummaryV2Test, EmptySummaryRoundTrips) {
 
 TEST(SummaryV2Test, VerifyReportsIntactFile) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_verify_ok.tls");
+  const ScopedTempPath path_file("fmt_verify_ok.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(
       SaveSummaryV2(fx.summary, &fx.dict, Env::Default(), path).ok());
   Result<VerifyReport> report = VerifySummaryFile(Env::Default(), path);
@@ -107,7 +111,8 @@ TEST(SummaryV2Test, VerifyReportsIntactFile) {
 
 TEST(SummaryV2Test, TruncationSalvagesIntactPrefix) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_truncated.tls");
+  const ScopedTempPath path_file("fmt_truncated.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(
       SaveSummaryV2(fx.summary, &fx.dict, Env::Default(), path).ok());
   std::string contents;
@@ -115,7 +120,8 @@ TEST(SummaryV2Test, TruncationSalvagesIntactPrefix) {
 
   // Chop the file so level 3 (and the end marker) are gone but levels 1-2
   // survive: cut 40 bytes, well inside the level-3 section.
-  std::string truncated_path = UniqueTempPath("fmt_truncated_cut.tls");
+  const ScopedTempPath truncated_path_file("fmt_truncated_cut.tls");
+  const std::string& truncated_path = truncated_path_file.path();
   ASSERT_TRUE(WriteFileAtomic(Env::Default(), truncated_path,
                               contents.substr(0, contents.size() - 40))
                   .ok());
@@ -141,7 +147,8 @@ TEST(SummaryV2Test, TruncationSalvagesIntactPrefix) {
 
 TEST(SummaryV2Test, CorruptMiddleLevelKeepsLaterLookups) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_midflip.tls");
+  const ScopedTempPath path_file("fmt_midflip.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &contents).ok());
@@ -159,7 +166,8 @@ TEST(SummaryV2Test, CorruptMiddleLevelKeepsLaterLookups) {
   }
   ASSERT_NE(pos, std::string::npos);
   contents[pos + 15] = static_cast<char>(contents[pos + 15] ^ 0x40);
-  std::string flipped = UniqueTempPath("fmt_midflip_bad.tls");
+  const ScopedTempPath flipped_file("fmt_midflip_bad.tls");
+  const std::string& flipped = flipped_file.path();
   ASSERT_TRUE(WriteFileAtomic(Env::Default(), flipped, contents).ok());
 
   Result<LoadedSummary> loaded = LoadSummary(Env::Default(), flipped);
@@ -174,7 +182,8 @@ TEST(SummaryV2Test, CorruptMiddleLevelKeepsLaterLookups) {
 
 TEST(SummaryV2Test, HeaderCorruptionIsFatal) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_badheader.tls");
+  const ScopedTempPath path_file("fmt_badheader.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &contents).ok());
@@ -187,7 +196,8 @@ TEST(SummaryV2Test, HeaderCorruptionIsFatal) {
 
 TEST(SummaryV2Test, TrailingGarbageFlagged) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_trailing.tls");
+  const ScopedTempPath path_file("fmt_trailing.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFile(path).ok());
   std::string contents;
   ASSERT_TRUE(ReadFileToString(Env::Default(), path, &contents).ok());
@@ -203,7 +213,8 @@ TEST(SummaryV2Test, TrailingGarbageFlagged) {
 TEST(SummaryV2Test, FaultInjectedSaveNeverLeavesTornFile) {
   Fixture fx;
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("fmt_fault_save.tls");
+  const ScopedTempPath path_file("fmt_fault_save.tls");
+  const std::string& path = path_file.path();
 
   // Write an initial good version, then fail a re-save at every byte
   // budget; the good version must survive every failure mode.
@@ -241,7 +252,8 @@ TEST(SummaryV2Test, FaultInjectedSaveNeverLeavesTornFile) {
 TEST(SummaryV2Test, LoadSurvivesShortReadsAndFailsCleanlyOnEio) {
   Fixture fx;
   FaultInjectingEnv env(Env::Default());
-  std::string path = UniqueTempPath("fmt_fault_load.tls");
+  const ScopedTempPath path_file("fmt_fault_load.tls");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(SaveSummaryV2(fx.summary, &fx.dict, &env, path).ok());
 
   env.config().short_read_cap = 5;
@@ -258,7 +270,8 @@ TEST(SummaryV2Test, LoadSurvivesShortReadsAndFailsCleanlyOnEio) {
 
 TEST(SummaryV1CompatTest, V1TextStillLoads) {
   Fixture fx;
-  std::string path = UniqueTempPath("fmt_v1.txt");
+  const ScopedTempPath path_file("fmt_v1.txt");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(fx.summary.SaveToFileV1(path).ok());
 
   // Through the plain API...
@@ -281,7 +294,8 @@ TEST(SummaryV1CompatTest, V1TextStillLoads) {
 
 TEST(SummaryV1CompatTest, SeedWrittenFileLoads) {
   // Byte-for-byte what the seed code's SaveToFile produced.
-  std::string path = UniqueTempPath("fmt_v1_seed.txt");
+  const ScopedTempPath path_file("fmt_v1_seed.txt");
+  const std::string& path = path_file.path();
   {
     std::ofstream out(path);
     out << "TLSUMMARY v1\n3 2\n3\n10 0\n8 1\n6 0(1)\n";
@@ -295,7 +309,8 @@ TEST(SummaryV1CompatTest, SeedWrittenFileLoads) {
 
 TEST(SummaryV1CompatTest, HardenedAgainstHostileHeaders) {
   auto write_and_load = [](const std::string& text) {
-    std::string path = UniqueTempPath("fmt_v1_hostile.txt");
+    const ScopedTempPath path_file("fmt_v1_hostile.txt");
+    const std::string& path = path_file.path();
     std::ofstream(path) << text;
     return LatticeSummary::LoadFromFile(path);
   };
@@ -329,7 +344,9 @@ TEST(DictCodecTest, EscapedSidecarRoundTripsHostileNames) {
   dict.Intern("has\rreturn");
   dict.Intern("after");  // ids past the hostile ones must not shift
 
-  std::string path = UniqueTempPath("dict_roundtrip.dict");
+  const ScopedTempPath path_file("dict_roundtrip.dict");
+
+  const std::string& path = path_file.path();
   ASSERT_TRUE(SaveLabelDict(dict, Env::Default(), path).ok());
   Result<LabelDict> loaded = LoadLabelDict(Env::Default(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -345,7 +362,8 @@ TEST(DictCodecTest, LegacySidecarKeepsEmptyLines) {
   // A seed-written sidecar with an empty label: the seed's LoadDict
   // skipped the empty line, shifting "c" from id 2 to id 1 and silently
   // corrupting every estimate. The fixed loader must preserve positions.
-  std::string path = UniqueTempPath("dict_legacy.dict");
+  const ScopedTempPath path_file("dict_legacy.dict");
+  const std::string& path = path_file.path();
   {
     std::ofstream out(path);
     out << "a\n\nc\n";
@@ -359,7 +377,8 @@ TEST(DictCodecTest, LegacySidecarKeepsEmptyLines) {
 }
 
 TEST(DictCodecTest, DuplicateNamesRejected) {
-  std::string path = UniqueTempPath("dict_dup.dict");
+  const ScopedTempPath path_file("dict_dup.dict");
+  const std::string& path = path_file.path();
   {
     std::ofstream out(path);
     out << "a\nb\na\n";

@@ -124,7 +124,9 @@ TEST(LatticeSummaryTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(summary.Insert(MustParse("a(b,c(d))", &dict), 2).ok());
   summary.set_complete_through_level(3);
 
-  std::string path = UniqueTempPath("tl_summary_test.txt");
+  const ScopedTempPath path_file("tl_summary_test.txt");
+
+  const std::string& path = path_file.path();
   ASSERT_TRUE(summary.SaveToFile(path).ok());
   Result<LatticeSummary> loaded = LatticeSummary::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -136,7 +138,8 @@ TEST(LatticeSummaryTest, SaveLoadRoundTrip) {
 }
 
 TEST(LatticeSummaryTest, LoadRejectsGarbage) {
-  std::string path = UniqueTempPath("tl_summary_bad.txt");
+  const ScopedTempPath path_file("tl_summary_bad.txt");
+  const std::string& path = path_file.path();
   {
     std::ofstream out(path);
     out << "NOT A SUMMARY\n";

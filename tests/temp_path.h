@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -35,6 +36,27 @@ inline std::string UniqueTempPath(const std::string& stem) {
   return testing::TempDir() + "/" + base + "_" + tag + "_" +
          std::to_string(getpid()) + extension;
 }
+
+/// Owns the UniqueTempPath of `stem`: at scope exit it removes the file,
+/// together with the ".tmp" and ".dict" siblings a summary save can leave,
+/// so a test leaves nothing in TempDir() whether it passes or fails.
+class ScopedTempPath {
+ public:
+  explicit ScopedTempPath(const std::string& stem)
+      : path_(UniqueTempPath(stem)) {}
+  ~ScopedTempPath() {
+    for (const char* sibling : {"", ".tmp", ".dict"}) {
+      std::remove((path_ + sibling).c_str());
+    }
+  }
+  ScopedTempPath(const ScopedTempPath&) = delete;
+  ScopedTempPath& operator=(const ScopedTempPath&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  const std::string path_;
+};
 
 }  // namespace treelattice
 

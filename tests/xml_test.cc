@@ -207,7 +207,8 @@ TEST(XmlWriterTest, FileRoundTrip) {
   Document doc;
   NodeId root = doc.AddNode("r", kInvalidNode);
   doc.AddNode("x", root);
-  std::string path = UniqueTempPath("tl_writer_test.xml");
+  const ScopedTempPath path_file("tl_writer_test.xml");
+  const std::string& path = path_file.path();
   ASSERT_TRUE(WriteXmlFile(doc, path).ok());
   auto loaded = ParseXmlFile(path);
   ASSERT_TRUE(loaded.ok());

@@ -36,21 +36,5 @@ for bin in "$BENCH_DIR"/bench_*; do
   fi
 done
 
-# The TCP transport sweep gets its own record: bench_ext_serve --net-only
-# drives the epoll front end over loopback at 1/100/1k/10k concurrent
-# connections (fd-limit-gated legs skip themselves with a notice).
-if [ -x "$BENCH_DIR/bench_ext_serve" ]; then
-  out_json="$OUT_DIR/BENCH_serve_net.json"
-  echo "=== bench_ext_serve --net-only -> $out_json"
-  if "$BENCH_DIR/bench_ext_serve" --net-only --json="$out_json" "$@" \
-      > "$OUT_DIR/bench_ext_serve_net.log" 2>&1; then
-    :
-  else
-    rc=$?
-    echo "    FAILED (exit $rc); log: $OUT_DIR/bench_ext_serve_net.log" >&2
-    failures=$((failures + 1))
-  fi
-fi
-
 echo "results in $OUT_DIR ($failures failure(s))"
 [ "$failures" -eq 0 ]

@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <csignal>
 #include <cstdint>
@@ -42,6 +43,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch_estimator.h"
@@ -151,13 +154,15 @@ int Usage() {
                "envelopes) gets one JSON array\nresponse line, in order, "
                "both on stdin and over --listen.\n"
                "\n"
-               "serve's size and count flags (--queue, --max-steps, "
-               "--cache-capacity,\n--max-conns, --max-frame-bytes, "
-               "--write-high-water, --slow-log-size) must\nbe non-negative, "
-               "and --slow-log-size at most 65536; --cache=0 or\n"
-               "--cache-capacity=0 turns the estimate cache off. "
-               "--max-frame-bytes bounds a\nrequest line on stdin and over "
-               "--listen alike.\n");
+               "Every numeric flag of build and serve, and --trace-flush-ms, "
+               "must parse\ncompletely and lie in its range, or the command "
+               "exits 2 naming the flag\nbefore it starts: --level from 2, "
+               "--workers from 1 to 1024, --reload-attempts\nfrom 1 to 100, "
+               "--net-fault-* from 0 to 1, --slow-log-size at most 65536,\n"
+               "and every other size, count or -ms flag non-negative. "
+               "--cache=0 or\n--cache-capacity=0 turns the estimate cache "
+               "off. --max-frame-bytes bounds a\nrequest line on stdin and "
+               "over --listen alike. Unknown flags are ignored.\n");
   return 2;
 }
 
@@ -180,6 +185,42 @@ std::vector<std::string> Positionals(int argc, char** argv) {
     if (std::strncmp(argv[i], "--", 2) != 0) out.emplace_back(argv[i]);
   }
   return out;
+}
+
+/// Durations in milliseconds are read from 0 up to about 31 years.
+constexpr double kMaxFlagMillis = 1e12;
+
+/// Reads the numeric flag --`name` of `command`: `fallback` when the flag
+/// is absent. A present flag must parse completely, as an integer when T
+/// is one, and lie in [lo, hi]; otherwise an error naming the flag is
+/// printed and *ok cleared, so the command exits 2 before it starts.
+template <typename T>
+T NumericFlag(const Flags& flags, const char* command, const char* name,
+              T fallback, T lo, T hi, bool* ok) {
+  const auto it = flags.All().find(name);
+  if (it == flags.All().end()) return fallback;
+  const std::string& text = it->second;
+  T value{};
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc() && end == text.data() + text.size() &&
+      value >= lo && value <= hi) {
+    return value;
+  }
+  auto shown = [](T bound) {
+    if constexpr (std::is_integral_v<T>) {
+      return std::to_string(bound);
+    } else {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%g", bound);
+      return std::string(buf);
+    }
+  };
+  std::fprintf(stderr, "%s: --%s must be %s from %s to %s, not '%s'\n",
+               command, name, std::is_integral_v<T> ? "an integer" : "a number",
+               shown(lo).c_str(), shown(hi).c_str(), text.c_str());
+  *ok = false;
+  return fallback;
 }
 
 /// Loads a summary for read commands, warning on salvage. Returns nullopt
@@ -209,6 +250,14 @@ int RunBuild(int argc, char** argv, const Flags& flags) {
     std::fprintf(stderr, "build: --out=<summary> is required\n");
     return 2;
   }
+  bool ok = true;
+  LatticeBuildOptions options;
+  options.max_level = NumericFlag(flags, "build", "level", 4, 2,
+                                  LatticeSummary::kMaxLevelCap, &ok);
+  // Negative means no pruning; a given --prune-delta must be a tolerance.
+  const double delta =
+      NumericFlag(flags, "build", "prune-delta", -1.0, 0.0, 1e300, &ok);
+  if (!ok) return 2;
 
   WallTimer timer;
   Result<Document> doc = ParseXmlFile(args[0]);
@@ -219,8 +268,6 @@ int RunBuild(int argc, char** argv, const Flags& flags) {
   std::printf("parsed %zu elements in %.2fs\n", doc->NumNodes(),
               timer.ElapsedSeconds());
 
-  LatticeBuildOptions options;
-  options.max_level = static_cast<int>(flags.GetInt("level", 4));
   LatticeBuildStats stats;
   Result<LatticeSummary> summary = BuildLattice(*doc, options, &stats);
   if (!summary.ok()) {
@@ -230,7 +277,6 @@ int RunBuild(int argc, char** argv, const Flags& flags) {
   std::printf("mined %zu patterns (levels 1-%d) in %.2fs\n",
               summary->NumPatterns(), options.max_level, stats.build_seconds);
 
-  double delta = flags.GetDouble("prune-delta", -1.0);
   if (delta >= 0.0) {
     PruneOptions prune;
     prune.delta = delta;
@@ -525,29 +571,14 @@ void InstallServeSignalHandlers() {
   sigaction(SIGINT, &action, nullptr);
 }
 
-/// Reads `serve`'s size or count flag --`name`, which must lie in
-/// [0, max]; otherwise prints an error naming the flag and clears *ok.
-uint64_t SizeFlag(const Flags& flags, const char* name, int64_t fallback,
-                  bool* ok, uint64_t max = INT64_MAX) {
-  const int64_t value = flags.GetInt(name, fallback);
-  if (value >= 0 && static_cast<uint64_t>(value) <= max) {
-    return static_cast<uint64_t>(value);
-  }
-  std::fprintf(stderr, "serve: --%s must be between 0 and %llu, not %lld\n",
-               name, static_cast<unsigned long long>(max),
-               static_cast<long long>(value));
-  *ok = false;
-  return 0;
-}
-
 /// The TCP leg of `serve --listen`: the Transport owns the event loop and
-/// its Server; this function supplies the control handler (#reload hot-swap
-/// with a JSON ack) and turns the signal flag into a graceful drain. `net`
-/// arrives with its size limits set.
-int RunServeTcp(const std::string& summary_path, const std::string& listen,
-                serve::ServerOptions options, serve::Transport::Options net,
-                serve::ReloadOptions reload, serve::SnapshotHolder* snapshots,
-                serve::SlowQueryLog* slow_log, const Flags& flags) {
+/// its Server, `control` answers '#reload', and the signal flag becomes a
+/// graceful drain. `net` arrives with its numeric options set.
+int RunServeTcp(const std::string& listen, serve::ServerOptions options,
+                serve::Transport::Options net,
+                serve::Transport::ControlHandler control,
+                serve::SnapshotHolder* snapshots, serve::SlowQueryLog* slow_log,
+                const Flags& flags) {
   Result<HostPort> host_port = ParseHostPort(listen);
   if (!host_port.ok()) {
     std::fprintf(stderr, "serve: bad --listen '%s': %s\n", listen.c_str(),
@@ -557,15 +588,7 @@ int RunServeTcp(const std::string& summary_path, const std::string& listen,
 
   net.host = host_port->host;
   net.port = host_port->port;
-  net.idle_timeout_millis = flags.GetDouble("idle-timeout-ms", 300000.0);
-  net.request_timeout_millis = flags.GetDouble("request-timeout-ms", 30000.0);
-  net.drain_deadline_millis = flags.GetDouble("drain-ms", 5000.0);
   net.write_low_water = net.write_high_water / 4;
-  net.force_poll = flags.GetInt("poll", 0) != 0;
-  net.faults.seed = static_cast<uint64_t>(flags.GetInt("net-fault-seed", 0));
-  net.faults.short_io = flags.GetDouble("net-fault-short", 0.0);
-  net.faults.eagain = flags.GetDouble("net-fault-eagain", 0.0);
-  net.faults.reset = flags.GetDouble("net-fault-reset", 0.0);
   net.slow_log = slow_log;
   if (std::string admin = flags.GetString("admin", ""); !admin.empty()) {
     Result<HostPort> admin_host_port = ParseHostPort(admin);
@@ -579,36 +602,10 @@ int RunServeTcp(const std::string& summary_path, const std::string& listen,
     net.admin_port = admin_host_port->port;
   }
 
-  // '#reload' over the wire answers with a JSON ack so remote operators
-  // see the outcome; the stderr log mirrors stdin mode. Runs on the loop
-  // thread — reloads are rare and the strict loader fails fast.
-  auto control = [&](std::string_view line) -> std::string {
-    if (line != "#reload") return std::string();
-    Status s =
-        serve::ReloadSummary(Env::Default(), summary_path, reload, snapshots);
-    if (s.ok()) {
-      std::fprintf(stderr, "serve: reloaded %s (snapshot v%lld)\n",
-                   summary_path.c_str(),
-                   static_cast<long long>(snapshots->version()));
-    } else {
-      std::fprintf(stderr, "serve: reload failed, keeping snapshot v%lld: %s\n",
-                   static_cast<long long>(snapshots->version()),
-                   s.ToString().c_str());
-    }
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("reload").BeginObject();
-    w.Key("ok").Bool(s.ok());
-    if (!s.ok()) w.Key("error").String(s.ToString());
-    w.Key("snapshot_version").Int(snapshots->version());
-    w.EndObject();
-    w.EndObject();
-    return w.TakeString();
-  };
-
   const int workers = options.workers;
   const size_t queue_capacity = options.queue_capacity;
-  serve::Transport transport(snapshots, std::move(options), net, control);
+  serve::Transport transport(snapshots, std::move(options), net,
+                             std::move(control));
   Result<uint16_t> port = transport.Listen();
   if (!port.ok()) {
     std::fprintf(stderr, "serve: cannot listen on %s: %s\n", listen.c_str(),
@@ -651,27 +648,49 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   if (args.size() != 1) return Usage();
   const std::string& summary_path = args[0];
 
-  // Every size flag is checked before the summary loads, whichever mode
-  // it belongs to.
+  // Every numeric flag is checked before the summary loads, whichever
+  // mode it belongs to.
   bool ok = true;
+  auto count = [&](const char* name, uint64_t fallback,
+                   uint64_t hi = INT64_MAX) {
+    return NumericFlag<uint64_t>(flags, "serve", name, fallback, 0, hi, &ok);
+  };
+  auto millis = [&](const char* name, double fallback) {
+    return NumericFlag(flags, "serve", name, fallback, 0.0, kMaxFlagMillis,
+                       &ok);
+  };
+  auto probability = [&](const char* name) {
+    return NumericFlag(flags, "serve", name, 0.0, 0.0, 1.0, &ok);
+  };
   serve::ServerOptions options;
-  options.workers = static_cast<int>(flags.GetInt("workers", 4));
-  options.queue_capacity = SizeFlag(flags, "queue", 128, &ok);
-  options.default_deadline_millis = flags.GetDouble("deadline-ms", 0.0);
-  options.default_max_work_steps = SizeFlag(flags, "max-steps", 0, &ok);
-  options.worker_delay_millis = flags.GetDouble("worker-delay-ms", 0.0);
-  const uint64_t cache_capacity = SizeFlag(flags, "cache-capacity", 1024, &ok);
+  options.workers = NumericFlag(flags, "serve", "workers", 4, 1, 1024, &ok);
+  options.queue_capacity = count("queue", 128);
+  options.default_deadline_millis = millis("deadline-ms", 0.0);
+  options.default_max_work_steps = count("max-steps", 0);
+  options.worker_delay_millis = millis("worker-delay-ms", 0.0);
+  const uint64_t cache_capacity = count("cache-capacity", 1024);
   options.estimate_cache_capacity =
-      flags.GetInt("cache", 1) != 0 ? cache_capacity : 0;
+      count("cache", 1, 1) != 0 ? cache_capacity : 0;
   serve::Transport::Options net;
-  net.max_connections =
-      static_cast<int>(SizeFlag(flags, "max-conns", 1024, &ok, INT_MAX));
-  net.max_frame_bytes = SizeFlag(flags, "max-frame-bytes", 1 << 20, &ok);
-  net.write_high_water = SizeFlag(flags, "write-high-water", 1 << 20, &ok);
+  net.max_connections = static_cast<int>(count("max-conns", 1024, INT_MAX));
+  net.max_frame_bytes = count("max-frame-bytes", 1 << 20);
+  net.write_high_water = count("write-high-water", 1 << 20);
+  net.idle_timeout_millis = millis("idle-timeout-ms", 300000.0);
+  net.request_timeout_millis = millis("request-timeout-ms", 30000.0);
+  net.drain_deadline_millis = millis("drain-ms", 5000.0);
+  net.force_poll = flags.GetBool("poll", false);
+  net.faults.seed = count("net-fault-seed", 0, UINT64_MAX);
+  net.faults.short_io = probability("net-fault-short");
+  net.faults.eagain = probability("net-fault-eagain");
+  net.faults.reset = probability("net-fault-reset");
   serve::SlowQueryLog::Options slow_options;
-  slow_options.threshold_millis = flags.GetDouble("slow-threshold-ms", 250.0);
-  slow_options.capacity = SizeFlag(flags, "slow-log-size", 128, &ok,
-                                   serve::SlowQueryLog::kMaxCapacity);
+  slow_options.threshold_millis = millis("slow-threshold-ms", 250.0);
+  slow_options.capacity =
+      count("slow-log-size", 128, serve::SlowQueryLog::kMaxCapacity);
+  serve::ReloadOptions reload;
+  reload.attempts =
+      NumericFlag(flags, "serve", "reload-attempts", 3, 1, 100, &ok);
+  reload.backoff_millis = millis("reload-backoff-ms", 10.0);
   if (!ok) return 2;
 
   const std::string kind = flags.GetString("estimator", "voting");
@@ -682,10 +701,6 @@ int RunServe(int argc, char** argv, const Flags& flags) {
     return 2;
   }
   options.estimator.primary = *primary;
-
-  serve::ReloadOptions reload;
-  reload.attempts = static_cast<int>(flags.GetInt("reload-attempts", 3));
-  reload.backoff_millis = flags.GetDouble("reload-backoff-ms", 10.0);
 
   // Startup accepts a salvaged summary (a degraded snapshot beats not
   // starting); hot reloads below stay strict so a damaged file on disk
@@ -710,9 +725,37 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   // into it on the TCP path, the stdin sink below on the pipe path.
   serve::SlowQueryLog slow_log(slow_options);
 
+  // '#reload' hot-swaps the summary from disk, keeping the serving snapshot
+  // on failure, and logs the outcome to stderr. Over TCP the returned JSON
+  // ack answers the line; on stdin nothing does. It runs on the reading
+  // thread: reloads are rare and the strict loader fails fast.
+  auto control = [&](std::string_view line) -> std::string {
+    if (line != "#reload") return std::string();
+    Status s =
+        serve::ReloadSummary(Env::Default(), summary_path, reload, &snapshots);
+    if (s.ok()) {
+      std::fprintf(stderr, "serve: reloaded %s (snapshot v%lld)\n",
+                   summary_path.c_str(),
+                   static_cast<long long>(snapshots.version()));
+    } else {
+      std::fprintf(stderr, "serve: reload failed, keeping snapshot v%lld: %s\n",
+                   static_cast<long long>(snapshots.version()),
+                   s.ToString().c_str());
+    }
+    JsonWriter w;
+    w.BeginObject();
+    w.Key("reload").BeginObject();
+    w.Key("ok").Bool(s.ok());
+    if (!s.ok()) w.Key("error").String(s.ToString());
+    w.Key("snapshot_version").Int(snapshots.version());
+    w.EndObject();
+    w.EndObject();
+    return w.TakeString();
+  };
+
   if (std::string listen = flags.GetString("listen", ""); !listen.empty()) {
-    return RunServeTcp(summary_path, listen, std::move(options), net, reload,
-                       &snapshots, &slow_log, flags);
+    return RunServeTcp(listen, std::move(options), net, control, &snapshots,
+                       &slow_log, flags);
   }
 
   // One fprintf call per line: stdio's per-call lock keeps worker output
@@ -760,19 +803,7 @@ int RunServe(int argc, char** argv, const Flags& flags) {
     const serve::NdjsonFramer::Event& line = lines[next_line++];
     const std::string_view text = line.line;
     if (text == "#reload") {
-      Status s =
-          serve::ReloadSummary(Env::Default(), summary_path, reload,
-                               &snapshots);
-      if (s.ok()) {
-        std::fprintf(stderr, "serve: reloaded %s (snapshot v%lld)\n",
-                     summary_path.c_str(),
-                     static_cast<long long>(snapshots.version()));
-      } else {
-        std::fprintf(stderr,
-                     "serve: reload failed, keeping snapshot v%lld: %s\n",
-                     static_cast<long long>(snapshots.version()),
-                     s.ToString().c_str());
-      }
+      control(text);  // stdin gets no ack line; stderr has the outcome
       continue;
     }
     if (text == "#stats") {
@@ -863,20 +894,23 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--metrics-format must be json or prom\n");
     return 2;
   }
+  // Long-running serve processes flush the trace file periodically so
+  // spans survive SIGKILL/crash; one-shot commands write once at exit.
+  bool ok = true;
+  const double flush_millis =
+      command == "serve" ? NumericFlag(flags, "serve", "trace-flush-ms", 1000.0,
+                                       0.0, kMaxFlagMillis, &ok)
+                         : 0.0;
+  if (!ok) return 2;
   const std::string trace_target = flags.GetString("trace", "");
   if (!trace_target.empty()) {
     obs::Tracer::Start();
-    // Long-running serve processes flush the trace file periodically so
-    // spans survive SIGKILL/crash; one-shot commands write once at exit.
-    if (command == "serve") {
-      const double flush_millis = flags.GetDouble("trace-flush-ms", 1000.0);
-      if (flush_millis > 0.0) {
-        if (Status s =
-                obs::Tracer::StartPeriodicFlush(trace_target, flush_millis);
-            !s.ok()) {
-          std::fprintf(stderr, "--trace: periodic flush disabled: %s\n",
-                       s.ToString().c_str());
-        }
+    if (flush_millis > 0.0) {
+      if (Status s =
+              obs::Tracer::StartPeriodicFlush(trace_target, flush_millis);
+          !s.ok()) {
+        std::fprintf(stderr, "--trace: periodic flush disabled: %s\n",
+                     s.ToString().c_str());
       }
     }
   }
