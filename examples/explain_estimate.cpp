@@ -51,9 +51,9 @@ int main() {
     // The estimator fills the record while it answers, so the record's
     // root is the estimate itself, bit for bit.
     DecompositionRecord record;
-    EstimateOptions explain;
-    explain.record = &record;
-    Result<double> estimate = estimator.Estimate(*query, explain);
+    CostGovernor unlimited;
+    Result<double> estimate =
+        estimator.Estimate(*query, unlimited, /*scratch=*/nullptr, &record);
     if (!estimate.ok() || record.entries.empty() ||
         record.entries[0].value != *estimate) {
       std::fprintf(stderr, "estimation failed for %s\n", xpath);

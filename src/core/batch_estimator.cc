@@ -118,25 +118,26 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
     memo_budget += size * size;
   }
 
-  // Stage 3: the misses through the ladder over one batch-scoped memo,
-  // each under a governor of its own. Fallback rungs drop back to a fresh
-  // per-call memo (DESIGN.md §14).
+  // Stage 3: the misses through the ladder, each under governors the
+  // ladder builds from its own options. The primary rung runs over the one
+  // batch-scoped memo; fallback rungs use a fresh per-call memo of their
+  // own (DESIGN.md §14).
   if (misses > 0) {
     ScopedBatchScratch batch_guard(&scratch_, memo_budget);
     for (uint32_t first : distinct_) {
       const Twig& query = queries[first];
       EstimateResult& result = results[first];
       if (result.cached) continue;
-      EstimateOptions item = options[options.size() == 1 ? 0 : first];
-      item.scratch = &scratch_;
+      const EstimateOptions& item = options[options.size() == 1 ? 0 : first];
       Result<DegradingEstimator::DegradedEstimate> estimate =
-          ladder_.EstimateDegraded(query, item);
+          ladder_.EstimateDegraded(query, item, &scratch_);
       if (!estimate.ok()) {
         result.status = estimate.status();
       } else {
         result.estimate = estimate->estimate;
         result.rung = estimate->rung;
         result.degraded = estimate->degraded;
+        result.work_steps = estimate->work_steps;
         // Stage 4: insert only exact answers. A deadline or step cap may
         // truncate work, so even a primary answer under one is left out; a
         // cancel token alone does not change a completed answer.

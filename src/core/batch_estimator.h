@@ -30,6 +30,10 @@ struct EstimateResult {
   /// True when an earlier query of the batch has the same canonical code;
   /// the result is that query's.
   bool duplicate = false;
+  /// Work steps the ladder's rungs charged to answer the query
+  /// (DegradedEstimate::work_steps): 0 for a cache hit, and a duplicate
+  /// reports its first occurrence's.
+  uint64_t work_steps = 0;
   /// Time EstimateBatch spent on the query: its cache probe and, on a
   /// miss, its estimation. It is added to the value passed in, so a caller
   /// may seed it with its own per-query time (serve seeds the parse time).
@@ -52,8 +56,9 @@ struct EstimateResult {
 ///      no step cap, primary rung) go into the cache, and every duplicate
 ///      takes its first occurrence's result.
 ///
-/// Budgets are per item: each distinct query gets a fresh governor from
-/// its own options, so no query's budget depends on what ran before it.
+/// Budgets are per item: the ladder builds each distinct query's governors
+/// from its own options, so no query's budget depends on what ran before
+/// it.
 /// Memo entries are inserted only after full computation, but a shape's
 /// value follows the spelling of the query that reached it first, so a
 /// batch can answer a query differently from a call of its own; queries in
@@ -75,9 +80,8 @@ class BatchEstimator {
   /// length. `options` holds one budget per query, or a single one that
   /// applies to every query; a duplicate runs under its first occurrence's
   /// budget. A positive `deadline_millis` starts that query's deadline
-  /// when its own estimation starts. `scratch` is ignored: the batch
-  /// keeps its own. Per-query failures land in results[i].status; an empty
-  /// query fails with kInvalidArgument.
+  /// when its own estimation starts. Per-query failures land in
+  /// results[i].status; an empty query fails with kInvalidArgument.
   TL_HOT Status EstimateBatch(std::span<const Twig> queries,
                               std::span<const EstimateOptions> options,
                               std::span<EstimateResult> results);

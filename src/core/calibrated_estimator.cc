@@ -73,24 +73,15 @@ double CalibratedEstimator::FactorForSize(int size) const {
   return factor;
 }
 
-Result<double> CalibratedEstimator::Estimate(const Twig& query) {
-  return inner_->Estimate(query);
-}
-
 Result<double> CalibratedEstimator::Estimate(const Twig& query,
-                                             const EstimateOptions& options) {
-  return inner_->Estimate(query, options);
+                                             CostGovernor& governor) {
+  return inner_->Estimate(query, governor);
 }
 
 Result<BoundedEstimate> CalibratedEstimator::EstimateWithBound(
     const Twig& query) {
-  return EstimateWithBound(query, EstimateOptions());
-}
-
-Result<BoundedEstimate> CalibratedEstimator::EstimateWithBound(
-    const Twig& query, const EstimateOptions& options) {
   BoundedEstimate out;
-  TL_ASSIGN_OR_RETURN(out.estimate, inner_->Estimate(query, options));
+  TL_ASSIGN_OR_RETURN(out.estimate, inner_->Estimate(query));
   out.factor = FactorForSize(query.size());
   out.lower = out.estimate / out.factor;
   out.upper = out.estimate * out.factor;

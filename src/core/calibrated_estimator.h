@@ -53,18 +53,13 @@ class CalibratedEstimator : public SelectivityEstimator {
                                                SelectivityEstimator* inner,
                                                const Options& options);
 
-  /// Point estimate (delegates to the wrapped estimator).
-  Result<double> Estimate(const Twig& query) override;
+  using SelectivityEstimator::Estimate;
 
-  /// Governed point estimate: the wrapped estimator runs under `options`'
-  /// budget; the calibration lookup itself is O(1).
-  Result<double> Estimate(const Twig& query,
-                          const EstimateOptions& options) override;
+  /// Point estimate: the wrapped estimator's, charging `governor`.
+  Result<double> Estimate(const Twig& query, CostGovernor& governor) override;
 
   /// Estimate plus the calibrated error interval.
   Result<BoundedEstimate> EstimateWithBound(const Twig& query);
-  Result<BoundedEstimate> EstimateWithBound(const Twig& query,
-                                            const EstimateOptions& options);
 
   /// Calibrated multiplicative bound for a query of `size` nodes.
   double FactorForSize(int size) const;

@@ -41,27 +41,19 @@ DegradingEstimator::DegradingEstimator(const LatticeSummary* summary,
       fixed_size_(summary),
       markov_(summary) {}
 
-EstimateOptions DegradingEstimator::FallbackBudget(
-    const EstimateOptions& original) const {
-  EstimateOptions fallback;
-  fallback.cancel = original.cancel;
-  fallback.max_work_steps = original.max_work_steps;
-  fallback.scratch = original.scratch;
-  fallback.work_steps = original.work_steps;  // rungs accumulate into one tally
-  fallback.deadline_millis =
-      original.deadline_millis * kFallbackDeadlineFraction;
-  return fallback;
-}
-
 Result<DegradingEstimator::DegradedEstimate>
 DegradingEstimator::EstimateDegraded(const Twig& query,
-                                     const EstimateOptions& options) {
+                                     const EstimateOptions& options,
+                                     EstimateScratch* scratch) {
   obs::TraceSpan span("estimator.degrading", "core");
   span.SetArg("query_size", static_cast<uint64_t>(query.size()));
   EstimatorMetrics& metrics = EstimatorMetrics::Get();
 
   DegradedEstimate out;
-  Result<double> primary = primary_.Estimate(query, options);
+  CostGovernor primary_budget = options.MakeGovernor();
+  Result<double> primary =
+      primary_.Estimate(query, primary_budget, scratch, options.record);
+  out.work_steps = primary_budget.steps();
   if (primary.ok()) {
     out.estimate = *primary;
     out.rung = Rung::kPrimary;
@@ -74,8 +66,11 @@ DegradingEstimator::EstimateDegraded(const Twig& query,
 
   // Rung 1: the paper's fixed-size estimator with a fresh grace budget —
   // mostly summary lookups, so it nearly always answers in time.
-  EstimateOptions grace = FallbackBudget(options);
-  Result<double> fixed = fixed_size_.Estimate(query, grace);
+  EstimateOptions grace = options;
+  grace.deadline_millis *= kFallbackDeadlineFraction;
+  CostGovernor grace_budget = grace.MakeGovernor();
+  Result<double> fixed = fixed_size_.Estimate(query, grace_budget);
+  out.work_steps += grace_budget.steps();
   if (fixed.ok()) {
     out.estimate = *fixed;
     out.rung = Rung::kFixedSize;
@@ -84,10 +79,12 @@ DegradingEstimator::EstimateDegraded(const Twig& query,
   }
   if (!ShouldDegrade(fixed.status())) return fixed.status();
 
-  // Rung 2 (path queries only): the markov sweep, ungoverned — its work is
+  // Rung 2 (path queries only): the markov sweep, unlimited — its work is
   // strictly linear in the query size, so it is the ladder's floor.
   if (query.IsPath()) {
-    Result<double> markov = markov_.Estimate(query);
+    CostGovernor unlimited;
+    Result<double> markov = markov_.Estimate(query, unlimited);
+    out.work_steps += unlimited.steps();
     if (markov.ok()) {
       out.estimate = *markov;
       out.rung = Rung::kMarkovPath;

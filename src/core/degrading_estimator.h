@@ -13,23 +13,26 @@ namespace treelattice {
 
 /// The degradation ladder: a best-effort estimator that always tries to
 /// return *something* within the caller's budget. BatchEstimator runs
-/// every query it estimates through it (DESIGN.md §14).
+/// every query it estimates through it (DESIGN.md §14). It is the one
+/// place that turns a request's EstimateOptions into budgets: each rung
+/// runs under a CostGovernor the ladder builds for it.
 ///
 ///   rung 0  recursive (optionally voting) decomposition — the accurate,
-///           potentially expensive primary (Fig. 4)
+///           potentially expensive primary (Fig. 4), under
+///           EstimateOptions::MakeGovernor()
 ///   rung 1  fixed-size decomposition — the paper's cheap bounded-cost
-///           estimator (Lemmas 2-3), run with a fresh grace budget
+///           estimator (Lemmas 2-3), under a fresh grace budget: half the
+///           deadline, a fresh step budget, the same cancel token
 ///   rung 2  markov-path — path queries only; strictly linear work, run
-///           ungoverned as the unconditional floor of the ladder
+///           under an unlimited governor as the unconditional floor
 ///
 /// When the primary trips its budget (kDeadlineExceeded or
 /// kResourceExhausted) the ladder records estimator.deadline_exceeded,
-/// steps down a rung with a grace budget of half the original deadline
-/// (so a request with deadline D completes within ~2x D even when every
-/// governed rung runs to its limit), and records estimator.degraded when
-/// a fallback rung produces the answer. kCancelled is not degraded — a
-/// cancelled request wants no answer at all — and non-budget errors
-/// propagate unchanged.
+/// steps down a rung (so a request with deadline D completes within ~2x D
+/// even when every governed rung runs to its limit), and records
+/// estimator.degraded when a fallback rung produces the answer.
+/// kCancelled is not degraded — a cancelled request wants no answer at
+/// all — and non-budget errors propagate unchanged.
 class DegradingEstimator {
  public:
   /// Which rung of the ladder produced an answer.
@@ -57,24 +60,23 @@ class DegradingEstimator {
     bool degraded = false;
     /// Why the primary rung gave up (OK when !degraded).
     Status primary_status;
+    /// Work steps charged to every rung that ran, the trip step included.
+    uint64_t work_steps = 0;
   };
 
   /// The summary must outlive the estimator.
   explicit DegradingEstimator(const LatticeSummary* summary);
   DegradingEstimator(const LatticeSummary* summary, Options options);
 
-  /// Governed estimation reporting which rung answered; ungoverned
-  /// options run the primary rung to completion.
+  /// Estimates `query` within `options`' budget, reporting which rung
+  /// answered. The primary rung alone runs over `scratch` (its own
+  /// thread_local one when null) and writes `options.record`; the
+  /// fallback rungs use scratch of their own.
   Result<DegradedEstimate> EstimateDegraded(const Twig& query,
-                                            const EstimateOptions& options);
+                                            const EstimateOptions& options,
+                                            EstimateScratch* scratch = nullptr);
 
  private:
-  /// Budget for a fallback rung: a fresh deadline of half the original
-  /// one (when there is one) and a fresh step budget; the cancel token is
-  /// carried through unchanged. The record is not: it explains the
-  /// primary rung's recursion only.
-  EstimateOptions FallbackBudget(const EstimateOptions& original) const;
-
   RecursiveDecompositionEstimator primary_;
   FixedSizeDecompositionEstimator fixed_size_;
   MarkovPathEstimator markov_;

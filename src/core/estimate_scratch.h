@@ -92,10 +92,10 @@ struct DepthWorkspace {
 };
 
 /// Per-thread reusable state for one estimation call chain: the two memos
-/// plus one workspace per recursion depth. Thread through
-/// EstimateOptions::scratch to reuse across requests (a serve worker keeps
-/// one for its lifetime); estimators fall back to an internal thread_local
-/// instance when none is supplied, so ungoverned callers stay
+/// plus one workspace per recursion depth. A BatchEstimator keeps one for
+/// its lifetime (a serve worker's lives as long as its snapshot) and hands
+/// it to the ladder's primary rung; every other call runs over the
+/// recursive estimator's internal thread_local instance, so it stays
 /// allocation-free too. Not thread-safe: one scratch per thread.
 ///
 /// The recursion visits node subsets of the query (DESIGN.md §10). The
@@ -130,8 +130,6 @@ class EstimateScratch {
 
   /// Leaves batch mode; the next BeginQuery resets the code memo again.
   void EndBatch() { in_batch_ = false; }
-
-  bool in_batch() const { return in_batch_; }
 
   CodeMemo& memo() { return memo_; }
   CodeMemo& subsets() { return subsets_; }

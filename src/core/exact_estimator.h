@@ -16,7 +16,10 @@ class ExactEstimator : public SelectivityEstimator {
   /// The document must outlive the estimator.
   explicit ExactEstimator(const Document& doc) : counter_(doc) {}
 
-  Result<double> Estimate(const Twig& query) override {
+  using SelectivityEstimator::Estimate;
+
+  /// Exact counting charges nothing.
+  Result<double> Estimate(const Twig& query, CostGovernor&) override {
     if (query.empty()) {
       return Status::InvalidArgument("Estimate: empty query");
     }

@@ -18,11 +18,9 @@ FixedSizeDecompositionEstimator::FixedSizeDecompositionEstimator(
 }
 
 Result<double> FixedSizeDecompositionEstimator::LookupOrEstimate(
-    const Twig& twig, CostGovernor* governor, EstimateScratch* scratch) {
+    const Twig& twig, CostGovernor& governor) {
   EstimatorMetrics& metrics = EstimatorMetrics::Get();
-  if (governor != nullptr) {
-    if (Status s = governor->Charge(); !s.ok()) return s;
-  }
+  if (Status s = governor.Charge(); !s.ok()) return s;
   if (auto count = summary_->Lookup(twig)) {
     metrics.summary_hits->Increment();
     return static_cast<double>(*count);
@@ -32,45 +30,22 @@ Result<double> FixedSizeDecompositionEstimator::LookupOrEstimate(
     return 0.0;
   }
   metrics.summary_misses->Increment();
-  // A fresh top-level fallback call per pruned window: the recursive
-  // estimator resets the scratch memo itself, preserving the old
-  // fresh-memo-per-fallback semantics. A batch-mode scratch must NOT be
-  // shared here: its memo holds the batch's primary-rung (possibly voting)
-  // values, and this fallback estimator is configured independently, so
-  // sharing would mix values from two different estimators under one code
-  // key. Falling back to the internal thread_local scratch reproduces the
-  // fresh-memo reset exactly (DESIGN.md §14).
-  if (scratch != nullptr && scratch->in_batch()) scratch = nullptr;
-  return fallback_.EstimateWithGovernor(twig, governor, scratch);
-}
-
-Result<double> FixedSizeDecompositionEstimator::Estimate(const Twig& query) {
-  return EstimateWithGovernor(query, nullptr, nullptr);
+  // A fresh top-level fallback call per pruned window, over the recursive
+  // estimator's own thread_local scratch: it resets the memo itself, and
+  // never sees the primary rung's batch memo, whose values come from an
+  // estimator configured independently of this one (DESIGN.md §14).
+  return fallback_.Estimate(twig, governor);
 }
 
 Result<double> FixedSizeDecompositionEstimator::Estimate(
-    const Twig& query, const EstimateOptions& options) {
-  if (!options.governed()) {
-    return EstimateWithGovernor(query, nullptr, options.scratch);
-  }
-  CostGovernor governor = options.MakeGovernor();
-  Result<double> result =
-      EstimateWithGovernor(query, &governor, options.scratch);
-  if (options.work_steps != nullptr) *options.work_steps += governor.steps();
-  return result;
-}
-
-Result<double> FixedSizeDecompositionEstimator::EstimateWithGovernor(
-    const Twig& query, CostGovernor* governor, EstimateScratch* scratch) {
+    const Twig& query, CostGovernor& governor) {
   if (query.empty()) {
     return Status::InvalidArgument("Estimate: empty query");
   }
   obs::TraceSpan span("estimator.fixed", "core");
   span.SetArg("query_size", static_cast<uint64_t>(query.size()));
   EstimatorMetrics& metrics = EstimatorMetrics::Get();
-  if (governor != nullptr) {
-    if (Status s = governor->Charge(); !s.ok()) return s;
-  }
+  if (Status s = governor.Charge(); !s.ok()) return s;
   // Directly answerable (or provably absent) queries short-circuit.
   if (auto count = summary_->Lookup(query)) {
     metrics.summary_hits->Increment();
@@ -83,7 +58,7 @@ Result<double> FixedSizeDecompositionEstimator::EstimateWithGovernor(
   if (query.size() <= options_.k) {
     // Too small to cover with k-subtrees (a pruned pattern): recursive
     // fallback from strictly smaller pieces.
-    return LookupOrEstimate(query, governor, scratch);
+    return LookupOrEstimate(query, governor);
   }
 
   std::vector<CoverStep> steps;
@@ -93,15 +68,15 @@ Result<double> FixedSizeDecompositionEstimator::EstimateWithGovernor(
 
   double estimate;
   TL_ASSIGN_OR_RETURN(estimate,
-                      LookupOrEstimate(steps[0].subtree, governor, scratch));
+                      LookupOrEstimate(steps[0].subtree, governor));
   if (estimate <= 0.0) return 0.0;
   for (size_t i = 1; i < steps.size(); ++i) {
     double numer, denom;
     TL_ASSIGN_OR_RETURN(numer,
-                        LookupOrEstimate(steps[i].subtree, governor, scratch));
+                        LookupOrEstimate(steps[i].subtree, governor));
     if (numer <= 0.0) return 0.0;
     TL_ASSIGN_OR_RETURN(denom,
-                        LookupOrEstimate(steps[i].overlap, governor, scratch));
+                        LookupOrEstimate(steps[i].overlap, governor));
     if (denom <= 0.0) return 0.0;  // overlap ⊆ subtree, cannot be rarer
     estimate *= numer / denom;
   }

@@ -30,28 +30,23 @@ class FixedSizeDecompositionEstimator : public SelectivityEstimator {
   FixedSizeDecompositionEstimator(const LatticeSummary* summary,
                                   Options options);
 
+  using SelectivityEstimator::Estimate;
+
+  /// Charges `governor` one step per sweep window / summary lookup and
+  /// threads it into the recursive fallback, so a pruned summary cannot
+  /// turn the sweep into unbounded recursion.
   // Fallback rung, not a hot-path root: building the fixed-size cover
   // allocates its step list per query by design; the ladder only lands
   // here after the primary rung exhausted its budget.
-  TL_ALLOC_OK Result<double> Estimate(const Twig& query) override;
-
-  /// Governed estimation: charges one step per sweep window / summary
-  /// lookup and threads the same budget into the recursive fallback, so a
-  /// pruned summary cannot turn the sweep into unbounded recursion.
   TL_ALLOC_OK Result<double> Estimate(const Twig& query,
-                                 const EstimateOptions& options) override;
+                                      CostGovernor& governor) override;
 
   std::string name() const override { return "fixed-size"; }
 
  private:
-  Result<double> EstimateWithGovernor(const Twig& query, CostGovernor* governor,
-                                      EstimateScratch* scratch);
-
   /// Summary lookup for a basic twig, falling back to recursive
-  /// decomposition when the pattern was pruned. `governor` and `scratch`
-  /// may be nullptr.
-  Result<double> LookupOrEstimate(const Twig& twig, CostGovernor* governor,
-                                  EstimateScratch* scratch);
+  /// decomposition when the pattern was pruned.
+  Result<double> LookupOrEstimate(const Twig& twig, CostGovernor& governor);
 
   const LatticeSummary* summary_;
   Options options_;

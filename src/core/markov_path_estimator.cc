@@ -23,21 +23,8 @@ double MarkovPathEstimator::WindowCount(const std::vector<LabelId>& labels,
   return count ? static_cast<double>(*count) : 0.0;
 }
 
-Result<double> MarkovPathEstimator::Estimate(const Twig& query) {
-  return EstimateWithGovernor(query, nullptr);
-}
-
 Result<double> MarkovPathEstimator::Estimate(const Twig& query,
-                                             const EstimateOptions& options) {
-  if (!options.governed()) return EstimateWithGovernor(query, nullptr);
-  CostGovernor governor = options.MakeGovernor();
-  Result<double> result = EstimateWithGovernor(query, &governor);
-  if (options.work_steps != nullptr) *options.work_steps += governor.steps();
-  return result;
-}
-
-Result<double> MarkovPathEstimator::EstimateWithGovernor(
-    const Twig& query, CostGovernor* governor) {
+                                             CostGovernor& governor) {
   if (query.empty()) {
     return Status::InvalidArgument("Estimate: empty query");
   }
@@ -63,9 +50,7 @@ Result<double> MarkovPathEstimator::EstimateWithGovernor(
   double estimate = WindowCount(labels, 0, m);
   if (estimate <= 0.0) return 0.0;
   for (size_t i = 1; i + m <= n; ++i) {
-    if (governor != nullptr) {
-      if (Status s = governor->Charge(); !s.ok()) return s;
-    }
+    if (Status s = governor.Charge(); !s.ok()) return s;
     double numer = WindowCount(labels, i, m);
     if (numer <= 0.0) return 0.0;
     double denom = WindowCount(labels, i, m - 1);

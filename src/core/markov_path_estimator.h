@@ -30,24 +30,21 @@ class MarkovPathEstimator : public SelectivityEstimator {
   explicit MarkovPathEstimator(const LatticeSummary* summary);
   MarkovPathEstimator(const LatticeSummary* summary, Options options);
 
-  /// Fails with InvalidArgument on non-path queries.
+  using SelectivityEstimator::Estimate;
+
+  /// Charges `governor` one step per sweep window. The sweep is strictly
+  /// linear in the query size, which is why the degradation ladder runs
+  /// it unlimited as its final rung. Fails with InvalidArgument on
+  /// non-path queries.
   // Fallback rung, not a hot-path root: the sweep builds its label
   // sequence and window twigs per query — strictly linear work, and the
   // ladder only lands here after the governed rungs timed out.
-  TL_ALLOC_OK Result<double> Estimate(const Twig& query) override;
-
-  /// Governed estimation: charges one step per sweep window. The sweep is
-  /// strictly linear in the query size, so in practice this never trips a
-  /// realistic budget — which is exactly why the degradation ladder uses
-  /// this estimator as its final rung.
   TL_ALLOC_OK Result<double> Estimate(const Twig& query,
-                                 const EstimateOptions& options) override;
+                                      CostGovernor& governor) override;
 
   std::string name() const override { return "markov-path"; }
 
  private:
-  Result<double> EstimateWithGovernor(const Twig& query,
-                                      CostGovernor* governor);
   /// Count of the path window labels[begin, begin+len).
   double WindowCount(const std::vector<LabelId>& labels, size_t begin,
                      size_t len) const;

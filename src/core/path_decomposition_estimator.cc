@@ -26,7 +26,8 @@ PathDecompositionEstimator::PathDecompositionEstimator(
     const LatticeSummary* summary)
     : summary_(summary), path_estimator_(summary) {}
 
-Result<double> PathDecompositionEstimator::Estimate(const Twig& query) {
+Result<double> PathDecompositionEstimator::Estimate(const Twig& query,
+                                                    CostGovernor& governor) {
   if (query.empty()) {
     return Status::InvalidArgument("Estimate: empty query");
   }
@@ -36,12 +37,12 @@ Result<double> PathDecompositionEstimator::Estimate(const Twig& query) {
     size_t fanout = query.children(node).size();
     if (fanout == 0) {
       double s;
-      TL_ASSIGN_OR_RETURN(s, path_estimator_.Estimate(PathTo(query, node)));
+      TL_ASSIGN_OR_RETURN(s, path_estimator_.Estimate(PathTo(query, node), governor));
       if (s <= 0.0) return 0.0;
       numerator *= s;
     } else if (fanout >= 2) {
       double s;
-      TL_ASSIGN_OR_RETURN(s, path_estimator_.Estimate(PathTo(query, node)));
+      TL_ASSIGN_OR_RETURN(s, path_estimator_.Estimate(PathTo(query, node), governor));
       if (s <= 0.0) return 0.0;
       for (size_t i = 1; i < fanout; ++i) denominator *= s;
     }

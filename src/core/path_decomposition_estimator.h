@@ -28,7 +28,10 @@ class PathDecompositionEstimator : public SelectivityEstimator {
   /// The summary must outlive the estimator.
   explicit PathDecompositionEstimator(const LatticeSummary* summary);
 
-  Result<double> Estimate(const Twig& query) override;
+  using SelectivityEstimator::Estimate;
+
+  /// Charges `governor` through every path's Markov sweep.
+  Result<double> Estimate(const Twig& query, CostGovernor& governor) override;
 
   std::string name() const override { return "path-decomposition"; }
 

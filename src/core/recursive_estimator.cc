@@ -49,8 +49,8 @@ int ChildrenInSubset(const Twig& query, const uint64_t* nodes, int node) {
                           std::to_string(size));
 }
 
-/// Fallback scratch for callers that do not supply one (ungoverned
-/// Estimate(), CLI paths, tests). One per thread: estimation never runs
+/// Scratch for callers that do not supply one (every rung but the ladder's
+/// primary, CLI paths, tests). One per thread: estimation never runs
 /// re-entrantly on a thread — nested work (fixed-size fallback) issues
 /// sequential top-level calls, each of which resets the memo.
 EstimateScratch& ThreadLocalScratch() {
@@ -68,25 +68,13 @@ RecursiveDecompositionEstimator::RecursiveDecompositionEstimator(
     const LatticeSummary* summary, Options options)
     : summary_(summary), options_(options) {}
 
-Result<double> RecursiveDecompositionEstimator::Estimate(const Twig& query) {
-  return EstimateWithGovernor(query, nullptr, nullptr);
+Result<double> RecursiveDecompositionEstimator::Estimate(
+    const Twig& query, CostGovernor& governor) {
+  return Estimate(query, governor, nullptr, nullptr);
 }
 
 Result<double> RecursiveDecompositionEstimator::Estimate(
-    const Twig& query, const EstimateOptions& options) {
-  if (!options.governed()) {
-    return EstimateWithGovernor(query, nullptr, options.scratch,
-                                options.record);
-  }
-  CostGovernor governor = options.MakeGovernor();
-  Result<double> result =
-      EstimateWithGovernor(query, &governor, options.scratch, options.record);
-  if (options.work_steps != nullptr) *options.work_steps += governor.steps();
-  return result;
-}
-
-Result<double> RecursiveDecompositionEstimator::EstimateWithGovernor(
-    const Twig& query, CostGovernor* governor, EstimateScratch* scratch,
+    const Twig& query, CostGovernor& governor, EstimateScratch* scratch,
     DecompositionRecord* record) {
   if (query.empty()) {
     return Status::InvalidArgument("Estimate: empty query");
@@ -96,7 +84,7 @@ Result<double> RecursiveDecompositionEstimator::EstimateWithGovernor(
   if (scratch == nullptr) scratch = &ThreadLocalScratch();
   scratch->BeginQuery(query);
   if (record != nullptr) *record = DecompositionRecord();
-  Recursion recursion{query, scratch, governor, record};
+  Recursion recursion{query, *scratch, governor, record};
   Result<double> result =
       Visit(&recursion, scratch->all_nodes(), query.size(), 0);
   if (result.ok()) {
@@ -110,13 +98,11 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
                                                       const uint64_t* nodes,
                                                       int size, int depth) {
   EstimatorMetrics& metrics = EstimatorMetrics::Get();
-  if (r->governor != nullptr) {
-    // One step per sub-twig visit: the memo probe plus summary lookup (and
-    // possibly a split) below.
-    if (Status s = r->governor->Charge(); !s.ok()) return s;
-  }
+  // One step per sub-twig visit: the memo probe plus summary lookup (and
+  // possibly a split) below.
+  if (Status s = r->governor.Charge(); !s.ok()) return s;
   if (depth > r->max_depth) r->max_depth = depth;
-  EstimateScratch& scratch = *r->scratch;
+  EstimateScratch& scratch = r->scratch;
   DecompositionRecord* const record = r->record;
   using Source = DecompositionRecord::Source;
   const std::span<const uint64_t> subset(nodes, scratch.words());

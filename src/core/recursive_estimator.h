@@ -53,23 +53,21 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
   RecursiveDecompositionEstimator(const LatticeSummary* summary,
                                   Options options);
 
-  TL_HOT Result<double> Estimate(const Twig& query) override;
+  using SelectivityEstimator::Estimate;
 
-  /// Governed estimation: cooperatively checks `options`' budget once per
-  /// sub-twig visit (lookup or split) and aborts the recursion with the
-  /// budget error as soon as it trips. Uses options.scratch when provided.
+  /// Charges `governor` one step per sub-twig visit (lookup or split) and
+  /// aborts the recursion with the budget error as soon as it trips. Runs
+  /// over an internal thread_local scratch.
   TL_HOT Result<double> Estimate(const Twig& query,
-                                 const EstimateOptions& options) override;
+                                 CostGovernor& governor) override;
 
-  /// Governed estimation charging an external governor — used by the
-  /// fixed-size estimator's recursive fallback so that one budget covers
-  /// the whole query, not each fallback separately. `governor` may be
-  /// nullptr for ungoverned estimation; `scratch` may be nullptr to use
-  /// the internal thread_local scratch. A non-null `record` is cleared and
-  /// then filled with this query's decomposition.
-  Result<double> EstimateWithGovernor(const Twig& query, CostGovernor* governor,
-                                      EstimateScratch* scratch,
-                                      DecompositionRecord* record = nullptr);
+  /// The same recursion over `scratch` (the thread_local one when null):
+  /// the ladder's primary rung passes its batch's (core/batch_estimator.h).
+  /// A non-null `record` is cleared and then filled with this query's
+  /// decomposition.
+  TL_HOT Result<double> Estimate(const Twig& query, CostGovernor& governor,
+                                 EstimateScratch* scratch,
+                                 DecompositionRecord* record);
 
   std::string name() const override {
     if (!options_.voting) return "recursive";
@@ -82,14 +80,14 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
   /// One query's recursion: its twig, scratch, governor and record.
   struct Recursion {
     const Twig& query;
-    EstimateScratch* scratch;
-    CostGovernor* governor;       ///< nullptr when ungoverned
+    EstimateScratch& scratch;
+    CostGovernor& governor;
     DecompositionRecord* record;  ///< nullptr unless explaining
     int max_depth = 0;
   };
 
   /// Visits the sub-twig induced by the connected node subset `nodes` of
-  /// the query (scratch->words() words), which has `size` nodes.
+  /// the query (scratch.words() words), which has `size` nodes.
   Result<double> Visit(Recursion* r, const uint64_t* nodes, int size,
                        int depth);
 

@@ -5,12 +5,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "serve/request_trace.h"
+#include "serve/server.h"
 #include "util/deadline.h"
 
 namespace treelattice {
@@ -63,6 +65,48 @@ class NdjsonFramer {
   bool discarding_ = false;
   uint64_t consumed_ = 0;
   uint64_t dropped_ = 0;
+};
+
+/// The response line, newline excluded, of a request line that fails
+/// before it reaches the Server.
+std::string ErrorLine(uint64_t id, uint64_t req, std::string_view query,
+                      const Status& status);
+
+/// The one line protocol of `treelattice serve` (DESIGN.md §11): what a
+/// request stream does with each framed line, on stdin and on every TCP
+/// connection alike.
+///   * An oversized frame answers an InvalidArgument error line.
+///   * A '#' line goes to the front end's control handler, whose non-empty
+///     return answers it ("#stats", "#reload"); any other '#' line answers
+///     "unknown control line".
+///   * A request line that does not parse answers its parse error.
+///   * Any other line becomes a ServeBatch for the Server, its trace begun
+///     before the parse so that parse time lands in the admit stage.
+/// Numbering: every line but an answered control line takes the front
+/// end's next request id ("req"). Scalar, error and unknown-control lines
+/// also take the stream's next number ("id", which a scalar envelope may
+/// bring itself); array lines and answered control lines take none.
+class LineProtocol {
+ public:
+  /// Answers a control line with its complete JSON response line, or
+  /// returns empty for a line it does not know.
+  using ControlHandler = std::function<std::string(std::string_view line)>;
+
+  /// `max_batch_queries` bounds an array line (ParseRequestLine).
+  LineProtocol(size_t max_frame_bytes, size_t max_batch_queries,
+               ControlHandler control);
+
+  /// Steps one framed line. `*stream_id` is the stream's last number and
+  /// `*req` the front end's last request id; each is advanced when the
+  /// line takes one. Returns true when `*batch` is to be submitted;
+  /// otherwise `*answer` holds the line's response, newline excluded.
+  bool Step(const NdjsonFramer::Event& event, uint64_t* stream_id,
+            uint64_t* req, ServeBatch* batch, std::string* answer) const;
+
+ private:
+  const size_t max_frame_bytes_;
+  const size_t max_batch_queries_;
+  const ControlHandler control_;
 };
 
 /// Per-connection state owned by the transport's event loop. Connections
@@ -133,8 +177,7 @@ struct Conn {
   uint64_t in_flight = 0;
   std::shared_ptr<CancelToken> cancel;
 
-  /// Per-connection fallback id assignment for bare-query lines (JSON
-  /// envelopes may carry their own id), mirroring the stdin protocol.
+  /// The connection's last line number (LineProtocol::Step's stream_id).
   uint64_t next_client_id = 0;
 
   std::chrono::steady_clock::time_point last_activity;

@@ -44,8 +44,9 @@ struct RequestTrace {
   uint32_t twig_size = 0;
   uint32_t twig_depth = 0;
   uint32_t twig_fanout = 0;
-  /// Governor work steps (summary probes, splits, sweeps) the estimate
-  /// charged, accumulated across every ladder rung.
+  /// Governor work steps (sub-twig visits, summary lookups, sweep
+  /// windows) the line's answered queries charged across every ladder
+  /// rung (EstimateResult::work_steps); each distinct query counts once.
   uint64_t work_steps = 0;
   /// Queries carried by the request line: 0 for a single-query line, N
   /// for a batch envelope of N queries (DESIGN.md §14). Slow-log entries

@@ -20,6 +20,10 @@ namespace {
 /// one shard lock.
 constexpr int kEstimateCacheShards = 8;
 
+/// Labels a worker's dictionary may hold past its snapshot's before the
+/// worker copies the snapshot's afresh (DESIGN.md §9).
+constexpr size_t kMaxUnknownLabels = 4096;
+
 std::string_view Trimmed(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
                         s.front() == '\r' || s.front() == '\n')) {
@@ -334,9 +338,11 @@ void Server::WorkerLoop() {
   // rebuilt whenever the serving snapshot changes; the dictionary is a
   // private copy because query compilation interns labels (a label the
   // snapshot has never seen gets a fresh id that misses every summary
-  // lookup, yielding the natural estimate of zero). The estimator's
-  // scratch and the per-line buffers stay warm across every line this
-  // thread answers on one snapshot.
+  // lookup, yielding the natural estimate of zero). Once the copy holds
+  // kMaxUnknownLabels such labels it starts over from the snapshot's, so
+  // lines of ever-new labels cannot grow it without bound. The
+  // estimator's scratch and the per-line buffers stay warm across every
+  // line this thread answers on one snapshot.
   Worker worker;
   for (;;) {
     ServeBatch batch;
@@ -367,6 +373,10 @@ void Server::WorkerLoop() {
         worker.dict.reset();
         worker.estimator.reset();
       }
+    } else if (worker.dict != nullptr &&
+               worker.dict->size() >
+                   worker.snapshot->dict.size() + kMaxUnknownLabels) {
+      worker.dict = std::make_unique<LabelDict>(worker.snapshot->dict);
     }
 
     if (options_.worker_delay_millis > 0.0) {
@@ -436,7 +446,6 @@ ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
                                 ? item.max_work_steps
                                 : options_.default_max_work_steps;
     budget.cancel = batch.cancel.get();
-    if (out.trace.active) budget.work_steps = &out.trace.work_steps;
     results[i].wall_micros = timer.LapMicros();
   }
 
@@ -454,6 +463,10 @@ ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
     if (twigs[i].empty()) continue;  // answered at parse
     dup_queries += result.duplicate ? 1 : 0;
     cache_hits += result.cached && !result.duplicate ? 1 : 0;
+    // Each distinct estimated query's steps count once.
+    if (out.trace.active && !result.duplicate) {
+      out.trace.work_steps += result.work_steps;
+    }
     if (!result.status.ok()) {
       response.error_code =
           std::string(StatusCodeToString(result.status.code()));

@@ -6,15 +6,14 @@
 
 #include "serve/serve_metrics.h"
 #include "summary/summary_format.h"
-#include "xml/dict_codec.h"
 
 namespace treelattice {
 namespace serve {
 
 namespace {
 
-/// One load attempt: summary (either format), then the dictionary —
-/// embedded for v2, the .dict sidecar for v1.
+/// One load attempt: summary (either format) and its dictionary, embedded
+/// or from the .dict sidecar (LoadSummary resolves both).
 Result<std::shared_ptr<SummarySnapshot>> LoadAttempt(
     Env* env, const std::string& path, const ReloadOptions& options) {
   Result<LoadedSummary> loaded = LoadSummary(env, path);
@@ -25,22 +24,13 @@ Result<std::shared_ptr<SummarySnapshot>> LoadAttempt(
                               "); refusing salvaged reload");
   }
 
-  LabelDict dict;
-  if (loaded->dict) {
-    dict = std::move(*loaded->dict);
-  } else {
-    Result<LabelDict> sidecar = LoadLabelDict(env, path + ".dict");
-    if (!sidecar.ok()) {
-      return Status(sidecar.status().code(),
-                    "no label dictionary for " + path +
-                        " (v2 embeds one; v1 needs the .dict sidecar): " +
-                        sidecar.status().message());
-    }
-    dict = std::move(*sidecar);
+  if (!loaded->dict) {
+    return Status::NotFound("no label dictionary for " + path +
+                            " (v2 embeds one; v1 needs the .dict sidecar)");
   }
 
   auto snapshot = std::make_shared<SummarySnapshot>(
-      std::move(loaded->summary), std::move(dict));
+      std::move(loaded->summary), std::move(*loaded->dict));
   snapshot->salvaged = loaded->salvaged;
   snapshot->source =
       loaded->salvaged ? path + " (salvaged: " + loaded->corruption_detail + ")"

@@ -40,7 +40,11 @@ Transport::Transport(SnapshotHolder* snapshots, ServerOptions server_options,
                      Options options, ControlHandler control)
     : snapshots_(snapshots),
       options_(std::move(options)),
-      control_(std::move(control)),
+      lines_(options_.max_frame_bytes, server_options.queue_capacity,
+             [this, control = std::move(control)](std::string_view line) {
+               if (line == "#stats") return StatsJsonLine();
+               return control != nullptr ? control(line) : std::string();
+             }),
       poller_(options_.force_poll),
       io_(options_.faults) {
   started_ = Clock::now();
@@ -417,8 +421,8 @@ void Transport::ReadConn(Conn* conn) {
     const bool was_mid_frame = conn->framer.mid_frame();
     events.clear();
     conn->framer.Feed(std::string_view(buf, got.bytes), &events);
-    for (NdjsonFramer::Event& event : events) {
-      HandleFrame(conn, std::move(event));
+    for (const NdjsonFramer::Event& event : events) {
+      HandleFrame(conn, event);
     }
     if (conn->framer.mid_frame() && (!was_mid_frame || !events.empty())) {
       // A fresh partial frame started (or progress was made): restart the
@@ -429,74 +433,36 @@ void Transport::ReadConn(Conn* conn) {
   UpdateInterest(conn);
 }
 
-void Transport::HandleFrame(Conn* conn, NdjsonFramer::Event event) {
+void Transport::HandleFrame(Conn* conn, const NdjsonFramer::Event& event) {
   NetMetrics& metrics = NetMetrics::Get();
   if (event.kind == NdjsonFramer::EventKind::kOversized) {
-    // Fail the request, keep the connection: the framer is already
-    // discarding through the frame's terminating newline.
+    // The framer is already discarding through the frame's terminating
+    // newline; the line protocol fails the request, the connection lives.
     frames_oversized_.fetch_add(1, std::memory_order_relaxed);
     metrics.frames_oversized->Increment();
-    EnqueueErrorLine(conn, ++conn->next_client_id, /*req=*/0, "",
-                     StatusCode::kInvalidArgument,
-                     "request line exceeds max frame size of " +
-                         std::to_string(options_.max_frame_bytes) + " bytes");
-    return;
+  } else {
+    frames_.fetch_add(1, std::memory_order_relaxed);
+    metrics.frames->Increment();
   }
-  frames_.fetch_add(1, std::memory_order_relaxed);
-  metrics.frames->Increment();
-  const std::string& line = event.line;
-  if (line.front() == '#') {
-    HandleControlLine(conn, line);
-    return;
-  }
-  // The internal id doubles as the process-unique request id ("req" in
-  // the response) and routes the answer back: Begin the trace before
-  // parsing so parse time lands in the admit stage.
-  const uint64_t internal_id = ++next_internal_id_;
-  RequestTrace trace = RequestTrace::Begin(internal_id);
+  // The request id doubles as the route of the answer back to `conn`.
   ServeBatch batch;
-  if (Status parsed = ParseRequestLine(
-          line, server_->options().queue_capacity, &batch);
-      !parsed.ok()) {
-    EnqueueErrorLine(conn, ++conn->next_client_id, internal_id,
-                     batch.scalar ? std::string_view(line) : "",
-                     parsed.code(), parsed.message());
+  std::string answer;
+  if (!lines_.Step(event, &conn->next_client_id, &next_internal_id_, &batch,
+                   &answer)) {
+    EnqueueLine(conn, answer);
     return;
   }
-  // A scalar line without a client id answers with the connection's next
-  // sequence number; array items echo their ids as given.
-  if (batch.scalar) {
-    const uint64_t client_id = ++conn->next_client_id;
-    if (batch.items[0].id == 0) batch.items[0].id = client_id;
-  }
-  batch.trace = trace;
   batch.cancel = conn->cancel;
   // Conservation is per query: the route records the line's query count
   // and DrainCompletions accounts every one.
   const uint32_t queries = static_cast<uint32_t>(batch.items.size());
-  routes_[internal_id] = Route{conn->id, queries};
+  routes_[batch.trace.req_id] = Route{conn->id, queries};
   ++conn->in_flight;
   requests_admitted_.fetch_add(queries, std::memory_order_relaxed);
   // A full admission queue sheds synchronously: the sink fires before
   // Submit returns and the completion path below answers it like any
   // other response — exactly one response per admitted line, always.
   server_->Submit(std::move(batch));
-}
-
-void Transport::HandleControlLine(Conn* conn, const std::string& line) {
-  if (line == "#stats") {
-    EnqueueLine(conn, StatsJsonLine());
-    return;
-  }
-  if (control_ != nullptr) {
-    std::string response = control_(line);
-    if (!response.empty()) {
-      EnqueueLine(conn, response);
-      return;
-    }
-  }
-  EnqueueErrorLine(conn, ++conn->next_client_id, /*req=*/0, line,
-                   StatusCode::kInvalidArgument, "unknown control line");
 }
 
 void Transport::EnqueueLine(Conn* conn, std::string_view line) {
@@ -518,21 +484,6 @@ void Transport::EndLine(Conn* conn) {
     backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
     NetMetrics::Get().backpressure_stalls->Increment();
   }
-}
-
-void Transport::EnqueueErrorLine(Conn* conn, uint64_t id, uint64_t req,
-                                 std::string_view query, StatusCode code,
-                                 std::string_view message) {
-  ServeResponse response;
-  response.id = id;
-  // Transport-level errors never reach the Server, but they still carry a
-  // process-unique request id — every response line is correlatable.
-  response.req = req != 0 ? req : ++next_internal_id_;
-  response.query = std::string(query);
-  response.ok = false;
-  response.error_code = std::string(StatusCodeToString(code));
-  response.error_message = std::string(message);
-  EnqueueLine(conn, response.ToJsonLine());
 }
 
 void Transport::FlushConn(Conn* conn) {
@@ -735,9 +686,9 @@ void Transport::SweepTimeouts() {
     request_timeouts_.fetch_add(1, std::memory_order_relaxed);
     metrics.request_timeouts->Increment();
     // Best-effort parting error, then the slowloris is gone.
-    EnqueueErrorLine(conn, ++conn->next_client_id, /*req=*/0, "",
-                     StatusCode::kDeadlineExceeded,
-                     "request frame not completed in time");
+    EnqueueLine(conn, ErrorLine(++conn->next_client_id, ++next_internal_id_,
+                                "", Status::DeadlineExceeded(
+                                        "request frame not completed in time")));
     WriteSocket(conn->fd,
                 std::string_view(conn->out).substr(conn->out_offset));
     CloseConn(conn, /*abortive=*/true);

@@ -103,10 +103,9 @@ class Transport {
   };
 
   /// Handles control lines ('#'-prefixed) the transport does not answer
-  /// itself ("#stats" is built in). Returns the complete JSON response
-  /// line (without newline); an empty return produces a generic error
-  /// response. Runs on the loop thread — keep it quick.
-  using ControlHandler = std::function<std::string(std::string_view line)>;
+  /// itself ("#stats" is built in), as LineProtocol::ControlHandler does.
+  /// Runs on the loop thread — keep it quick.
+  using ControlHandler = LineProtocol::ControlHandler;
 
   /// Constructs the transport and its internal Server (worker pool +
   /// admission queue) over `snapshots`, which must outlive the transport.
@@ -153,17 +152,13 @@ class Transport {
   void AcceptNew();
   void ReadConn(Conn* conn);
   void FlushConn(Conn* conn);
-  void HandleFrame(Conn* conn, NdjsonFramer::Event event);
-  void HandleControlLine(Conn* conn, const std::string& line);
+  /// One framed line through the line protocol: answered at once, or
+  /// routed to the Server.
+  void HandleFrame(Conn* conn, const NdjsonFramer::Event& event);
   void EnqueueLine(Conn* conn, std::string_view line);
   /// Ends the line just appended to conn->out: adds its newline, marks the
   /// connection for this wake's flush and pauses reading above high water.
   void EndLine(Conn* conn);
-  /// `req` is the process-unique request id echoed in the error line; 0
-  /// lets the transport assign a fresh one.
-  void EnqueueErrorLine(Conn* conn, uint64_t id, uint64_t req,
-                        std::string_view query, StatusCode code,
-                        std::string_view message);
   /// Re-arms the poller when the connection's interest changed: read while
   /// open, unpaused and not draining; write only while `write_blocked`.
   void UpdateInterest(Conn* conn);
@@ -202,7 +197,9 @@ class Transport {
 
   SnapshotHolder* const snapshots_;
   const Options options_;
-  const ControlHandler control_;
+  /// Every connection's line step; answers "#stats" itself and hands
+  /// other control lines to the front end's handler.
+  const LineProtocol lines_;
   std::unique_ptr<Server> server_;
 
   EventPoller poller_;

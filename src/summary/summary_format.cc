@@ -336,8 +336,10 @@ Status SaveSummaryV2(const LatticeSummary& summary, const LabelDict* dict,
   return status;
 }
 
-Result<LoadedSummary> LoadSummary(Env* env, const std::string& path) {
-  obs::TraceSpan span("summary.load", "summary");
+namespace {
+
+/// LoadSummary without the sidecar: the file's own contents.
+Result<LoadedSummary> LoadSummaryFile(Env* env, const std::string& path) {
   std::string contents;
   TL_RETURN_IF_ERROR(ReadFileToString(env, path, &contents));
   SummaryMetrics::Get().loads->Increment();
@@ -372,6 +374,26 @@ Result<LoadedSummary> LoadSummary(Env* env, const std::string& path) {
     return LoadedSummary{std::move(*summary), std::nullopt, 1, false, ""};
   }
   return Status::Corruption("bad summary header in " + path);
+}
+
+}  // namespace
+
+Result<LoadedSummary> LoadSummary(Env* env, const std::string& path) {
+  obs::TraceSpan span("summary.load", "summary");
+  Result<LoadedSummary> loaded = LoadSummaryFile(env, path);
+  const std::string sidecar_path = path + ".dict";
+  if (!loaded.ok() || loaded->dict || !env->FileExists(sidecar_path)) {
+    return loaded;
+  }
+  Result<LabelDict> sidecar = LoadLabelDict(env, sidecar_path);
+  if (!sidecar.ok()) {
+    return Status(sidecar.status().code(),
+                  "label dictionary " + sidecar_path + ": " +
+                      sidecar.status().message());
+  }
+  loaded->dict = std::move(*sidecar);
+  loaded->dict_from_sidecar = true;
+  return loaded;
 }
 
 Result<VerifyReport> VerifySummaryFile(Env* env, const std::string& path) {

@@ -45,8 +45,9 @@ Status SaveSummaryV2(const LatticeSummary& summary, const LabelDict* dict,
 /// was loaded.
 struct LoadedSummary {
   LatticeSummary summary;
-  /// The embedded dictionary; absent for v1 files (use the .dict sidecar)
-  /// and for v2 files whose dict section did not survive.
+  /// The label dictionary: the embedded one, or else the `<path>.dict`
+  /// sidecar when one exists (v1 files, and v2 files whose dict section
+  /// did not survive). Absent when neither is there.
   std::optional<LabelDict> dict;
   int format_version = 0;  // 1 or 2
   /// True when parts of a v2 file were lost to corruption and the summary
@@ -54,12 +55,16 @@ struct LoadedSummary {
   /// accordingly). `corruption_detail` says what was lost.
   bool salvaged = false;
   std::string corruption_detail;
+  /// True when `dict` came from the sidecar.
+  bool dict_from_sidecar = false;
 };
 
 /// Loads `path` in either format (sniffed by magic). Returns Corruption
 /// only when nothing is salvageable (bad magic, unusable v2 header, or a
 /// corrupt v1 file — v1 has no checksums to salvage by); a damaged v2 file
-/// otherwise loads with `salvaged` set.
+/// otherwise loads with `salvaged` set. A file without an embedded
+/// dictionary takes its `<path>.dict` sidecar, and a sidecar that exists
+/// but does not load fails the whole load.
 Result<LoadedSummary> LoadSummary(Env* env, const std::string& path);
 
 /// Integrity of one v2 section, as reported by VerifySummaryFile.

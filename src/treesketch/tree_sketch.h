@@ -90,7 +90,10 @@ class TreeSketchEstimator : public SelectivityEstimator {
   /// The sketch must outlive the estimator.
   explicit TreeSketchEstimator(const TreeSketch* sketch) : sketch_(sketch) {}
 
-  Result<double> Estimate(const Twig& query) override {
+  using SelectivityEstimator::Estimate;
+
+  /// The sketch's cost is bounded by its size; it charges nothing.
+  Result<double> Estimate(const Twig& query, CostGovernor&) override {
     return sketch_->EstimateCount(query);
   }
 

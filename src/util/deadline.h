@@ -97,7 +97,7 @@ class CostGovernor {
  public:
   static constexpr uint64_t kClockCheckInterval = 64;
 
-  /// An ungoverned governor: Charge always succeeds (but still counts).
+  /// An unlimited governor: Charge always succeeds (but still counts).
   CostGovernor() = default;
 
   CostGovernor(Deadline deadline, const CancelToken* cancel,

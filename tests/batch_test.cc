@@ -19,10 +19,12 @@
 #include "core/degrading_estimator.h"
 #include "core/estimate_cache.h"
 #include "core/estimate_scratch.h"
+#include "core/estimator_metrics.h"
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
 #include "io/env.h"
 #include "mining/lattice_builder.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "summary/lattice_summary.h"
@@ -71,6 +73,14 @@ std::vector<Twig> ParseAll(const std::vector<std::string>& texts,
   return twigs;
 }
 
+/// `estimator`'s recursion over `scratch`, under an unlimited governor:
+/// the sequential path every batch is held to.
+Result<double> EstimateOver(RecursiveDecompositionEstimator& estimator,
+                            const Twig& query, EstimateScratch& scratch) {
+  CostGovernor unlimited;
+  return estimator.Estimate(query, unlimited, &scratch, nullptr);
+}
+
 class BatchEstimatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -91,11 +101,9 @@ class BatchEstimatorTest : public ::testing::Test {
     std::vector<Twig> queries = Workload();
     RecursiveDecompositionEstimator sequential(summary_.get(), options);
     EstimateScratch scratch;
-    EstimateOptions sequential_options;
-    sequential_options.scratch = &scratch;
     std::vector<double> expected;
     for (const Twig& query : queries) {
-      Result<double> value = sequential.Estimate(query, sequential_options);
+      Result<double> value = EstimateOver(sequential, query, scratch);
       ASSERT_TRUE(value.ok()) << value.status().ToString();
       expected.push_back(*value);
     }
@@ -173,11 +181,9 @@ TEST(BatchStreamTest, GeneratedVotingStreamMatchesSequentialAtEveryBatchSize) {
   voting.voting = true;
   RecursiveDecompositionEstimator sequential(&*summary, voting);
   EstimateScratch scratch;
-  EstimateOptions sequential_options;
-  sequential_options.scratch = &scratch;
   std::vector<double> expected;
   for (const Twig& query : stream) {
-    Result<double> value = sequential.Estimate(query, sequential_options);
+    Result<double> value = EstimateOver(sequential, query, scratch);
     ASSERT_TRUE(value.ok()) << value.status().ToString();
     expected.push_back(*value);
   }
@@ -243,14 +249,46 @@ TEST_F(BatchEstimatorTest, StepCapTripDegradesTheItemAndReportsWorkSteps) {
   BatchEstimator batch(summary_.get(), Voting());
   EstimateOptions options;
   options.max_work_steps = kTightSteps;
-  uint64_t steps = 0;
-  options.work_steps = &steps;
   std::vector<EstimateResult> results(queries.size());
   ASSERT_TRUE(batch.EstimateBatch(queries, options, results).ok());
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
   EXPECT_TRUE(results[0].degraded);
   EXPECT_EQ(results[0].rung, DegradingEstimator::Rung::kFixedSize);
-  EXPECT_GT(steps, kTightSteps);
+  EXPECT_GT(results[0].work_steps, kTightSteps);
+}
+
+TEST_F(BatchEstimatorTest, UngovernedWorkStepsAreTheSubTwigVisits) {
+  // With no budget the primary still charges one step per sub-twig visit:
+  // a memo hit or a summary probe, counted the way work_counters_test
+  // counts them.
+  obs::SetEnabledForTest(true);
+  EstimatorMetrics& metrics = EstimatorMetrics::Get();
+  auto visits = [&metrics] {
+    return metrics.memo_hits->value() + metrics.summary_hits->value() +
+           metrics.summary_misses->value() + metrics.exhaustive_zeros->value();
+  };
+  std::vector<Twig> queries = ParseAll({"a(t0,t1,t2)", "a(t2,t1,t0)"}, &dict_);
+  EstimateCache cache(EstimateCache::Options{});
+  BatchEstimator batch(summary_.get(), Voting(), &cache);
+  std::vector<EstimateResult> results(queries.size());
+  const uint64_t before = visits();
+  ASSERT_TRUE(batch.EstimateBatch(queries, EstimateOptions(), results).ok());
+  const uint64_t charged = visits() - before;
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  ASSERT_GT(charged, 1u);
+  EXPECT_EQ(results[0].work_steps, charged);
+  // The duplicate ran as its first occurrence.
+  EXPECT_TRUE(results[1].duplicate);
+  EXPECT_EQ(results[1].work_steps, charged);
+
+  // Asked again, the query answers from the cache and charges nothing.
+  std::vector<EstimateResult> again(1);
+  ASSERT_TRUE(batch
+                  .EstimateBatch(std::span<const Twig>(queries).first(1),
+                                 EstimateOptions(), again)
+                  .ok());
+  EXPECT_TRUE(again[0].cached);
+  EXPECT_EQ(again[0].work_steps, 0u);
 }
 
 TEST_F(BatchEstimatorTest, StepCapIsPerItemSoACheapQueryAfterATripIsExact) {
@@ -366,9 +404,7 @@ TEST_F(BatchEstimatorTest, GovernedValuesMatchSequentialWhenBudgetSuffices) {
   EstimateScratch scratch;
   std::vector<double> expected;
   for (const Twig& query : queries) {
-    EstimateOptions options;
-    options.scratch = &scratch;
-    Result<double> value = sequential.Estimate(query, options);
+    Result<double> value = EstimateOver(sequential, query, scratch);
     ASSERT_TRUE(value.ok());
     expected.push_back(*value);
   }

@@ -172,9 +172,8 @@ TEST_F(GovernedEstimationTest, UnrestrictedVotingExceedsLargeStepBudget) {
       summary_.get(),
       RecursiveDecompositionEstimator::Options{
           true, 0, RecursiveDecompositionEstimator::VoteAggregation::kMean});
-  EstimateOptions options;
-  options.max_work_steps = 1'000'000;
-  Result<double> estimate = voting.Estimate(*star_query_, options);
+  CostGovernor budget(Deadline::Infinite(), nullptr, 1'000'000);
+  Result<double> estimate = voting.Estimate(*star_query_, budget);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kResourceExhausted);
 }
@@ -186,7 +185,8 @@ TEST_F(GovernedEstimationTest, DeadlineTripsRecursiveEstimator) {
           true, 0, RecursiveDecompositionEstimator::VoteAggregation::kMean});
   EstimateOptions options;
   options.deadline_millis = 20.0;
-  Result<double> estimate = voting.Estimate(*star_query_, options);
+  CostGovernor budget = options.MakeGovernor();
+  Result<double> estimate = voting.Estimate(*star_query_, budget);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -202,7 +202,8 @@ TEST_F(GovernedEstimationTest, DeadlineMillisAloneGovernsEveryEstimator) {
       summary_.get(),
       RecursiveDecompositionEstimator::Options{
           true, 0, RecursiveDecompositionEstimator::VoteAggregation::kMean});
-  Result<double> estimate = voting.Estimate(*star_query_, options);
+  CostGovernor budget = options.MakeGovernor();
+  Result<double> estimate = voting.Estimate(*star_query_, budget);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kDeadlineExceeded);
 
@@ -224,7 +225,8 @@ TEST_F(GovernedEstimationTest, UngovernedOptionsChangeNothing) {
   ASSERT_TRUE(small.ok());
   RecursiveDecompositionEstimator plain(summary_.get());
   Result<double> a = plain.Estimate(*small);
-  Result<double> b = plain.Estimate(*small, EstimateOptions());
+  CostGovernor governor = EstimateOptions().MakeGovernor();
+  Result<double> b = plain.Estimate(*small, governor);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(*a, *b);
@@ -246,6 +248,25 @@ TEST_F(GovernedEstimationTest, LadderDegradesToFixedSizeOnStepBudget) {
   EXPECT_GE(result->estimate, 0.0);
   // The rung name renders stably for serve responses.
   EXPECT_EQ(DegradingEstimator::RungName(result->rung), "fixed-size");
+}
+
+TEST_F(GovernedEstimationTest, LadderReportsTheStepsEveryRungCharged) {
+  // The primary charges its whole cap plus the step that tripped it; the
+  // fixed-size rung then charges its own sweep under a fresh cap.
+  constexpr uint64_t kCap = 20'000;
+  FixedSizeDecompositionEstimator fixed(summary_.get());
+  CostGovernor fixed_budget(Deadline::Infinite(), nullptr, kCap);
+  ASSERT_TRUE(fixed.Estimate(*star_query_, fixed_budget).ok());
+  ASSERT_GT(fixed_budget.steps(), 0u);
+
+  DegradingEstimator ladder(summary_.get());
+  EstimateOptions options;
+  options.max_work_steps = kCap;
+  Result<DegradingEstimator::DegradedEstimate> result =
+      ladder.EstimateDegraded(*star_query_, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rung, DegradingEstimator::Rung::kFixedSize);
+  EXPECT_EQ(result->work_steps, kCap + 1 + fixed_budget.steps());
 }
 
 TEST_F(GovernedEstimationTest, DeadlineAnswersDegradedWithinTwiceDeadline) {

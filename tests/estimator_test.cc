@@ -330,6 +330,13 @@ TEST(VotingTest, MedianWithSinglePairEqualsPlain) {
 
 // Property: on random documents, every estimator answers in-lattice
 // queries exactly, and out-of-lattice estimates are finite & non-negative.
+/// `estimator`'s recursion over `scratch`, under an unlimited governor.
+Result<double> EstimateOver(RecursiveDecompositionEstimator& estimator,
+                            const Twig& query, EstimateScratch& scratch) {
+  CostGovernor unlimited;
+  return estimator.Estimate(query, unlimited, &scratch, nullptr);
+}
+
 TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
   // The reusable scratch is a pure working-memory optimization: the same
   // query must produce the exact same bits whether the caller passes a
@@ -358,22 +365,21 @@ TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
   }
 
   EstimateScratch shared;
-  EstimateOptions with_shared;
-  with_shared.scratch = &shared;
   for (const Twig& query : queries) {
     Result<double> bare = voting.Estimate(query);
     EstimateScratch fresh;
-    EstimateOptions with_fresh;
-    with_fresh.scratch = &fresh;
-    Result<double> from_fresh = voting.Estimate(query, with_fresh);
-    Result<double> from_shared = voting.Estimate(query, with_shared);
+    Result<double> from_fresh = EstimateOver(voting, query, fresh);
+    Result<double> from_shared = EstimateOver(voting, query, shared);
     ASSERT_TRUE(bare.ok() && from_fresh.ok() && from_shared.ok());
     // Bitwise: the scratch may never change an estimate value.
     EXPECT_EQ(*bare, *from_fresh);
     EXPECT_EQ(*bare, *from_shared);
 
+    // The fixed-size rung runs over its own scratch, after the shared
+    // one has been warmed by the voting recursion above.
     Result<double> fixed_bare = fixed.Estimate(query);
-    Result<double> fixed_shared = fixed.Estimate(query, with_shared);
+    CostGovernor unlimited;
+    Result<double> fixed_shared = fixed.Estimate(query, unlimited);
     ASSERT_TRUE(fixed_bare.ok() && fixed_shared.ok());
     EXPECT_EQ(*fixed_bare, *fixed_shared);
   }
@@ -383,7 +389,7 @@ TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
   // results independent of scratch history).
   for (const Twig& query : queries) {
     Result<double> bare = voting.Estimate(query);
-    Result<double> warm = voting.Estimate(query, with_shared);
+    Result<double> warm = EstimateOver(voting, query, shared);
     ASSERT_TRUE(bare.ok() && warm.ok());
     EXPECT_EQ(*bare, *warm);
   }
@@ -489,11 +495,9 @@ void ExpectOracleAgreement(const LatticeSummary& summary,
     RecursiveDecompositionEstimator production(&summary, options);
     ReferenceRecursiveEstimator oracle(summary, options);
     EstimateScratch shared;
-    EstimateOptions with_shared;
-    with_shared.scratch = &shared;
     for (const Twig& query : queries) {
       Result<double> expected = oracle.Estimate(query);
-      Result<double> from_shared = production.Estimate(query, with_shared);
+      Result<double> from_shared = EstimateOver(production, query, shared);
       Result<double> bare = production.Estimate(query);
       ASSERT_TRUE(expected.ok() && from_shared.ok() && bare.ok());
       const std::string mode =

@@ -4,8 +4,12 @@
 # tests/golden/serve_script.ndjson; every response line must match
 # tests/golden/serve_stdin.golden byte for byte after the same
 # normalization transport_test's TCP leg applies: lines sorted by their
-# first "req" id, every "wall_micros" value masked to "*". Invoked by
-# ctest with the binary path as $1 and the golden directory as $2.
+# first "req" id, every "wall_micros" value masked to "*". stdin and TCP
+# speak one line protocol, so the stdin golden must also number its lines
+# as tests/golden/serve_tcp.golden does: the same "id"/"req" pairs, line
+# by line (estimates differ, since transport_test's TCP leg summarizes
+# another document). Invoked by ctest with the binary path as $1 and the
+# golden directory as $2.
 set -e
 
 CLI="$1"
@@ -44,6 +48,25 @@ sed 's/"wall_micros":[-+.0-9eE]*/"wall_micros":"*"/g' "$WORKDIR/out" \
 
 if ! diff -u "$GOLDEN/serve_stdin.golden" "$WORKDIR/transcript"; then
   echo "stdin wire transcript differs from $GOLDEN/serve_stdin.golden" >&2
+  exit 1
+fi
+
+# Every "id"/"req" pair of a line, in order, prefixed by its line number.
+numbering() {
+  awk '{
+    rest = $0; pairs = ""
+    while (match(rest, /"id":[0-9]+,"req":[0-9]+/)) {
+      pairs = pairs " " substr(rest, RSTART, RLENGTH)
+      rest = substr(rest, RSTART + RLENGTH)
+    }
+    print NR ":" pairs
+  }' "$1"
+}
+numbering "$GOLDEN/serve_stdin.golden" > "$WORKDIR/stdin.ids"
+numbering "$GOLDEN/serve_tcp.golden" > "$WORKDIR/tcp.ids"
+if ! diff -u "$WORKDIR/stdin.ids" "$WORKDIR/tcp.ids"; then
+  echo "serve_stdin.golden and serve_tcp.golden number their lines" \
+       "differently" >&2
   exit 1
 fi
 echo "serve golden: $want responses match"

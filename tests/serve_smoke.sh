@@ -135,11 +135,13 @@ test "$RESPONSES" -eq 201
 grep -q '^{"stats":' "$WORKDIR/soak.out"
 # The malformed queries answered with structured JSON errors, not crashes.
 grep -q '"ok":false,"error":{"code":' "$WORKDIR/soak.out"
-# Known-good queries kept answering after the failed reload.
-OK_COUNT=$(grep -c '"ok":true' "$WORKDIR/soak.out")
+# Known-good queries kept answering after the failed reload. Both greps
+# read response lines only: the #reload acks carry "ok" and
+# "snapshot_version" too.
+OK_COUNT=$(grep -c '^{"id":.*"ok":true' "$WORKDIR/soak.out")
 test "$OK_COUNT" -ge 150
 # The healed reload produced a version-2 snapshot for the final query.
-grep -q '"snapshot_version":2' "$WORKDIR/soak.out"
+grep -q '^{"id":.*"snapshot_version":2' "$WORKDIR/soak.out"
 
 # --- phase 2: queue overflow sheds instead of growing or crashing --------
 

@@ -552,6 +552,70 @@ TEST_F(ServerTest, UnknownLabelsEstimateZeroAcrossReload) {
   EXPECT_DOUBLE_EQ(by_id[1].estimate, 0.0);
 }
 
+TEST_F(ServerTest, WorkerDictionaryStartsOverAfterManyUnknownLabels) {
+  // Every line names a label the snapshot lacks, 5,000 in all: past 4,096
+  // the worker copies the snapshot's dictionary afresh. Unknown lines
+  // still answer 0, and a known query answers the same on either side.
+  constexpr uint64_t kUnknownLines = 5000;
+  ServerOptions options;
+  options.workers = 1;
+  options.queue_capacity = kUnknownLines + 2;
+  options.estimate_cache_capacity = 0;
+  Server server(&snapshots_, options, collector_.Sink());
+  auto submit = [&server](uint64_t id, std::string query) {
+    ServeRequest request;
+    request.id = id;
+    request.query = std::move(query);
+    EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
+  };
+  constexpr char kKnown[] = "a(t0,t1,t2)";
+  submit(1, kKnown);
+  for (uint64_t i = 0; i < kUnknownLines; ++i) {
+    submit(2 + i, "a(unknown" + std::to_string(i) + ")");
+  }
+  submit(kUnknownLines + 2, kKnown);
+  server.Shutdown();
+
+  std::map<uint64_t, ServeResponse> by_id = collector_.ById();
+  ASSERT_EQ(by_id.size(), kUnknownLines + 2);
+  for (const auto& [id, response] : by_id) {
+    ASSERT_TRUE(response.ok) << id << ": " << response.error_message;
+    if (id != 1 && id != kUnknownLines + 2) {
+      EXPECT_EQ(response.estimate, 0.0) << response.query;
+    }
+  }
+  EXPECT_GT(by_id[1].estimate, 0.0);
+  EXPECT_EQ(by_id[kUnknownLines + 2].estimate, by_id[1].estimate);
+}
+
+TEST_F(ServerTest, UngovernedLineReportsItsWorkStepsInItsTrace) {
+  // No cancel token, deadline or step cap: the ladder's governors still
+  // count the work, and the line's trace carries it.
+  obs::SetEnabledForTest(true);
+  ServerOptions options;
+  options.workers = 1;
+  options.estimate_cache_capacity = 0;
+  std::mutex mu;
+  std::vector<RequestTrace> traces;
+  Server server(&snapshots_, options,
+                [&mu, &traces](ServeBatchResponse response) {
+                  std::lock_guard<std::mutex> lock(mu);
+                  traces.push_back(response.trace);
+                });
+  ServeRequest request;
+  request.id = 1;
+  request.query = "a(t0,t1,t2)";
+  ServeBatch line = Scalar(std::move(request));
+  line.trace = RequestTrace::Begin(1);
+  ASSERT_TRUE(line.trace.active);
+  ASSERT_EQ(line.cancel, nullptr);
+  EXPECT_TRUE(server.Submit(std::move(line)));
+  server.Shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_GT(traces[0].work_steps, 0u);
+}
+
 TEST_F(ServerTest, WorkersPickUpHotSwappedSnapshot) {
   // Double every count, rewrite the file, reload, and query again: the
   // same query must now answer from the new snapshot (version 2, doubled

@@ -292,6 +292,35 @@ TEST(SummaryV1CompatTest, V1TextStillLoads) {
   EXPECT_TRUE(report->intact);
 }
 
+TEST(SummaryV1CompatTest, SidecarDictionaryLoadsWithTheSummary) {
+  // A v1 file carries no dictionary; LoadSummary takes its .dict sidecar.
+  Fixture fx;
+  const ScopedTempPath path_file("fmt_v1_sidecar.txt");
+  const std::string& path = path_file.path();
+  ASSERT_TRUE(fx.summary.SaveToFileV1(path).ok());
+  ASSERT_TRUE(SaveLabelDict(fx.dict, Env::Default(), path + ".dict").ok());
+
+  Result<LoadedSummary> loaded = LoadSummary(Env::Default(), path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->format_version, 1);
+  ASSERT_TRUE(loaded->dict.has_value());
+  EXPECT_TRUE(loaded->dict_from_sidecar);
+  ASSERT_EQ(loaded->dict->size(), fx.dict.size());
+  for (size_t i = 0; i < fx.dict.size(); ++i) {
+    const LabelId id = static_cast<LabelId>(i);
+    EXPECT_EQ(loaded->dict->Name(id), fx.dict.Name(id));
+  }
+
+  // A sidecar that exists but does not load fails the whole load.
+  {
+    std::ofstream out(path + ".dict", std::ios::trunc);
+    out << "dup\ndup\n";
+  }
+  Result<LoadedSummary> broken = LoadSummary(Env::Default(), path);
+  ASSERT_FALSE(broken.ok());
+  EXPECT_EQ(broken.status().code(), StatusCode::kCorruption);
+}
+
 TEST(SummaryV1CompatTest, SeedWrittenFileLoads) {
   // Byte-for-byte what the seed code's SaveToFile produced.
   const ScopedTempPath path_file("fmt_v1_seed.txt");

@@ -423,13 +423,15 @@ TEST_F(WorkCountersTest, CountsAreDeterministic) {
 
 /// The heap allocations of one estimate of `query` on a fresh scratch.
 AllocationCounter CountEstimate(RecursiveDecompositionEstimator& estimator,
-                                const Twig& query, EstimateOptions options) {
+                                const Twig& query,
+                                const EstimateOptions& options) {
   (void)query.CanonicalHash();
   EstimateScratch scratch;
-  options.scratch = &scratch;
+  CostGovernor governor = options.MakeGovernor();
   AllocationCounter allocations;
   allocations.Start();
-  Result<double> result = estimator.Estimate(query, options);
+  Result<double> result =
+      estimator.Estimate(query, governor, &scratch, nullptr);
   allocations.Stop();
   (void)result;  // a budget trip is expected under a step cap
   return allocations;

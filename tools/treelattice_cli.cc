@@ -70,7 +70,6 @@
 #include "util/json.h"
 #include "util/string_util.h"
 #include "util/timer.h"
-#include "xml/dict_codec.h"
 #include "xml/parser.h"
 #include "xpath/xpath.h"
 
@@ -316,7 +315,9 @@ int RunStats(int argc, char** argv) {
   std::printf("max level:        %d\n", summary.max_level());
   std::printf("complete through: %d\n", summary.complete_through_level());
   std::printf("dict:             %s\n",
-              loaded->dict ? "embedded" : "none (v1 sidecar)");
+              !loaded->dict                ? "none"
+              : loaded->dict_from_sidecar ? "sidecar (.dict)"
+                                          : "embedded");
   for (int level = 1; level <= summary.max_level(); ++level) {
     std::printf("level %d patterns: %zu\n", level, summary.NumPatterns(level));
   }
@@ -383,18 +384,11 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
 
   std::optional<LabelDict> dict = std::move(loaded->dict);
   if (!dict) {
-    // v1 summaries (and v2 files whose dict section was lost) fall back to
-    // the .dict sidecar written by older builds.
-    Result<LabelDict> sidecar = LoadLabelDict(Env::Default(),
-                                              args[0] + ".dict");
-    if (!sidecar.ok()) {
-      std::fprintf(stderr,
-                   "%s (no dictionary: v2 summaries embed one, v1 summaries "
-                   "need the .dict sidecar next to the file)\n",
-                   sidecar.status().ToString().c_str());
-      return 1;
-    }
-    dict = std::move(*sidecar);
+    std::fprintf(stderr,
+                 "no dictionary for %s: v2 summaries embed one, v1 summaries "
+                 "need the .dict sidecar next to the file\n",
+                 args[0].c_str());
+    return 1;
   }
 
   // --estimator=fixed answers with the fixed-size estimator; every other
@@ -726,9 +720,9 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   serve::SlowQueryLog slow_log(slow_options);
 
   // '#reload' hot-swaps the summary from disk, keeping the serving snapshot
-  // on failure, and logs the outcome to stderr. Over TCP the returned JSON
-  // ack answers the line; on stdin nothing does. It runs on the reading
-  // thread: reloads are rare and the strict loader fails fast.
+  // on failure, and logs the outcome to stderr; the returned JSON ack
+  // answers the line on stdin and over TCP. It runs on the reading thread:
+  // reloads are rare and the strict loader fails fast.
   auto control = [&](std::string_view line) -> std::string {
     if (line != "#reload") return std::string();
     Status s =
@@ -778,14 +772,35 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   std::fprintf(stderr, "serve: ready (%d workers, queue %zu)\n",
                options.workers, options.queue_capacity);
 
-  // stdin is framed as a TCP connection is (serve/conn.h): a line longer
-  // than --max-frame-bytes gets one error response, the next line is read
-  // normally, and a last line without its newline is still answered.
+  // stdin is one request stream of the line protocol every TCP connection
+  // speaks (serve/conn.h): the same framing, numbering and answers. A line
+  // longer than --max-frame-bytes gets one error response, the next line
+  // is read normally, and a last line without its newline is still
+  // answered. #stats renders the snapshot the TCP transport and /statusz
+  // render (serve/introspect.h), so the surfaces cannot drift apart.
+  const serve::LineProtocol protocol(
+      net.max_frame_bytes, options.queue_capacity,
+      [&](std::string_view line) -> std::string {
+        if (line != "#stats") return control(line);
+        serve::StatusSnapshot status;
+        status.server = server.GetStats();
+        status.queue_capacity = options.queue_capacity;
+        status.workers = options.workers;
+        status.snapshot_version = snapshots.version();
+        if (auto snap = snapshots.Get()) {
+          status.snapshot_salvaged = snap->salvaged;
+        }
+        status.slow_queries = slow_log.total_recorded();
+        status.slow_threshold_millis = slow_log.options().threshold_millis;
+        return serve::introspect::StatsJsonLine(status);
+      });
   serve::NdjsonFramer framer(net.max_frame_bytes);
   std::vector<serve::NdjsonFramer::Event> lines;
   size_t next_line = 0;
   bool eof = false;
-  uint64_t next_id = 0;
+  uint64_t line_number = 0;
+  uint64_t req = 0;
+  std::string answer;
   while (g_serve_shutdown == 0) {
     if (next_line == lines.size()) {
       if (eof) break;
@@ -800,56 +815,14 @@ int RunServe(int argc, char** argv, const Flags& flags) {
                   &lines);
       continue;
     }
-    const serve::NdjsonFramer::Event& line = lines[next_line++];
-    const std::string_view text = line.line;
-    if (text == "#reload") {
-      control(text);  // stdin gets no ack line; stderr has the outcome
-      continue;
-    }
-    if (text == "#stats") {
-      // The same snapshot/rendering path the TCP transport and /statusz
-      // use (serve/introspect.h) — the surfaces cannot drift apart.
-      serve::StatusSnapshot status;
-      status.server = server.GetStats();
-      status.queue_capacity = options.queue_capacity;
-      status.workers = options.workers;
-      status.snapshot_version = snapshots.version();
-      if (auto snap = snapshots.Get()) {
-        status.snapshot_salvaged = snap->salvaged;
-      }
-      status.slow_queries = slow_log.total_recorded();
-      status.slow_threshold_millis = slow_log.options().threshold_millis;
-      std::fprintf(stdout, "%s\n",
-                   serve::introspect::StatsJsonLine(status).c_str());
-      std::fflush(stdout);
-      continue;
-    }
-    ++next_id;
-    serve::RequestTrace trace = serve::RequestTrace::Begin(next_id);
     serve::ServeBatch batch;
-    if (Status parsed =
-            line.kind == serve::NdjsonFramer::EventKind::kOversized
-                ? Status::InvalidArgument(
-                      "request line exceeds max frame size of " +
-                      std::to_string(net.max_frame_bytes) + " bytes")
-                : serve::ParseRequestLine(text, options.queue_capacity,
-                                          &batch);
-        !parsed.ok()) {
-      serve::ServeResponse response;
-      response.id = next_id;
-      response.req = next_id;
-      if (batch.scalar) response.query = std::string(text);
-      response.error_code = std::string(StatusCodeToString(parsed.code()));
-      response.error_message = parsed.message();
-      std::fprintf(stdout, "%s\n", response.ToJsonLine().c_str());
+    if (protocol.Step(lines[next_line++], &line_number, &req, &batch,
+                      &answer)) {
+      server.Submit(std::move(batch));
+    } else {
+      std::fprintf(stdout, "%s\n", answer.c_str());
       std::fflush(stdout);
-      continue;
     }
-    // A scalar line without an id answers with its line number; array
-    // items echo their ids as given.
-    if (batch.scalar && batch.items[0].id == 0) batch.items[0].id = next_id;
-    batch.trace = trace;
-    server.Submit(std::move(batch));
   }
 
   // EOF or signal: stop admission, answer everything already queued, then
