@@ -92,9 +92,8 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
   Group(queries);
 
   // Stage 2: one cache read per distinct query. Any query may be answered
-  // from the cache, since entries are exact full-effort primary answers (a
-  // governed query served from it gets a better answer than its budget
-  // could buy).
+  // from the cache, since entries are primary answers, which do not
+  // depend on the budget they ran under.
   size_t misses = 0;
   size_t memo_budget = 0;  // sum of size^2 over the misses
   for (uint32_t first : distinct_) {
@@ -120,8 +119,8 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
 
   // Stage 3: the misses through the ladder, each under governors the
   // ladder builds from its own options. The primary rung runs over the one
-  // batch-scoped memo; fallback rungs use a fresh per-call memo of their
-  // own (DESIGN.md §14).
+  // batch-scoped memo; the floor uses a fresh per-call memo of its own
+  // (DESIGN.md §14).
   if (misses > 0) {
     ScopedBatchScratch batch_guard(&scratch_, memo_budget);
     for (uint32_t first : distinct_) {
@@ -138,11 +137,11 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
         result.rung = estimate->rung;
         result.degraded = estimate->degraded;
         result.work_steps = estimate->work_steps;
-        // Stage 4: insert only exact answers. A deadline or step cap may
-        // truncate work, so even a primary answer under one is left out; a
-        // cancel token alone does not change a completed answer.
-        if (cache_ != nullptr && item.deadline_millis <= 0.0 &&
-            item.max_work_steps == 0 &&
+        // Stage 4: insert every primary answer. The primary either
+        // completes or returns its budget error, so an answer it gave under
+        // a deadline or step cap is the one an unlimited call gives; a
+        // floor answer is another estimator's.
+        if (cache_ != nullptr &&
             estimate->rung == DegradingEstimator::Rung::kPrimary) {
           cache_->Put(cache_version_,
                       query.CanonicalHash(),  // tl-lint: allow(canonical-in-loop)

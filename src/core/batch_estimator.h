@@ -23,7 +23,7 @@ struct EstimateResult {
   /// The ladder rung that answered; a cache hit reports kPrimary, the only
   /// rung whose answers are cached.
   DegradingEstimator::Rung rung = DegradingEstimator::Rung::kPrimary;
-  /// True when a fallback rung answered.
+  /// True when the floor (the fixed-size rung) answered.
   bool degraded = false;
   /// True when the answer came from the EstimateCache.
   bool cached = false;
@@ -49,12 +49,12 @@ struct EstimateResult {
 ///   2. cache read: with an EstimateCache, each distinct query probes it
 ///      once, under the cache version;
 ///   3. estimation: each miss runs through the DegradingEstimator ladder
-///      (primary, fixed-size, markov-path) under its own budget, over one
+///      (primary, then the fixed-size floor) under its own budget, over one
 ///      batch-scoped memo (EstimateScratch::BeginBatch), so a basic twig
 ///      shared by several queries is probed and voted once;
-///   4. cache insert and scatter: answers known to be exact (no deadline,
-///      no step cap, primary rung) go into the cache, and every duplicate
-///      takes its first occurrence's result.
+///   4. cache insert and scatter: every answer the primary rung gave goes
+///      into the cache (it is the answer an unlimited call gives, budget
+///      or not), and every duplicate takes its first occurrence's result.
 ///
 /// Budgets are per item: the ladder builds each distinct query's governors
 /// from its own options, so no query's budget depends on what ran before

@@ -5,45 +5,47 @@
 
 #include "core/estimator.h"
 #include "core/fixed_size_estimator.h"
-#include "core/markov_path_estimator.h"
 #include "core/recursive_estimator.h"
 #include "summary/lattice_summary.h"
 
 namespace treelattice {
 
-/// The degradation ladder: a best-effort estimator that always tries to
-/// return *something* within the caller's budget. BatchEstimator runs
-/// every query it estimates through it (DESIGN.md §14). It is the one
-/// place that turns a request's EstimateOptions into budgets: each rung
-/// runs under a CostGovernor the ladder builds for it.
+/// The degradation ladder: a best-effort estimator that answers every
+/// query its primary gives up on. BatchEstimator runs every query it
+/// estimates through it (DESIGN.md §14). It is the one place that turns a
+/// request's EstimateOptions into budgets: each rung runs under a
+/// CostGovernor the ladder builds for it.
 ///
 ///   rung 0  recursive (optionally voting) decomposition — the accurate,
 ///           potentially expensive primary (Fig. 4), under
 ///           EstimateOptions::MakeGovernor()
-///   rung 1  fixed-size decomposition — the paper's cheap bounded-cost
-///           estimator (Lemmas 2-3), under a fresh grace budget: half the
-///           deadline, a fresh step budget, the same cancel token
-///   rung 2  markov-path — path queries only; strictly linear work, run
-///           under an unlimited governor as the unconditional floor
+///   rung 1  fixed-size decomposition — the paper's cheap estimator
+///           (Lemmas 2-3) and the ladder's floor, under a governor that
+///           holds only the request's cancel token
+///
+/// The floor needs no budget of its own: it makes at most 2(n-k)+2
+/// summary lookups for an n-node query and k-level summary, plus
+/// recursions of at most k nodes over windows a pruned summary lacks, and
+/// CompileQuery caps n (Twig::kMaxQueryNodes). On a path it computes the
+/// (k-1)-order Markov formula (Lemma 4).
 ///
 /// When the primary trips its budget (kDeadlineExceeded or
 /// kResourceExhausted) the ladder records estimator.deadline_exceeded,
-/// steps down a rung (so a request with deadline D completes within ~2x D
-/// even when every governed rung runs to its limit), and records
-/// estimator.degraded when a fallback rung produces the answer.
+/// runs the floor, and records estimator.degraded when it answers: a
+/// request with deadline D completes within D plus one floor pass.
 /// kCancelled is not degraded — a cancelled request wants no answer at
 /// all — and non-budget errors propagate unchanged.
 class DegradingEstimator {
  public:
   /// Which rung of the ladder produced an answer.
-  enum class Rung { kPrimary = 0, kFixedSize = 1, kMarkovPath = 2 };
+  enum class Rung { kPrimary = 0, kFixedSize = 1 };
 
-  /// Stable rung name used in serve responses and reports:
-  /// "primary", "fixed-size", or "markov-path".
+  /// Stable rung name used in serve responses and reports: "primary" or
+  /// "fixed-size".
   static std::string_view RungName(Rung rung);
 
-  /// The fallback rungs always run at their defaults: fixed-size covers
-  /// and markov windows of the summary's max level.
+  /// The floor always runs at its default: covers of the summary's max
+  /// level.
   struct Options {
     /// Primary-rung configuration; voting on by default since the ladder
     /// exists precisely to make the expensive estimator safe to prefer.
@@ -56,7 +58,7 @@ class DegradingEstimator {
   struct DegradedEstimate {
     double estimate = 0.0;
     Rung rung = Rung::kPrimary;
-    /// True when a fallback rung answered.
+    /// True when the floor answered.
     bool degraded = false;
     /// Why the primary rung gave up (OK when !degraded).
     Status primary_status;
@@ -70,8 +72,8 @@ class DegradingEstimator {
 
   /// Estimates `query` within `options`' budget, reporting which rung
   /// answered. The primary rung alone runs over `scratch` (its own
-  /// thread_local one when null) and writes `options.record`; the
-  /// fallback rungs use scratch of their own.
+  /// thread_local one when null) and writes `options.record`; the floor
+  /// uses scratch of its own.
   Result<DegradedEstimate> EstimateDegraded(const Twig& query,
                                             const EstimateOptions& options,
                                             EstimateScratch* scratch = nullptr);
@@ -79,7 +81,6 @@ class DegradingEstimator {
  private:
   RecursiveDecompositionEstimator primary_;
   FixedSizeDecompositionEstimator fixed_size_;
-  MarkovPathEstimator markov_;
 };
 
 }  // namespace treelattice

@@ -49,9 +49,8 @@ struct CacheMetrics {
   }
 };
 
-/// A sharded, snapshot-scoped LRU cache of exact (ungoverned, primary-rung)
-/// estimates, keyed by canonical query code under one estimator
-/// configuration.
+/// A sharded, snapshot-scoped LRU cache of primary-rung estimates, keyed
+/// by canonical query code under one estimator configuration.
 ///
 /// Scoping contract: every Get/Put carries the snapshot version the caller
 /// is serving from. A shard belongs to exactly one version at a time; the
@@ -61,9 +60,10 @@ struct CacheMetrics {
 /// without any cross-thread coordination beyond the per-shard mutex.
 ///
 /// Insert policy is the caller's: only cache results that are exact for
-/// the configuration (ungoverned, non-degraded primary answers) — a
-/// deadline-truncated estimate must never be replayed to a request with a
-/// healthier budget.
+/// the configuration. BatchEstimator inserts every answer the primary rung
+/// gave, under any budget (the primary completes or fails, it never
+/// answers from cut-short work), and never a floor answer, which another
+/// estimator computed.
 ///
 /// The map key is the 64-bit canonical-code hash combined with the
 /// configured fingerprint; the stored code string is verified on every hit,

@@ -16,15 +16,16 @@ class DecompositionRecord;
 /// optional; the default is unlimited. The degradation ladder
 /// (core/degrading_estimator.h) turns them into one CostGovernor per rung.
 struct EstimateOptions {
-  /// Deadline in milliseconds, started by MakeGovernor when a rung starts;
-  /// 0 or less means none. The ladder grants the fixed-size rung a fresh
-  /// half of it.
+  /// Deadline in milliseconds, started by MakeGovernor when the primary
+  /// rung starts; 0 or less means none. The ladder's floor runs without
+  /// it.
   double deadline_millis = 0.0;
   /// Cooperative cancellation; may be flipped from another thread. Not
   /// owned — must outlive the estimation.
   const CancelToken* cancel = nullptr;
   /// Upper bound on work steps (sub-twig visits, summary lookups, sweep
-  /// windows); 0 means unlimited.
+  /// windows); 0 means unlimited. Like the deadline, it governs the
+  /// ladder's primary rung only.
   uint64_t max_work_steps = 0;
   /// When non-null, the recursive estimator writes into it the Lemma 1
   /// decomposition that produced its answer (core/decomposition_record.h):

@@ -1,6 +1,8 @@
 #ifndef TREELATTICE_CORE_ESTIMATOR_METRICS_H_
 #define TREELATTICE_CORE_ESTIMATOR_METRICS_H_
 
+#include <limits>
+
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "util/analysis_annotations.h"
@@ -21,8 +23,11 @@ namespace treelattice {
 ///   estimator.cover_steps             (histogram) fixed-size cover length
 ///   estimator.deadline_exceeded       primary estimates aborted by budget
 ///                                     (deadline or work-step exhaustion)
-///   estimator.degraded                answers served by a fallback rung of
-///                                     the degradation ladder
+///   estimator.degraded                answers served by the degradation
+///                                     ladder's floor (fixed-size rung)
+///   estimator.saturations             votes, aggregates and fixed-size
+///                                     products past the largest double,
+///                                     answered as that double
 struct EstimatorMetrics {
   obs::Counter* summary_hits;
   obs::Counter* summary_misses;
@@ -35,6 +40,7 @@ struct EstimatorMetrics {
   obs::Histogram* cover_steps;
   obs::Counter* deadline_exceeded;
   obs::Counter* degraded;
+  obs::Counter* saturations;
 
   // One-time registration: every counter is resolved once into a
   // function-local static; steady-state calls are a guard check.
@@ -53,11 +59,20 @@ struct EstimatorMetrics {
           registry->histogram(names::kEstimatorVotingFanout),
           registry->histogram(names::kEstimatorCoverSteps),
           registry->counter(names::kEstimatorDeadlineExceeded),
-          registry->counter(names::kEstimatorDegraded)};
+          registry->counter(names::kEstimatorDegraded),
+          registry->counter(names::kEstimatorSaturations)};
     }();
     return m;
   }
 };
+
+/// An estimate that is not finite, overflowed past the largest double:
+/// returns that double, counted in estimator.saturations. Out of line, so
+/// the recursion's frame does not grow for a case it rarely meets.
+[[gnu::noinline]] inline double SaturatedEstimate() {
+  EstimatorMetrics::Get().saturations->Increment();
+  return std::numeric_limits<double>::max();
+}
 
 }  // namespace treelattice
 

@@ -1,5 +1,7 @@
 #include "core/fixed_size_estimator.h"
 
+#include <cmath>
+
 #include "core/estimator_metrics.h"
 #include "obs/trace.h"
 #include "twig/decompose.h"
@@ -80,7 +82,7 @@ Result<double> FixedSizeDecompositionEstimator::Estimate(
     if (denom <= 0.0) return 0.0;  // overlap ⊆ subtree, cannot be rarer
     estimate *= numer / denom;
   }
-  return estimate;
+  return std::isfinite(estimate) ? estimate : SaturatedEstimate();
 }
 
 }  // namespace treelattice

@@ -18,7 +18,12 @@ namespace treelattice {
 ///   ŝ(Q) = s(T1) * Π_{i>=2} s(Tᵢ) / s(Tᵢ ∩ covered_{i-1}),
 /// where every factor is a summary lookup. On a pruned summary a missing
 /// basic twig falls back to recursive decomposition from smaller patterns
-/// (Lemma 5 keeps this lossless at δ = 0).
+/// (Lemma 5 keeps this lossless at δ = 0). A product past the largest
+/// double answers that double (estimator.saturations).
+///
+/// It is the degradation ladder's floor (core/degrading_estimator.h): on
+/// a path it computes MarkovPathEstimator's (k-1)-order formula, bit for
+/// bit (Lemma 4).
 class FixedSizeDecompositionEstimator : public SelectivityEstimator {
  public:
   struct Options {
@@ -33,9 +38,8 @@ class FixedSizeDecompositionEstimator : public SelectivityEstimator {
   using SelectivityEstimator::Estimate;
 
   /// Charges `governor` one step per sweep window / summary lookup and
-  /// threads it into the recursive fallback, so a pruned summary cannot
-  /// turn the sweep into unbounded recursion.
-  // Fallback rung, not a hot-path root: building the fixed-size cover
+  /// threads it into the recursive fallback.
+  // The ladder's floor, not a hot-path root: building the fixed-size cover
   // allocates its step list per query by design; the ladder only lands
   // here after the primary rung exhausted its budget.
   TL_ALLOC_OK Result<double> Estimate(const Twig& query,

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "core/estimator.h"
-
-#include "util/analysis_annotations.h"
 #include "summary/lattice_summary.h"
 
 namespace treelattice {
@@ -32,17 +30,11 @@ class MarkovPathEstimator : public SelectivityEstimator {
 
   using SelectivityEstimator::Estimate;
 
-  /// Charges `governor` one step per sweep window. The sweep is strictly
-  /// linear in the query size, which is why the degradation ladder runs
-  /// it unlimited as its final rung. Fails with InvalidArgument on
-  /// non-path queries.
-  // Fallback rung, not a hot-path root: the sweep builds its label
-  // sequence and window twigs per query — strictly linear work, and the
-  // ladder only lands here after the governed rungs timed out.
-  TL_ALLOC_OK Result<double> Estimate(const Twig& query,
-                                      CostGovernor& governor) override;
+  /// Charges `governor` one step per sweep window. Fails with
+  /// InvalidArgument on non-path queries.
+  Result<double> Estimate(const Twig& query, CostGovernor& governor) override;
 
-  std::string name() const override { return "markov-path"; }
+  std::string name() const override { return "markov"; }
 
  private:
   /// Count of the path window labels[begin, begin+len).

@@ -1,6 +1,7 @@
 #include "core/recursive_estimator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/decomposition_record.h"
 #include "core/estimator_metrics.h"
@@ -31,17 +32,20 @@ int ChildrenInSubset(const Twig& query, const uint64_t* nodes, int node) {
 // stack even under the address sanitizer.
 
 /// A decomposed sub-twig's value from its votes: their median, or their
-/// mean summed in the order taken.
+/// mean summed in the order taken; saturated past the largest double.
 [[gnu::noinline]] double Aggregate(std::vector<double>* votes, bool median) {
+  double value = 0.0;
   if (median) {
     std::sort(votes->begin(), votes->end());
     const size_t mid = votes->size() / 2;
-    return votes->size() % 2 == 1 ? (*votes)[mid]
-                                  : 0.5 * ((*votes)[mid - 1] + (*votes)[mid]);
+    value = votes->size() % 2 == 1 ? (*votes)[mid]
+                                   : 0.5 * ((*votes)[mid - 1] + (*votes)[mid]);
+  } else {
+    double sum = 0.0;
+    for (double v : *votes) sum += v;
+    value = sum / static_cast<double>(votes->size());
   }
-  double sum = 0.0;
-  for (double v : *votes) sum += v;
-  return sum / static_cast<double>(votes->size());
+  return std::isfinite(value) ? value : SaturatedEstimate();
 }
 
 [[gnu::noinline]] Status NoLeafPair(int size) {
@@ -213,7 +217,11 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
         const double eo = *part;
         double est = 0.0;
         if (e1 > 0.0 && e2 > 0.0 && eo > 0.0) {
-          est = e1 * e2 / eo;
+          // Past about 1e154 the product overflows before the division
+          // would bring it back; dividing first keeps such a vote finite.
+          const double product = e1 * e2;
+          est = std::isfinite(product) ? product / eo : e1 * (e2 / eo);
+          if (!std::isfinite(est)) est = SaturatedEstimate();
         } else {
           metrics.zero_overlap_fallbacks->Increment();
         }

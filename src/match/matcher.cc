@@ -1,6 +1,7 @@
 #include "match/matcher.h"
 
 #include <array>
+#include <string>
 #include <vector>
 
 namespace treelattice {
@@ -126,6 +127,27 @@ uint64_t MatchCounter::Count(const Twig& query) const {
   if (query.size() == 1) return index_.Count(label);
   return CountRootedAt(*doc_, query, index_.Nodes(label),
                        static_cast<NodeId>(doc_->NumNodes()));
+}
+
+Status MatchCounter::Countable(const Twig& query) {
+  for (int q = 0; q < query.size(); ++q) {
+    const std::vector<int>& kids = query.children(q);
+    for (size_t i = 0; i < kids.size(); ++i) {
+      if (query.IsLeaf(kids[i])) continue;
+      size_t branches = 0;
+      for (int kid : kids) {
+        branches += !query.IsLeaf(kid) &&
+                    query.label(kid) == query.label(kids[i]);
+      }
+      if (branches > kMaxSameLabelBranches) {
+        return Status::InvalidArgument(
+            "a query node has " + std::to_string(branches) +
+            " non-leaf children of one label; the exact counter's limit is " +
+            std::to_string(kMaxSameLabelBranches));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 uint64_t MatchCounter::CountRootedAt(const Document& doc, const Twig& query,

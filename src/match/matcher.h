@@ -6,6 +6,7 @@
 
 #include "twig/twig.h"
 #include "util/saturating.h"
+#include "util/status.h"
 #include "xml/document.h"
 
 namespace treelattice {
@@ -46,9 +47,15 @@ class MatchCounter {
   ///
   /// Limit: the assignment DP costs 2^j per document node, where j is the
   /// number of non-leaf children one query node has with a single label;
-  /// a query with j > kMaxSameLabelBranches returns 0 instead. Same-label
-  /// leaves cost nothing extra, however many there are.
+  /// a query with j > kMaxSameLabelBranches returns 0 instead (Countable
+  /// tells such a query apart). Same-label leaves cost nothing extra,
+  /// however many there are.
   uint64_t Count(const Twig& query) const;
+
+  /// OK when Count counts `query` exactly; InvalidArgument naming the
+  /// limit when a node of it has more than kMaxSameLabelBranches non-leaf
+  /// children of one label.
+  static Status Countable(const Twig& query);
 
   /// Number of matches of `query` in `doc` whose root image is one of
   /// `roots`, with every document node of id `limit` or above treated as

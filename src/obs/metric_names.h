@@ -33,6 +33,7 @@ inline constexpr char kEstimatorCoverSteps[] = "estimator.cover_steps";
 inline constexpr char kEstimatorDeadlineExceeded[] =
     "estimator.deadline_exceeded";
 inline constexpr char kEstimatorDegraded[] = "estimator.degraded";
+inline constexpr char kEstimatorSaturations[] = "estimator.saturations";
 
 // -- twigs (twig/twig.cc) ---------------------------------------------------
 // Canonical codes built by the one canonicalizer (Twig::SubsetCode), for

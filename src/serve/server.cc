@@ -442,9 +442,12 @@ ServeBatchResponse Server::Process(const ServeBatch& batch, Worker* worker) {
     budget.deadline_millis = item.deadline_millis > 0.0
                                  ? item.deadline_millis
                                  : options_.default_deadline_millis;
-    budget.max_work_steps = item.max_work_steps > 0
-                                ? item.max_work_steps
-                                : options_.default_max_work_steps;
+    // A request's step cap may lower the server's, never raise it.
+    const uint64_t cap = options_.default_max_work_steps;
+    budget.max_work_steps =
+        item.max_work_steps > 0 && (cap == 0 || item.max_work_steps < cap)
+            ? item.max_work_steps
+            : cap;
     budget.cancel = batch.cancel.get();
     results[i].wall_micros = timer.LapMicros();
   }

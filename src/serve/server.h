@@ -35,7 +35,8 @@ struct ServeRequest {
   std::string query;
   /// Per-query deadline; <= 0 uses the server default.
   double deadline_millis = 0.0;
-  /// Per-query work-step cap; 0 uses the server default.
+  /// Per-query work-step cap; 0 uses the server's. It may lower the
+  /// server's cap (ServerOptions::default_max_work_steps), never raise it.
   uint64_t max_work_steps = 0;
 };
 
@@ -49,12 +50,12 @@ struct ServeResponse {
   std::string query;
   bool ok = false;
   double estimate = 0.0;
-  /// Degradation-ladder rung that answered: "primary", "fixed-size", or
-  /// "markov-path" (empty on error).
+  /// Degradation-ladder rung that answered: "primary" or "fixed-size"
+  /// (empty on error).
   std::string rung;
   bool degraded = false;
   /// True when the estimate was served from the snapshot-scoped cache
-  /// (always an exact ungoverned primary-rung answer).
+  /// (always a primary-rung answer).
   bool cached = false;
   std::string error_code;     // StatusCodeToString(code) when !ok
   std::string error_message;  // human detail when !ok
@@ -131,19 +132,22 @@ struct ServerOptions {
   size_t queue_capacity = 128;
   /// Default per-request deadline; 0 = none.
   double default_deadline_millis = 0.0;
-  /// Default per-request work-step cap; 0 = none.
-  uint64_t default_max_work_steps = 0;
+  /// Per-request work-step cap, the ceiling of a request's own
+  /// "max_steps"; 0 = none. A voting size-8 query makes at most
+  /// 1 + 2^8 * 63 = 16,129 steps (each subset decomposed once, at most
+  /// C(7,2) votes of 3 visits), so the default trips only on queries far
+  /// larger than the paper's, which the ladder's floor then answers.
+  uint64_t default_max_work_steps = 65536;
   /// Degradation-ladder configuration shared by all workers.
   DegradingEstimator::Options estimator;
   /// Artificial per-request processing delay — a load-shaping aid for
   /// tests and benches that need to force queue pressure deterministically.
   double worker_delay_millis = 0.0;
-  /// Entries of the snapshot-scoped LRU cache of exact ungoverned primary
-  /// estimates; 0 turns the cache off. Governed (deadline/step-budget)
-  /// answers are never inserted; any request may still be answered from
-  /// it, since a cached entry is always the exact full-effort answer.
-  /// Swapping the snapshot implicitly drops every cached entry
-  /// (version-fenced per shard).
+  /// Entries of the snapshot-scoped LRU cache of primary-rung estimates;
+  /// 0 turns the cache off. Every primary answer is inserted, whatever its
+  /// budget (it equals the unlimited answer), and no floor answer is; any
+  /// request may be answered from it. Swapping the snapshot implicitly
+  /// drops every cached entry (version-fenced per shard).
   size_t estimate_cache_capacity = 1024;
 };
 

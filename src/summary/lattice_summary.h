@@ -115,8 +115,9 @@ class LatticeSummary {
                                            const std::string& origin);
 
   /// Largest max_level any parser accepts; a corrupt header cannot trigger
-  /// an unbounded allocation or load loop.
-  static constexpr int kMaxLevelCap = 4096;
+  /// an unbounded allocation or load loop. A level is a pattern size, and
+  /// no query is larger.
+  static constexpr int kMaxLevelCap = Twig::kMaxQueryNodes;
 
  private:
   /// Interned pattern: the code string is authoritative for persistence;

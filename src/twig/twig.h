@@ -77,6 +77,12 @@ class Twig {
   /// more. LatticeSummary::kMaxLevelCap caps a pattern's size at the same.
   static constexpr int kMaxDepth = 4096;
 
+  /// Most nodes a query may have: CompileQuery, the compiler of serve,
+  /// estimate and truth, refuses a larger twig. The estimator's recursion
+  /// nests one frame per removed node, so this bounds it as kMaxDepth does
+  /// the matcher's.
+  static constexpr int kMaxQueryNodes = kMaxDepth;
+
   /// Adds a node labeled `label` under `parent` (-1 for the root, allowed
   /// only for the first node). Returns the new node index.
   int AddNode(LabelId label, int parent);

@@ -208,10 +208,15 @@ Result<Twig> CompileXPath(std::string_view xpath, LabelDict* dict,
 }
 
 Result<Twig> CompileQuery(std::string_view text, LabelDict* dict) {
-  if (text.find_first_of("/[") != std::string_view::npos) {
-    return CompileXPath(text, dict);
+  Result<Twig> twig = text.find_first_of("/[") != std::string_view::npos
+                          ? CompileXPath(text, dict)
+                          : Twig::Parse(text, dict);
+  if (twig.ok() && twig->size() > Twig::kMaxQueryNodes) {
+    return Status::InvalidArgument(
+        "query has " + std::to_string(twig->size()) +
+        " nodes; the limit is " + std::to_string(Twig::kMaxQueryNodes));
   }
-  return Twig::Parse(text, dict);
+  return twig;
 }
 
 std::string TwigToXPath(const Twig& twig, const LabelDict& dict) {

@@ -53,7 +53,9 @@ Result<Twig> CompileXPath(std::string_view xpath, LabelDict* dict,
 /// Compiles a query in either syntax the tools accept: text containing
 /// '/' or '[' is the XPath subset above, anything else the twig syntax
 /// "a(b,c(d))" of Twig::Parse. `serve` and the CLI's `estimate` and
-/// `truth` read every query through it.
+/// `truth` read every query through it, so it is the front door's size
+/// check too: a twig of more than Twig::kMaxQueryNodes nodes is refused
+/// with InvalidArgument naming the limit.
 Result<Twig> CompileQuery(std::string_view text, LabelDict* dict);
 
 /// Renders a twig back as an XPath expression (first-child spine becomes

@@ -344,10 +344,10 @@ TEST_F(BatchEstimatorTest, CancelledBatchFailsEveryRecursiveItem) {
   }
 }
 
-TEST_F(BatchEstimatorTest, CacheHoldsOnlyUngovernedPrimaryAnswers) {
-  // Per-item budgets decide what is cached: only answers with no deadline
-  // and no step cap that the primary rung gave. A cancel token alone does
-  // not keep an answer out.
+TEST_F(BatchEstimatorTest, CacheHoldsEveryPrimaryAnswer) {
+  // The rung alone decides what is cached: every answer the primary gave,
+  // under a deadline, a step cap it met or a cancel token alike, and no
+  // answer of the floor.
   std::vector<Twig> queries =
       ParseAll({"a(b,c)", "a(t0,t1,t2)", "a(t3,t4,t5)", kWideStar, "b(c)",
                 "a(c,b)"},
@@ -379,20 +379,22 @@ TEST_F(BatchEstimatorTest, CacheHoldsOnlyUngovernedPrimaryAnswers) {
         .has_value();
   };
   EXPECT_TRUE(cached(0));
-  EXPECT_FALSE(cached(1));
-  EXPECT_FALSE(cached(2));
+  EXPECT_TRUE(cached(1));
+  EXPECT_TRUE(cached(2));
   EXPECT_FALSE(cached(3));
   EXPECT_TRUE(cached(4));
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), 4u);
 
   // A second call answers the cached queries, duplicate included, from
-  // the cache and estimates the rest again.
+  // the cache, with the bits the primary computed, and estimates the
+  // degraded star again.
   std::vector<EstimateResult> again(queries.size());
   ASSERT_TRUE(batch.EstimateBatch(queries, budgets, again).ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(again[i].cached, i == 0 || i == 4 || i == 5) << i;
+    EXPECT_EQ(again[i].cached, i != 3) << i;
     EXPECT_EQ(again[i].estimate, results[i].estimate) << i;
   }
+  EXPECT_TRUE(again[3].degraded);
 }
 
 TEST_F(BatchEstimatorTest, GovernedValuesMatchSequentialWhenBudgetSuffices) {

@@ -109,6 +109,18 @@ done
 "$CLI" truth "$WORKDIR/doc.xml" "item(name,price)" > "$WORKDIR/truth.out"
 grep -q "2" "$WORKDIR/truth.out"
 
+# truth refuses a query past the exact counter's limit, a node with more
+# than 20 non-leaf children of one label, instead of printing 0 as its
+# count
+BC=$(printf '<b><c/></b>%.0s' $(seq 22))
+printf '<r><a>%s</a><a>%s</a><a>%s</a></r>\n' "$BC" "$BC" "$BC" \
+    > "$WORKDIR/wide.xml"
+rc=0
+"$CLI" truth "$WORKDIR/wide.xml" "a($(printf 'b(c),%.0s' $(seq 20))b(c))" \
+    > "$WORKDIR/wide.out" 2> "$WORKDIR/wide.err" || rc=$?
+test "$rc" -eq 1
+grep -q "the exact counter's limit is 20" "$WORKDIR/wide.err"
+
 # pruned build
 "$CLI" build "$WORKDIR/doc.xml" --out="$WORKDIR/pruned.summary" --level=3 \
     --prune-delta=0 > "$WORKDIR/build2.out"

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/estimate_scratch.h"
+#include "core/estimator_metrics.h"
 #include "core/exact_estimator.h"
 #include "core/fixed_size_estimator.h"
 #include "core/markov_path_estimator.h"
@@ -16,6 +18,7 @@
 #include "leaf_pair_split.h"
 #include "match/matcher.h"
 #include "mining/lattice_builder.h"
+#include "obs/metrics.h"
 #include "util/hash.h"
 #include "workload/workload.h"
 #include "xml/parser.h"
@@ -222,6 +225,151 @@ TEST(MarkovPathEstimatorTest, RejectsBranchingQueries) {
   LabelDict dict = doc.dict();
   Twig branching = MustParse("r(a,a)", &dict);
   EXPECT_FALSE(markov.Estimate(branching).ok());
+}
+
+/// Up to `limit` distinct paths of `size` nodes that occur in `doc` (the
+/// label chain ending at each node deep enough, in document order), each
+/// followed by a negative twin: the same path with its last label swapped
+/// for the first label that makes it occur nowhere.
+std::vector<Twig> PositiveAndNegativePaths(const Document& doc, int size,
+                                           size_t limit) {
+  MatchCounter counter(doc);
+  std::vector<Twig> paths;
+  std::vector<std::string> seen;
+  std::vector<LabelId> labels;
+  for (NodeId v = 0; v < static_cast<NodeId>(doc.NumNodes()) &&
+                     seen.size() < limit;
+       ++v) {
+    labels.clear();
+    for (NodeId u = v;
+         u != kInvalidNode && labels.size() < static_cast<size_t>(size);
+         u = doc.Parent(u)) {
+      labels.insert(labels.begin(), doc.Label(u));
+    }
+    if (labels.size() < static_cast<size_t>(size)) continue;
+    Twig path;
+    for (LabelId label : labels) path.AddNode(label, path.size() - 1);
+    if (std::find(seen.begin(), seen.end(), path.CanonicalCode()) !=
+        seen.end()) {
+      continue;
+    }
+    seen.push_back(path.CanonicalCode());
+    paths.push_back(path);
+    const auto labels_in_doc = static_cast<LabelId>(doc.dict().size());
+    for (LabelId other = 0; other < labels_in_doc; ++other) {
+      Twig negative;
+      for (size_t i = 0; i < labels.size(); ++i) {
+        negative.AddNode(i + 1 == labels.size() ? other : labels[i],
+                         negative.size() - 1);
+      }
+      if (counter.Count(negative) == 0) {
+        paths.push_back(std::move(negative));
+        break;
+      }
+    }
+  }
+  return paths;
+}
+
+// The ladder's floor answers paths as the Markov formula does: on a path
+// the fixed-size estimator computes it to the last bit (Lemma 4), on
+// positive and negative paths of sizes 2-14 over unpruned summaries.
+TEST(FixedSizeFloorTest, EqualsTheMarkovFormulaBitForBitOnPaths) {
+  struct Case {
+    const char* name;
+    Document doc;
+    int level;
+  };
+  // Fanout 0-2 grows near-critical trees, deep enough for 14-node paths.
+  RandomTreeOptions tree;
+  tree.num_nodes = 1000;
+  tree.num_labels = 4;
+  tree.max_fanout = 2;
+  tree.max_depth = 16;
+  std::vector<Case> cases;
+  for (int level : {3, 4}) {
+    tree.seed = 30 + static_cast<uint64_t>(level);
+    cases.push_back({"random", GenerateRandomTree(tree), level});
+  }
+  cases.push_back({"xmark", GenerateXmark(DatasetOptions{.seed = 5,
+                                                         .scale = 100}),
+                   4});
+  size_t compared = 0;
+  for (const Case& c : cases) {
+    LatticeSummary summary = MustBuild(c.doc, c.level);
+    FixedSizeDecompositionEstimator fixed(&summary);
+    MarkovPathEstimator markov(&summary);
+    for (int size = 2; size <= 14; ++size) {
+      for (const Twig& path : PositiveAndNegativePaths(c.doc, size, 12)) {
+        Result<double> f = fixed.Estimate(path);
+        Result<double> m = markov.Estimate(path);
+        ASSERT_TRUE(f.ok() && m.ok()) << path.ToDebugString();
+        EXPECT_EQ(*f, *m) << c.name << " level " << c.level << ": "
+                          << path.ToDebugString();
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 600u);
+}
+
+/// The 3-lattice of `doc`, filled with 300 `a` nodes of 1-12 `b` children
+/// each: a star a(b,...,b) of n leaves estimates about 1950 * 7.33^(n-1),
+/// past 1e154 at 180 leaves and past the largest double at 400.
+LatticeSummary WideStarSummary(Document* doc) {
+  const NodeId root = doc->AddNode("r", kInvalidNode);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId a = doc->AddNode("a", root);
+    for (int j = 0; j <= i * 7 % 12; ++j) doc->AddNode("b", a);
+  }
+  return MustBuild(*doc, 3);
+}
+
+Twig WideStar(int leaves, LabelDict* dict) {
+  std::string text = "a(b";
+  for (int i = 1; i < leaves; ++i) text += ",b";
+  return MustParse(text + ")", dict);
+}
+
+TEST(EstimateOverflowTest, VotePastTheProductLimitStaysFinite) {
+  // Each vote's e1 * e2 passes the largest double here; dividing first, the
+  // recursion keeps agreeing with the fixed-size product, and no vote is
+  // voided as a zero.
+  obs::SetEnabledForTest(true);
+  Document doc;
+  LatticeSummary summary = WideStarSummary(&doc);
+  const Twig star = WideStar(180, &doc.mutable_dict());
+  RecursiveDecompositionEstimator recursive(&summary);
+  FixedSizeDecompositionEstimator fixed(&summary);
+  obs::Counter* zeros = EstimatorMetrics::Get().zero_overlap_fallbacks;
+  const uint64_t zeros_before = zeros->value();
+  Result<double> r = recursive.Estimate(star);
+  Result<double> f = fixed.Estimate(star);
+  ASSERT_TRUE(r.ok() && f.ok());
+  EXPECT_GT(*f, 1e154);
+  EXPECT_TRUE(std::isfinite(*f));
+  EXPECT_NEAR(*r, *f, 1e-9 * *f);
+  EXPECT_EQ(zeros->value(), zeros_before);
+}
+
+TEST(EstimateOverflowTest, EstimatesPastTheLargestDoubleSaturate) {
+  obs::SetEnabledForTest(true);
+  Document doc;
+  LatticeSummary summary = WideStarSummary(&doc);
+  const Twig star = WideStar(400, &doc.mutable_dict());
+  RecursiveDecompositionEstimator recursive(&summary);
+  FixedSizeDecompositionEstimator fixed(&summary);
+  obs::Counter* saturations = EstimatorMetrics::Get().saturations;
+  const uint64_t before = saturations->value();
+  Result<double> r = recursive.Estimate(star);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, std::numeric_limits<double>::max());
+  const uint64_t after_recursive = saturations->value();
+  EXPECT_GT(after_recursive, before);
+  Result<double> f = fixed.Estimate(star);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  EXPECT_EQ(*f, std::numeric_limits<double>::max());
+  EXPECT_EQ(saturations->value(), after_recursive + 1);
 }
 
 TEST(MarkovPathEstimatorTest, ShortPathIsDirectLookup) {

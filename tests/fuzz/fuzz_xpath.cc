@@ -1,8 +1,9 @@
-// Fuzz harness for the two query front-ends: the XPath-subset compiler
-// (xpath/xpath.h) and the twig text parser (Twig::Parse), both of which
-// consume untrusted query strings from the CLI and, later, the service
-// API. Accepted queries are round-tripped through the canonical code to
-// catch corruption that a clean parse would otherwise hide.
+// Fuzz harness for the query front-ends: the XPath-subset compiler
+// (xpath/xpath.h), the twig text parser (Twig::Parse), and CompileQuery,
+// the front door that serve, estimate and truth read untrusted query
+// strings through. Accepted twigs are round-tripped through the canonical
+// code to catch corruption that a clean parse would otherwise hide, and a
+// query CompileQuery accepts must be within its node cap.
 
 #include <string>
 #include <string_view>
@@ -23,6 +24,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       // Rendering an accepted query must not crash (predicate depth and
       // twig size are bounded by the compiler's own caps).
       (void)treelattice::TwigToXPath(*twig, dict);
+    }
+  }
+
+  {
+    treelattice::LabelDict dict;
+    treelattice::Result<treelattice::Twig> twig =
+        treelattice::CompileQuery(text, &dict);
+    if (twig.ok() && twig->size() > treelattice::Twig::kMaxQueryNodes) {
+      __builtin_trap();
     }
   }
 

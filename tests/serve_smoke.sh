@@ -184,6 +184,20 @@ grep -q '"message":"request line exceeds max frame size of 1000 bytes"' \
 test "$(grep -c '"query":"item(name,price)","ok":true' "$WORKDIR/frame.out")" \
     -eq 1
 
+# The front door caps a query at 4,096 nodes: a 20,000-leaf star, a
+# 40,002-byte line inside the frame limit, gets an error naming the limit
+# (uncapped, its recursion nested 20,000 frames and overflowed the stack),
+# and the next line is answered.
+STAR="a($(yes b | head -n 20000 | paste -sd, -))"
+printf '%s\na(b)\n' "$STAR" \
+  | "$CLI" serve "$WORKDIR/doc.summary" --workers=1 \
+  > "$WORKDIR/star.out" 2> "$WORKDIR/star.err"
+assert_all_json "$WORKDIR/star.out"
+test "$(grep -c '^{"id":' "$WORKDIR/star.out")" -eq 2
+grep -q '"message":"query has 20001 nodes; the limit is 4096"' \
+    "$WORKDIR/star.out"
+test "$(grep -c '"query":"a(b)","ok":true' "$WORKDIR/star.out")" -eq 1
+
 # --- phase 3: SIGTERM mid-stream drains instead of dropping --------------
 
 mkfifo "$WORKDIR/in2"

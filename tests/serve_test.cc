@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -772,30 +773,116 @@ TEST_F(ServerTest, ReloadDropsEstimateCacheSoStaleCountsNeverServe) {
   EXPECT_TRUE(by_id[4].cached);
 }
 
-TEST_F(ServerTest, GovernedResultsAreNeverCached) {
-  // Deadline-governed answers may be cut short by the governor, so they
-  // must never be inserted — a repeat of the same governed query computes
-  // again instead of hitting the cache.
+TEST_F(ServerTest, OnlyPrimaryResultsAreCached) {
+  // The primary either completes or trips, so its answer under a deadline
+  // is the unlimited one and a repeat hits the cache. A floor answer is
+  // another estimator's: a starved star is estimated again each time.
   ServerOptions options;
   options.workers = 1;
   options.default_deadline_millis = 10000.0;  // generous, but governed
   Server server(&snapshots_, options, collector_.Sink());
-  for (uint64_t id = 1; id <= 2; ++id) {
+  for (uint64_t id = 1; id <= 4; ++id) {
     ServeRequest request;
     request.id = id;
-    request.query = "a(b)";
+    request.query = id <= 2 ? "a(b)" : "a(t0,t1,t2,t3,t4,t5,t6,t7,t8,t9)";
+    request.max_work_steps = id <= 2 ? 0 : 100;
     EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
   }
   server.Shutdown();
 
   std::map<uint64_t, ServeResponse> by_id = collector_.ById();
+  ASSERT_EQ(by_id.size(), 4u);
+  for (const auto& [id, response] : by_id) {
+    ASSERT_TRUE(response.ok) << response.error_message;
+    EXPECT_EQ(response.cached, id == 2) << id;
+    EXPECT_EQ(response.degraded, id > 2) << id;
+  }
+  EXPECT_DOUBLE_EQ(by_id[2].estimate, 5.0);
+  EXPECT_EQ(server.GetStats().cache_hits, 1u);
+}
+
+TEST_F(ServerTest, RequestStepCapCannotRaiseTheServerCap) {
+  // A size-8 star needs more than 100 steps on the voting primary. Its
+  // request may lower the server's cap (id 2), but its 100,000 cannot
+  // raise the server's 100 (id 1): both degrade to the floor.
+  ServerOptions options;
+  options.workers = 1;
+  options.estimate_cache_capacity = 0;
+  options.default_max_work_steps = 100;
+  Server capped(&snapshots_, options, collector_.Sink());
+  ServeRequest raise;
+  raise.id = 1;
+  raise.query = "a(t0,t1,t2,t3,t4,t5,t6)";
+  raise.max_work_steps = 100'000;
+  EXPECT_TRUE(capped.Submit(Scalar(std::move(raise))));
+  capped.Shutdown();
+  options.default_max_work_steps = 100'000;
+  Server loose(&snapshots_, options, collector_.Sink());
+  ServeRequest lower;
+  lower.id = 2;
+  lower.query = "a(t0,t1,t2,t3,t4,t5,t6)";
+  lower.max_work_steps = 100;
+  EXPECT_TRUE(loose.Submit(Scalar(std::move(lower))));
+  loose.Shutdown();
+
+  std::map<uint64_t, ServeResponse> by_id = collector_.ById();
   ASSERT_EQ(by_id.size(), 2u);
   for (const auto& [id, response] : by_id) {
     ASSERT_TRUE(response.ok) << response.error_message;
-    EXPECT_DOUBLE_EQ(response.estimate, 5.0);
-    EXPECT_FALSE(response.cached);
+    EXPECT_EQ(response.rung, "fixed-size") << id;
+    EXPECT_TRUE(response.degraded) << id;
   }
-  EXPECT_EQ(server.GetStats().cache_hits, 0u);
+}
+
+TEST(ServerOverflowTest, SaturatedEstimateIsServedAsANumber) {
+  // A 400-leaf star over a 3-lattice whose `a` nodes average 6.5 `b`
+  // children: its estimate is past the largest double. The voting primary
+  // trips the default step cap (without one it runs for a minute) and the
+  // floor answers that double, which the response line carries as a
+  // number, not null.
+  const ScopedTempPath file("tl_serve_overflow.tls");
+  LabelDict dict;
+  LatticeSummary summary(3);
+  auto insert = [&](const std::string& text, uint64_t count) {
+    Result<Twig> twig = Twig::Parse(text, &dict);
+    ASSERT_TRUE(twig.ok()) << twig.status().ToString();
+    ASSERT_TRUE(summary.Insert(*twig, count).ok());
+  };
+  insert("a", 300);
+  insert("b", 1950);
+  insert("a(b)", 1950);
+  insert("a(b,b)", 14300);
+  summary.set_complete_through_level(3);
+  ASSERT_TRUE(
+      SaveSummaryV2(summary, &dict, Env::Default(), file.path()).ok());
+  SnapshotHolder snapshots;
+  ASSERT_TRUE(
+      ReloadSummary(Env::Default(), file.path(), ReloadOptions{}, &snapshots)
+          .ok());
+
+  ResponseCollector collector;
+  ServerOptions options;
+  options.workers = 1;
+  ASSERT_EQ(options.default_max_work_steps, 65'536u);
+  Server server(&snapshots, options, collector.Sink());
+  ServeRequest request;
+  request.id = 1;
+  request.query = "a(b";
+  for (int i = 1; i < 400; ++i) request.query += ",b";
+  request.query += ")";
+  EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
+  server.Shutdown();
+
+  std::map<uint64_t, ServeResponse> by_id = collector.ById();
+  ASSERT_EQ(by_id.size(), 1u);
+  ASSERT_TRUE(by_id[1].ok) << by_id[1].error_message;
+  EXPECT_EQ(by_id[1].rung, "fixed-size");
+  Result<JsonValue> line = ParseJson(by_id[1].ToJsonLine());
+  ASSERT_TRUE(line.ok()) << line.status().ToString();
+  const JsonValue* estimate = line->Find("estimate");
+  ASSERT_NE(estimate, nullptr);
+  ASSERT_EQ(estimate->type, JsonValue::Type::kNumber) << by_id[1].ToJsonLine();
+  EXPECT_EQ(estimate->number_value, std::numeric_limits<double>::max());
 }
 
 TEST(ResponseJsonTest, TransportRequestIdRidesEveryLineAfterClientId) {

@@ -237,6 +237,38 @@ TEST(XPathTest, DepthCapMatchesTheTwigParser) {
   }
 }
 
+/// A star of `nodes` nodes: `a` over b leaves, in twig syntax and in XPath.
+std::string TwigStar(int nodes) {
+  std::string q = "a(b";
+  for (int i = 2; i < nodes; ++i) q += ",b";
+  return q + ")";
+}
+std::string XPathStar(int nodes) {
+  std::string q = "a";
+  for (int i = 1; i < nodes; ++i) q += "[b]";
+  return q;
+}
+
+// CompileQuery, the front door, admits Twig::kMaxQueryNodes nodes in
+// either syntax and refuses one more, naming the limit: the parsers' own
+// caps bound a query's height, not its size.
+TEST(XPathTest, CompileQueryCapsTheNodeCount) {
+  LabelDict dict;
+  const int most = Twig::kMaxQueryNodes;
+  for (const std::string& text : {TwigStar(most), XPathStar(most)}) {
+    Result<Twig> query = CompileQuery(text, &dict);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    EXPECT_EQ(query->size(), most);
+  }
+  for (const std::string& text : {TwigStar(most + 1), XPathStar(most + 1)}) {
+    Result<Twig> query = CompileQuery(text, &dict);
+    ASSERT_FALSE(query.ok());
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(query.status().message(),
+              "query has 4097 nodes; the limit is 4096");
+  }
+}
+
 // The deepest accepted XPath query also estimates: the recursion takes
 // one frame per level and stays within the stack (a 40,000-step path used
 // to overflow it).

@@ -10,7 +10,7 @@
 //   treelattice truth <doc.xml> <query>...
 //                                  exact match counts (ground truth)
 //   treelattice serve <summary> [--workers=4] [--queue=128]
-//       [--deadline-ms=<d>] [--max-steps=<n>]
+//       [--deadline-ms=<d>] [--max-steps=65536]
 //                                  answer newline-delimited queries on stdin
 //                                  with JSON lines on stdout until EOF or
 //                                  SIGTERM/SIGINT (graceful drain)
@@ -88,7 +88,7 @@ int Usage() {
                "[--explain] [--json] [--batch]\n"
                "  treelattice truth <doc.xml> <query>...\n"
                "  treelattice serve <summary> [--workers=4] [--queue=128]\n"
-               "      [--deadline-ms=<d>] [--max-steps=<n>] "
+               "      [--deadline-ms=<d>] [--max-steps=65536] "
                "[--estimator=voting|recursive|voting-median]\n"
                "      [--reload-attempts=3] [--reload-backoff-ms=10] "
                "[--worker-delay-ms=0]\n"
@@ -429,6 +429,7 @@ int RunEstimate(int argc, char** argv, const Flags& flags) {
       {"decompositions", em.decompositions},
       {"zero_overlap_fallbacks", em.zero_overlap_fallbacks},
       {"memo_hits", em.memo_hits},
+      {"saturations", em.saturations},
   };
 
   // One parse -> estimate -> render loop. Under --batch one call covers
@@ -534,9 +535,11 @@ int RunTruth(int argc, char** argv) {
   int failures = 0;
   for (size_t i = 1; i < args.size(); ++i) {
     Result<Twig> query = CompileQuery(args[i], &doc->mutable_dict());
-    if (!query.ok()) {
+    Status countable =
+        query.ok() ? MatchCounter::Countable(*query) : query.status();
+    if (!countable.ok()) {
       std::fprintf(stderr, "%s: %s\n", args[i].c_str(),
-                   query.status().ToString().c_str());
+                   countable.ToString().c_str());
       ++failures;
       continue;
     }
@@ -660,7 +663,8 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   options.workers = NumericFlag(flags, "serve", "workers", 4, 1, 1024, &ok);
   options.queue_capacity = count("queue", 128);
   options.default_deadline_millis = millis("deadline-ms", 0.0);
-  options.default_max_work_steps = count("max-steps", 0);
+  options.default_max_work_steps =
+      count("max-steps", options.default_max_work_steps);
   options.worker_delay_millis = millis("worker-delay-ms", 0.0);
   const uint64_t cache_capacity = count("cache-capacity", 1024);
   options.estimate_cache_capacity =
