@@ -3,7 +3,10 @@
 // that "different voting schemes can be applied here accounting for higher
 // order statistical moments and these are under evaluation" — this bench
 // runs that evaluation: no voting vs mean voting vs median voting, plus a
-// capped-vote variant showing the accuracy/latency trade-off.
+// capped-vote variant showing the accuracy/latency trade-off. The paper
+// averages "all (or a sample of)" the pairs; the cap's sample is the first
+// k pairs in each sub-twig's canonical preorder, so it is the same for
+// every spelling of a query.
 //
 // Flags: --scale=<n>, --seed=<n>, --queries=<n>, --min_size, --max_size.
 

@@ -119,10 +119,10 @@ Status BatchEstimator::EstimateBatch(std::span<const Twig> queries,
 
   // Stage 3: the misses through the ladder, each under governors the
   // ladder builds from its own options. The primary rung runs over the one
-  // batch-scoped memo; the floor uses a fresh per-call memo of its own
-  // (DESIGN.md §14).
+  // code memo, reset once for the call; the floor uses a fresh per-call
+  // memo of its own (DESIGN.md §14).
   if (misses > 0) {
-    ScopedBatchScratch batch_guard(&scratch_, memo_budget);
+    scratch_.memo().Reset(memo_budget);
     for (uint32_t first : distinct_) {
       const Twig& query = queries[first];
       EstimateResult& result = results[first];

@@ -50,19 +50,16 @@ struct EstimateResult {
 ///      once, under the cache version;
 ///   3. estimation: each miss runs through the DegradingEstimator ladder
 ///      (primary, then the fixed-size floor) under its own budget, over one
-///      batch-scoped memo (EstimateScratch::BeginBatch), so a basic twig
-///      shared by several queries is probed and voted once;
+///      code memo reset once per call, so a basic twig shared by several
+///      queries is probed and voted once;
 ///   4. cache insert and scatter: every answer the primary rung gave goes
 ///      into the cache (it is the answer an unlimited call gives, budget
 ///      or not), and every duplicate takes its first occurrence's result.
 ///
 /// Budgets are per item: the ladder builds each distinct query's governors
 /// from its own options, so no query's budget depends on what ran before
-/// it.
-/// Memo entries are inserted only after full computation, but a shape's
-/// value follows the spelling of the query that reached it first, so a
-/// batch can answer a query differently from a call of its own; queries in
-/// canonical spelling agree in the uncapped modes (DESIGN.md §14).
+/// it. A memo entry is a function of its code, so a batch answers each
+/// query bit for bit as a call of its own does, in any spelling.
 /// Not thread-safe: one BatchEstimator per thread. The cache may be shared
 /// between threads.
 class BatchEstimator {

@@ -19,9 +19,9 @@ namespace treelattice {
 /// for bit, in every vote mode and batch. Each distinct node subset the
 /// recursion evaluated is one entry, in the order first visited. A vote is
 /// t1 * t2 / overlap of the entries it names (0 when one of them is 0),
-/// and a decomposed entry the mean or median of its votes in the recorded
-/// order. Only the ladder's primary rung writes it, so a cache hit leaves
-/// it as it was and a fallback answer leaves the primary's partial work;
+/// and a decomposed entry the mean or median of its votes, sorted. Only
+/// the ladder's primary rung writes it, so a cache hit leaves it as it
+/// was and a fallback answer leaves the primary's partial work;
 /// a batch's duplicate query runs as its first occurrence, whose record
 /// holds the work.
 class DecompositionRecord {

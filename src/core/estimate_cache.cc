@@ -34,8 +34,7 @@ class ProbeTimer {
 
 }  // namespace
 
-EstimateCache::EstimateCache(Options options)
-    : config_fingerprint_(options.config_fingerprint) {
+EstimateCache::EstimateCache(Options options) {
   const size_t shard_count =
       RoundUpPow2(options.shards > 0 ? static_cast<size_t>(options.shards) : 1);
   shards_.reserve(shard_count);
@@ -48,8 +47,8 @@ EstimateCache::EstimateCache(Options options)
   if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
 }
 
-uint64_t EstimateCache::KeyFor(uint64_t code_hash) const {
-  return HashCombine(config_fingerprint_, code_hash);
+uint64_t EstimateCache::KeyFor(uint64_t code_hash) {
+  return Mix64(code_hash);
 }
 
 EstimateCache::Shard& EstimateCache::ShardFor(uint64_t key) {

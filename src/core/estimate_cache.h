@@ -65,9 +65,10 @@ struct CacheMetrics {
 /// answers from cut-short work), and never a floor answer, which another
 /// estimator computed.
 ///
-/// The map key is the 64-bit canonical-code hash combined with the
-/// configured fingerprint; the stored code string is verified on every hit,
-/// so hash collisions degrade to misses, never wrong answers.
+/// A cache serves one estimator configuration: the Server builds every
+/// worker's BatchEstimator from the same options. The map key is the mixed
+/// 64-bit canonical-code hash; the stored code string is verified on every
+/// hit, so hash collisions degrade to misses, never wrong answers.
 class EstimateCache {
  public:
   struct Options {
@@ -75,9 +76,6 @@ class EstimateCache {
     size_t capacity = 1024;
     /// Shard count; rounded up to a power of two, at least 1.
     int shards = 8;
-    /// Fingerprint of the estimator configuration this cache serves;
-    /// folded into every key so distinct configs never alias.
-    uint64_t config_fingerprint = 0;
   };
 
   explicit EstimateCache(Options options);
@@ -131,7 +129,7 @@ class EstimateCache {
         TL_GUARDED_BY(mu);
   };
 
-  uint64_t KeyFor(uint64_t code_hash) const;
+  static uint64_t KeyFor(uint64_t code_hash);
   Shard& ShardFor(uint64_t key);
 
   /// Clears `shard` if it belongs to a different snapshot version,
@@ -143,7 +141,6 @@ class EstimateCache {
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
   size_t per_shard_capacity_ = 1;
-  uint64_t config_fingerprint_ = 0;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,35 +100,19 @@ struct DepthWorkspace {
 /// The recursion visits node subsets of the query (DESIGN.md §10). The
 /// subset memo, keyed by a subset's words, answers a repeated subset and
 /// lives for one query; on a subset miss the subset's canonical code
-/// probes the code memo, so same-shaped sub-twigs share one value, exactly
-/// as they did when every visit built its twig.
-///
-/// Batch mode (DESIGN.md §14): BeginBatch() resets the code memo once for
-/// a whole batch of queries and makes subsequent BeginQuery() calls keep
-/// it, so distinct queries share every sub-twig estimate. Entries are
-/// inserted only after a sub-twig's estimate is fully computed, so each
-/// is a finished value. It is not a function of the code alone: leaf
-/// pairs follow the child order of the query that reached the shape
-/// first, so a batched answer can differ from a sequential one; canonical
-/// spelling avoids that in the uncapped modes (ROADMAP item 2(a)). The
-/// subset memo is reset for every query in either mode: its keys name
-/// nodes of one query.
+/// probes the code memo, so same-shaped sub-twigs share one value. An
+/// entry is inserted only once its estimate is complete, and that value
+/// is a function of the code and of the estimator's summary and options,
+/// so the code memo may live as long as its owner serves one estimator:
+/// BeginQuery leaves it alone, a BatchEstimator resets it once per batch,
+/// and the recursive estimator resets its thread_local scratch's once per
+/// query.
 class EstimateScratch {
  public:
-  /// Starts `query`: resets the subset memo, lays out the query's node
-  /// set and preorder, and resets the code memo unless in batch mode.
-  /// Depth workspaces need no reset — each level overwrites its own.
+  /// Starts `query`: resets the subset memo and lays out the query's node
+  /// set. Depth workspaces need no reset — each level overwrites its own.
   // Amortized: every buffer keeps its capacity across queries.
   TL_ALLOC_OK void BeginQuery(const Twig& query);
-
-  /// Enters batch mode: resets the code memo once, sized for
-  /// `expected_entries`, and suppresses per-query code memo resets until
-  /// EndBatch(). Calls do not nest.
-  // Amortized: one Reset per batch into retained capacity.
-  TL_ALLOC_OK void BeginBatch(size_t expected_entries);
-
-  /// Leaves batch mode; the next BeginQuery resets the code memo again.
-  void EndBatch() { in_batch_ = false; }
 
   CodeMemo& memo() { return memo_; }
   CodeMemo& subsets() { return subsets_; }
@@ -138,8 +121,6 @@ class EstimateScratch {
   size_t words() const { return words_; }
   /// The current query's whole node set.
   const uint64_t* all_nodes() const { return all_nodes_.data(); }
-  /// The current query's nodes in preorder (children in stored order).
-  std::span<const int> preorder() const { return preorder_; }
   CodeScratch& code_scratch() { return code_scratch_; }
 
   /// Workspace for recursion depth `depth`, created on first use. A deque
@@ -152,27 +133,8 @@ class EstimateScratch {
   CodeMemo subsets_;
   size_t words_ = 1;
   std::vector<uint64_t> all_nodes_;
-  std::vector<int> preorder_;
-  std::vector<int> stack_;
   CodeScratch code_scratch_;
   std::deque<DepthWorkspace> depths_;
-  bool in_batch_ = false;
-};
-
-/// RAII batch-mode guard: BeginBatch on construction, EndBatch on every
-/// exit path (including budget-trip early returns).
-class ScopedBatchScratch {
- public:
-  ScopedBatchScratch(EstimateScratch* scratch, size_t expected_entries)
-      : scratch_(scratch) {
-    scratch_->BeginBatch(expected_entries);
-  }
-  ~ScopedBatchScratch() { scratch_->EndBatch(); }
-  ScopedBatchScratch(const ScopedBatchScratch&) = delete;
-  ScopedBatchScratch& operator=(const ScopedBatchScratch&) = delete;
-
- private:
-  EstimateScratch* scratch_;
 };
 
 }  // namespace treelattice

@@ -63,8 +63,11 @@ Result<double> FixedSizeDecompositionEstimator::Estimate(
     return LookupOrEstimate(query, governor);
   }
 
+  // The sweep follows the canonical preorder, so every spelling of the
+  // query is covered by the same windows.
   std::vector<CoverStep> steps;
-  TL_ASSIGN_OR_RETURN(steps, FixedSizeCover(query, options_.k));
+  TL_ASSIGN_OR_RETURN(steps,
+                      FixedSizeCover(query.Canonicalized(), options_.k));
   metrics.decompositions->Increment();
   metrics.cover_steps->Record(steps.size());
 

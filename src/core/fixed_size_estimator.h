@@ -13,8 +13,9 @@ namespace treelattice {
 
 /// The fixed-size decomposition estimator (Section 3.3, Fig. 5).
 ///
-/// The query is covered by n-k+1 k-subtrees along a preorder sweep
-/// (Lemma 2); by Lemma 3
+/// The query is covered by n-k+1 k-subtrees along a sweep of its canonical
+/// preorder (Lemma 2), so the estimate is a function of its canonical
+/// code; by Lemma 3
 ///   ŝ(Q) = s(T1) * Π_{i>=2} s(Tᵢ) / s(Tᵢ ∩ covered_{i-1}),
 /// where every factor is a summary lookup. On a pruned summary a missing
 /// basic twig falls back to recursive decomposition from smaller patterns

@@ -32,11 +32,12 @@ int ChildrenInSubset(const Twig& query, const uint64_t* nodes, int node) {
 // stack even under the address sanitizer.
 
 /// A decomposed sub-twig's value from its votes: their median, or their
-/// mean summed in the order taken; saturated past the largest double.
+/// mean summed in ascending order, so the order the pairs were taken in
+/// cannot change it; saturated past the largest double.
 [[gnu::noinline]] double Aggregate(std::vector<double>* votes, bool median) {
+  std::sort(votes->begin(), votes->end());
   double value = 0.0;
   if (median) {
-    std::sort(votes->begin(), votes->end());
     const size_t mid = votes->size() / 2;
     value = votes->size() % 2 == 1 ? (*votes)[mid]
                                    : 0.5 * ((*votes)[mid - 1] + (*votes)[mid]);
@@ -46,6 +47,38 @@ int ChildrenInSubset(const Twig& query, const uint64_t* nodes, int node) {
     value = sum / static_cast<double>(votes->size());
   }
   return std::isfinite(value) ? value : SaturatedEstimate();
+}
+
+/// Lists in `removable` the degree-1 nodes of the subset whose layout
+/// Twig::SubsetCode has just left in `layout`, in the subset's canonical
+/// preorder: the top first, then each node's children in code order. The
+/// walk needs no stack: it advances each node's kid_begin past the
+/// children it has entered, so it consumes the layout.
+[[gnu::noinline]] void CanonicalRemovable(const Twig& query,
+                                          CodeScratch* layout,
+                                          std::vector<int>* removable) {
+  CodeScratch& s = *layout;
+  auto kids = [&s](int node) {
+    return s.kid_end[static_cast<size_t>(node)] -
+           s.kid_begin[static_cast<size_t>(node)];
+  };
+  const int top = s.order.front();
+  removable->clear();
+  // tl-analyze: allow(hot-alloc) -- refills the nodes the index pass listed
+  if (kids(top) == 1) removable->push_back(top);
+  int node = top;
+  for (;;) {
+    uint32_t& next = s.kid_begin[static_cast<size_t>(node)];
+    if (next < s.kid_end[static_cast<size_t>(node)]) {
+      node = s.kids[next++];
+      // tl-analyze: allow(hot-alloc) -- refills the nodes the index pass listed
+      if (kids(node) == 0) removable->push_back(node);
+    } else if (node == top) {
+      return;
+    } else {
+      node = query.parent(node);
+    }
+  }
 }
 
 [[gnu::noinline]] Status NoLeafPair(int size) {
@@ -85,7 +118,13 @@ Result<double> RecursiveDecompositionEstimator::Estimate(
   }
   obs::TraceSpan span("estimator.recursive", "core");
   span.SetArg("query_size", static_cast<uint64_t>(query.size()));
-  if (scratch == nullptr) scratch = &ThreadLocalScratch();
+  if (scratch == nullptr) {
+    // The thread's scratch serves every estimator on the thread, whatever
+    // its options, so its code memo lives for one query.
+    scratch = &ThreadLocalScratch();
+    const size_t size = static_cast<size_t>(query.size());
+    scratch->memo().Reset(size * size);
+  }
   scratch->BeginQuery(query);
   if (record != nullptr) *record = DecompositionRecord();
   Recursion recursion{query, *scratch, governor, record};
@@ -152,14 +191,10 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
     if (record != nullptr) record->Add(subset, code, Source::kZero, value);
   } else {
     metrics.summary_misses->Increment();
-    // Degree-1 nodes in the order the leaf pairs are taken: the query's
-    // own index order at the top level, preorder below it, as in a
-    // recursion over split twigs numbered in preorder; the oracle test
-    // holds the two to the same bits. A node is degree-1 if it is a leaf
-    // of the subset, or its top (parent outside) with one child.
+    // The subset's degree-1 nodes, in index order: its leaves, and its top
+    // (parent outside) when that has one child.
     ws.removable.clear();
-    for (size_t i = 0; i < static_cast<size_t>(query.size()); ++i) {
-      const int node = depth == 0 ? static_cast<int>(i) : scratch.preorder()[i];
+    for (int node = 0; node < query.size(); ++node) {
       if (!NodeSetHas(nodes, node)) continue;
       const int parent = query.parent(node);
       const bool top = parent == -1 || !NodeSetHas(nodes, parent);
@@ -178,6 +213,16 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
         limit = std::min(limit,
                          static_cast<size_t>(options_.max_votes_per_level));
       }
+    }
+    if (limit < pairs) {
+      // Fewer pairs than all: the first ones in the subset's canonical
+      // preorder, so every spelling of a shape takes the same pairs (ties
+      // are same-coded siblings, which give same-coded splits). The whole
+      // query's code came from its cache, so its layout is built here.
+      if (size == query.size()) {
+        query.SubsetCode(subset, &scratch.code_scratch(), &ws.code);
+      }
+      CanonicalRemovable(query, &scratch.code_scratch(), &ws.removable);
     }
     metrics.decompositions->Increment();
     metrics.voting_fanout->Record(limit);
@@ -218,9 +263,12 @@ Result<double> RecursiveDecompositionEstimator::Visit(Recursion* r,
         double est = 0.0;
         if (e1 > 0.0 && e2 > 0.0 && eo > 0.0) {
           // Past about 1e154 the product overflows before the division
-          // would bring it back; dividing first keeps such a vote finite.
+          // would bring it back; dividing first keeps such a vote finite,
+          // and the same whichever half of the pair came first.
           const double product = e1 * e2;
-          est = std::isfinite(product) ? product / eo : e1 * (e2 / eo);
+          est = std::isfinite(product)
+                    ? product / eo
+                    : std::max(e1, e2) * (std::min(e1, e2) / eo);
           if (!std::isfinite(est)) est = SaturatedEstimate();
         } else {
           metrics.zero_overlap_fallbacks->Increment();

@@ -23,6 +23,12 @@ namespace treelattice {
 /// distinct sub-twig, which makes the voting scheme equivalent to the
 /// paper's level-wise averaging while keeping the recursion polynomial.
 ///
+/// An estimate is a function of the query's canonical code (Definition 1
+/// matches unordered twigs): all-pair votes are aggregated in sorted order,
+/// and fewer pairs than all are the first ones in each sub-twig's canonical
+/// preorder. Every spelling of a twig gets the same bits, and so does a
+/// query whatever a shared memo holds.
+///
 /// Every sub-twig the recursion reaches is the query minus some removed
 /// degree-1 nodes, so it runs over node subsets of the query: a split is
 /// two bit clears, and a per-query subset memo answers every repeated
@@ -41,8 +47,8 @@ class RecursiveDecompositionEstimator : public SelectivityEstimator {
     /// Average over all valid leaf pairs at every recursion level.
     bool voting = false;
     /// With voting, cap on leaf pairs considered per level (0 = all).
-    /// Pairs are taken in a deterministic order: the query's own node
-    /// index order at the top level, preorder below it.
+    /// The pairs taken are the first ones in the sub-twig's canonical
+    /// preorder, as is the one pair taken without voting.
     int max_votes_per_level = 0;
     /// Vote combination rule (ignored without voting).
     VoteAggregation aggregation = VoteAggregation::kMean;

@@ -6,7 +6,6 @@
 
 #include "serve/serve_metrics.h"
 #include "twig/twig.h"
-#include "util/hash.h"
 #include "util/json.h"
 #include "util/timer.h"
 #include "xpath/xpath.h"
@@ -34,17 +33,6 @@ std::string_view Trimmed(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-/// Stable fingerprint of the estimator configuration a cache serves, so a
-/// cache can never be (mis)shared across configs that would produce
-/// different estimates for the same query.
-uint64_t EstimatorConfigFingerprint(const DegradingEstimator::Options& o) {
-  uint64_t fp = HashBytes("degrading-ladder-v1");
-  fp = HashCombine(fp, o.primary.voting ? 1 : 0);
-  fp = HashCombine(fp, static_cast<uint64_t>(o.primary.max_votes_per_level));
-  fp = HashCombine(fp, static_cast<uint64_t>(o.primary.aggregation));
-  return fp;
 }
 
 /// Writes one response as a JSON object value.
@@ -241,8 +229,6 @@ Server::Server(SnapshotHolder* snapshots, ServerOptions options,
     EstimateCache::Options cache_options;
     cache_options.capacity = options_.estimate_cache_capacity;
     cache_options.shards = kEstimateCacheShards;
-    cache_options.config_fingerprint =
-        EstimatorConfigFingerprint(options_.estimator);
     cache_ = std::make_unique<EstimateCache>(cache_options);
   }
   const int workers = options_.workers > 0 ? options_.workers : 1;

@@ -99,8 +99,10 @@ class Twig {
   int root() const { return 0; }
 
   /// Nodes of tree-degree one: leaves, plus the root when it has exactly one
-  /// child. These are the nodes the recursive decomposition may remove
-  /// (Section 3.2: a degree-1 root "can also be considered a leaf").
+  /// child, in index order. These are the nodes the recursive decomposition
+  /// may remove (Section 3.2: a degree-1 root "can also be considered a
+  /// leaf"); the estimator finds them in its node subsets itself, and the
+  /// miner, the tests' reference recursion and perfbench call this.
   std::vector<int> RemovableNodes() const;
 
   /// Returns a copy with node `i` removed (i must be a removable node). If

@@ -18,10 +18,10 @@
 #include "core/batch_estimator.h"
 #include "core/degrading_estimator.h"
 #include "core/estimate_cache.h"
-#include "core/estimate_scratch.h"
 #include "core/estimator_metrics.h"
 #include "core/recursive_estimator.h"
 #include "datagen/datasets.h"
+#include "datagen/random_tree.h"
 #include "io/env.h"
 #include "mining/lattice_builder.h"
 #include "obs/metrics.h"
@@ -31,6 +31,7 @@
 #include "summary/summary_format.h"
 #include "temp_path.h"
 #include "twig/twig.h"
+#include "twig_spelling.h"
 #include "util/deadline.h"
 #include "util/json.h"
 #include "workload/workload.h"
@@ -73,14 +74,6 @@ std::vector<Twig> ParseAll(const std::vector<std::string>& texts,
   return twigs;
 }
 
-/// `estimator`'s recursion over `scratch`, under an unlimited governor:
-/// the sequential path every batch is held to.
-Result<double> EstimateOver(RecursiveDecompositionEstimator& estimator,
-                            const Twig& query, EstimateScratch& scratch) {
-  CostGovernor unlimited;
-  return estimator.Estimate(query, unlimited, &scratch, nullptr);
-}
-
 class BatchEstimatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -100,10 +93,9 @@ class BatchEstimatorTest : public ::testing::Test {
   void CheckBitIdentical(RecursiveDecompositionEstimator::Options options) {
     std::vector<Twig> queries = Workload();
     RecursiveDecompositionEstimator sequential(summary_.get(), options);
-    EstimateScratch scratch;
     std::vector<double> expected;
     for (const Twig& query : queries) {
-      Result<double> value = EstimateOver(sequential, query, scratch);
+      Result<double> value = sequential.Estimate(query);
       ASSERT_TRUE(value.ok()) << value.status().ToString();
       expected.push_back(*value);
     }
@@ -157,10 +149,11 @@ TEST_F(BatchEstimatorTest, RepeatedCallsReuseArenaWithoutDrift) {
 }
 
 TEST(BatchStreamTest, GeneratedVotingStreamMatchesSequentialAtEveryBatchSize) {
-  // A stream of size-8 voting queries cycling a pool of 12: a batch larger
-  // than the pool carries duplicates (the dedup case) and consecutive
-  // batches repeat structure (the shared-memo case). Every batch size must
-  // reproduce the sequential estimates bit for bit.
+  // A stream of size-8 voting queries cycling a pool of 12, each in a
+  // spelling of its own: a batch larger than the pool carries duplicates
+  // (the dedup case) and consecutive batches repeat structure (the
+  // shared-memo case). Every batch size must reproduce the lone estimates
+  // bit for bit.
   DatasetOptions data;
   data.scale = 100;
   Document doc = GenerateXmark(data);
@@ -175,15 +168,16 @@ TEST(BatchStreamTest, GeneratedVotingStreamMatchesSequentialAtEveryBatchSize) {
   ASSERT_TRUE(pool.ok()) << pool.status().ToString();
   ASSERT_EQ(pool->size(), 12u);
   std::vector<Twig> stream;
-  for (size_t i = 0; i < 128; ++i) stream.push_back((*pool)[i % pool->size()]);
+  for (size_t i = 0; i < 128; ++i) {
+    stream.push_back(ShuffledSpelling((*pool)[i % pool->size()], i));
+  }
 
   RecursiveDecompositionEstimator::Options voting;
   voting.voting = true;
   RecursiveDecompositionEstimator sequential(&*summary, voting);
-  EstimateScratch scratch;
   std::vector<double> expected;
   for (const Twig& query : stream) {
-    Result<double> value = EstimateOver(sequential, query, scratch);
+    Result<double> value = sequential.Estimate(query);
     ASSERT_TRUE(value.ok()) << value.status().ToString();
     expected.push_back(*value);
   }
@@ -204,6 +198,61 @@ TEST(BatchStreamTest, GeneratedVotingStreamMatchesSequentialAtEveryBatchSize) {
       ASSERT_TRUE(results[i].status.ok()) << results[i].status.ToString();
       EXPECT_EQ(results[i].estimate, expected[i])
           << "batch size " << batch_size << ", query " << i;
+    }
+  }
+}
+
+TEST(BatchStreamTest, EachQueryAnswersAsAloneAmongPermutedSameShapedNeighbours) {
+  // Every batch item's neighbours share its sub-twigs in other spellings:
+  // the query itself reshuffled (a duplicate) and the query less a leaf.
+  // Whatever spelling reached a shape first, the batch must answer each
+  // query with the bits of a call of its own, in every vote mode.
+  RandomTreeOptions tree;
+  tree.seed = 1;
+  tree.num_nodes = 2000;
+  tree.num_labels = 6;
+  Document doc = GenerateRandomTree(tree);
+  LatticeBuildOptions build;
+  build.max_level = 3;
+  Result<LatticeSummary> summary = BuildLattice(doc, build, nullptr);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  std::vector<Twig> batch_queries;
+  for (int size = 5; size <= 8; ++size) {
+    WorkloadOptions workload;
+    workload.seed = static_cast<uint64_t>(size);
+    workload.query_size = size;
+    workload.num_queries = 8;
+    workload.allow_duplicate_siblings = true;
+    Result<std::vector<Twig>> pool = GeneratePositiveWorkload(doc, workload);
+    ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+    for (const Twig& query : *pool) {
+      const uint64_t seed = batch_queries.size();
+      Result<Twig> smaller = query.RemoveNode(query.RemovableNodes().back());
+      ASSERT_TRUE(smaller.ok()) << smaller.status().ToString();
+      batch_queries.push_back(ShuffledSpelling(*smaller, seed));
+      batch_queries.push_back(ShuffledSpelling(query, seed + 1));
+      batch_queries.push_back(ShuffledSpelling(query, seed + 2));
+    }
+  }
+
+  using Agg = RecursiveDecompositionEstimator::VoteAggregation;
+  for (const RecursiveDecompositionEstimator::Options& mode :
+       {RecursiveDecompositionEstimator::Options{false, 0, Agg::kMean},
+        RecursiveDecompositionEstimator::Options{true, 0, Agg::kMean},
+        RecursiveDecompositionEstimator::Options{true, 0, Agg::kMedian},
+        RecursiveDecompositionEstimator::Options{true, 1, Agg::kMean},
+        RecursiveDecompositionEstimator::Options{true, 2, Agg::kMean}}) {
+    RecursiveDecompositionEstimator alone(&*summary, mode);
+    BatchEstimator batch(&*summary, mode);
+    std::vector<EstimateResult> results(batch_queries.size());
+    ASSERT_TRUE(
+        batch.EstimateBatch(batch_queries, EstimateOptions(), results).ok());
+    for (size_t i = 0; i < batch_queries.size(); ++i) {
+      Result<double> want = alone.Estimate(batch_queries[i]);
+      ASSERT_TRUE(want.ok() && results[i].status.ok());
+      EXPECT_EQ(results[i].estimate, *want)
+          << alone.name() << " cap " << mode.max_votes_per_level << " #" << i
+          << " " << batch_queries[i].ToDebugString();
     }
   }
 }
@@ -403,10 +452,9 @@ TEST_F(BatchEstimatorTest, GovernedValuesMatchSequentialWhenBudgetSuffices) {
   // actually happens).
   std::vector<Twig> queries = Workload();
   RecursiveDecompositionEstimator sequential(summary_.get());
-  EstimateScratch scratch;
   std::vector<double> expected;
   for (const Twig& query : queries) {
-    Result<double> value = EstimateOver(sequential, query, scratch);
+    Result<double> value = sequential.Estimate(query);
     ASSERT_TRUE(value.ok());
     expected.push_back(*value);
   }

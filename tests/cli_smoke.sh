@@ -105,6 +105,46 @@ for mode in --json --batch; do
   grep -q '2' "$WORKDIR/fixed.out"
 done
 
+# Every spelling of a twig gets one estimate: three orders of the same
+# children under every estimator, alone and as one batch. The document is
+# a random walk that opens a child labelled a-f or closes the current
+# element, driven by a Park-Miller generator (integer arithmetic, exact in
+# every awk), so its 3-lattice leaves these size-8 twigs to decompose.
+awk 'BEGIN {
+  x = 7; depth = 0; n = 0
+  printf "<r>"
+  while (n < 3000) {
+    x = (x * 16807) % 2147483647
+    if (depth > 0 && (x % 3 == 0 || depth >= 6)) {
+      printf "</%s>", open[depth--]
+    } else {
+      x = (x * 16807) % 2147483647
+      open[++depth] = substr("abcdef", x % 6 + 1, 1)
+      printf "<%s>", open[depth]
+      n++
+    }
+  }
+  while (depth > 0) printf "</%s>", open[depth--]
+  print "</r>"
+}' > "$WORKDIR/random.xml"
+"$CLI" build "$WORKDIR/random.xml" --out="$WORKDIR/random.summary" \
+    --level=3 > /dev/null
+for estimator in recursive voting voting-median fixed; do
+  for batch in "" --batch; do
+    "$CLI" estimate "$WORKDIR/random.summary" "a(e(f,a),c,b(c,d))" \
+        "a(b(c,d),e(f,a),c)" "a(c,e(a,f),b(d,c))" \
+        --estimator=$estimator --json $batch > "$WORKDIR/spellings.json"
+    estimates=$(sed 's/.*"estimate":\([^,}]*\).*/\1/' \
+        "$WORKDIR/spellings.json" | sort -u)
+    if [ "$(wc -l < "$WORKDIR/spellings.json")" -ne 3 ] ||
+        [ "$(echo "$estimates" | wc -l)" -ne 1 ]; then
+      echo "--estimator=$estimator $batch: spellings estimate" \
+          $estimates >&2
+      exit 1
+    fi
+  done
+done
+
 # truth
 "$CLI" truth "$WORKDIR/doc.xml" "item(name,price)" > "$WORKDIR/truth.out"
 grep -q "2" "$WORKDIR/truth.out"

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "match/matcher.h"
 #include "mining/lattice_builder.h"
 #include "obs/metrics.h"
+#include "twig_spelling.h"
 #include "util/hash.h"
 #include "workload/workload.h"
 #include "xml/parser.h"
@@ -547,11 +549,12 @@ TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
 /// summary counts in a std::string-keyed map, a fresh string-keyed memo
 /// per query, the canonical code recomputed on every sub-twig visit
 /// (ComputeCanonicalCode bypasses the twig's cache), and allocating
-/// SplitByLeafPair calls over ValidLeafPairs. It shares no data structure
-/// with the production estimator (interned codes, node-subset and code
-/// memos, bit-clear splits, the subset canonicalizer), so agreement bit for
-/// bit checks the production recursion's visit order and arithmetic, not
-/// just its results' shape.
+/// SplitByLeafPair calls over ValidLeafPairs of each twig rebuilt in
+/// canonical preorder (Canonicalized), votes aggregated in ascending order.
+/// It shares no data structure with the production estimator (interned
+/// codes, node-subset and code memos, bit-clear splits, the subset
+/// canonicalizer), so agreement bit for bit checks the production
+/// recursion's pair order and arithmetic, not just its results' shape.
 class ReferenceRecursiveEstimator {
  public:
   ReferenceRecursiveEstimator(const LatticeSummary& summary,
@@ -582,7 +585,8 @@ class ReferenceRecursiveEstimator {
     } else if (twig.size() <= complete_through_level_ || twig.size() < 3) {
       value = 0.0;
     } else {
-      std::vector<std::pair<int, int>> pairs = ValidLeafPairs(twig);
+      const Twig canonical = twig.Canonicalized();
+      std::vector<std::pair<int, int>> pairs = ValidLeafPairs(canonical);
       if (pairs.empty()) return Status::Internal("no valid leaf pair");
       size_t limit = 1;
       if (options_.voting) {
@@ -595,7 +599,7 @@ class ReferenceRecursiveEstimator {
       std::vector<double> votes;
       for (size_t i = 0; i < limit; ++i) {
         Result<RecursiveSplit> split =
-            SplitByLeafPair(twig, pairs[i].first, pairs[i].second);
+            SplitByLeafPair(canonical, pairs[i].first, pairs[i].second);
         if (!split.ok()) return split.status();
         double e1, e2, eo;
         TL_ASSIGN_OR_RETURN(e1, EstimateImpl(split->t1, memo));
@@ -605,8 +609,8 @@ class ReferenceRecursiveEstimator {
                                                          : 0.0);
       }
       using Agg = RecursiveDecompositionEstimator::VoteAggregation;
+      std::sort(votes.begin(), votes.end());
       if (options_.aggregation == Agg::kMedian && options_.voting) {
-        std::sort(votes.begin(), votes.end());
         const size_t mid = votes.size() / 2;
         value = votes.size() % 2 == 1 ? votes[mid]
                                       : 0.5 * (votes[mid - 1] + votes[mid]);
@@ -671,6 +675,14 @@ std::vector<Twig> Generated(const Document& doc, int size, size_t count,
   return queries.ok() ? std::move(*queries) : std::vector<Twig>();
 }
 
+/// Appends to `queries` one shuffled spelling of each query in it.
+void AddSpellings(std::vector<Twig>* queries) {
+  const size_t n = queries->size();
+  for (size_t i = 0; i < n; ++i) {
+    queries->push_back(ShuffledSpelling((*queries)[i], i));
+  }
+}
+
 TEST(ReferenceOracleTest, ProductionRecursionMatchesTheOracleBitForBit) {
   // Generated size-8 queries over a 3-lattice recurse several levels deep;
   // duplicate siblings, identical branches and a same-label star give
@@ -691,16 +703,17 @@ TEST(ReferenceOracleTest, ProductionRecursionMatchesTheOracleBitForBit) {
       dict));
   queries.push_back(MustParse(
       "open_auction(bidder,bidder,bidder,bidder,bidder,bidder,bidder)", dict));
+  AddSpellings(&queries);
   ExpectOracleAgreement(summary, queries);
 }
 
 TEST(ReferenceOracleTest, SameShapedSubsetsMatchTheOracleBitForBit) {
   // The recursion memoizes by node subset in front of the code memo. In
-  // these queries two subsets share a canonical code but can order their
-  // leaf pairs differently, so only the code memo's first value keeps
-  // capped and non-voting runs, and uncapped means, exact. Three labels:
-  // repeated-label paths and same-label stars occur, and a path far longer
-  // than the document is deep still estimates above 0.
+  // these queries two subsets share a canonical code but list their nodes
+  // in different index orders; capped and non-voting runs must still take
+  // the pairs the canonical spelling does. Three labels: repeated-label
+  // paths and same-label stars occur, and a path far longer than the
+  // document is deep still estimates above 0.
   RandomTreeOptions tree;
   tree.seed = 5;
   tree.num_nodes = 3000;
@@ -718,9 +731,9 @@ TEST(ReferenceOracleTest, SameShapedSubsetsMatchTheOracleBitForBit) {
     queries.push_back(MustParse(text, dict));
   }
   // l0(l1(l0,l2,l1),l1(l0,l2,l1)) numbered out of preorder, alternating
-  // between the branches: the top level's first leaf pair takes one leaf
-  // from each, so its T1 and T2 are mirror images, and below the top the
-  // preorder pair order differs from the index order.
+  // between the branches: the index order of its leaves takes one from
+  // each branch in turn, so it differs from the canonical preorder at
+  // every level.
   Twig interleaved;
   const int root = interleaved.AddNode(dict->Intern("l0"), -1);
   const int branches[2] = {interleaved.AddNode(dict->Intern("l1"), root),
@@ -735,7 +748,64 @@ TEST(ReferenceOracleTest, SameShapedSubsetsMatchTheOracleBitForBit) {
   for (int i = 0; i < 67; ++i) deep = "l0(" + deep + ")";
   queries.push_back(MustParse(deep, dict));
   ASSERT_EQ(queries.back().size(), 70);
+  AddSpellings(&queries);
   ExpectOracleAgreement(random_summary, queries);
+}
+
+TEST(SpellingTest, SiblingOrderNeverChangesAnEstimate) {
+  // Definition 1 matches unordered twigs, so an estimate is a function of
+  // the canonical code: every spelling of a twig answers the bits its
+  // canonical spelling does, in every vote mode (partial pair sets take
+  // the canonical preorder's first pairs; all-pair votes are summed
+  // sorted) and on the fixed-size floor (its cover sweeps the canonical
+  // preorder). A random 6-label document's 3-lattice, where sizes 5-8
+  // decompose.
+  RandomTreeOptions tree;
+  tree.seed = 1;
+  tree.num_nodes = 2000;
+  tree.num_labels = 6;
+  Document doc = GenerateRandomTree(tree);
+  LatticeSummary summary = MustBuild(doc, 3);
+  std::vector<Twig> queries;
+  for (int size = 5; size <= 8; ++size) {
+    for (Twig& query : Generated(doc, size, 10, true)) {
+      queries.push_back(std::move(query));
+    }
+  }
+  queries.push_back(
+      MustParse("l0(l4(l5,l0),l2,l1(l2,l3))", &doc.mutable_dict()));
+  ASSERT_EQ(queries.size(), 41u);
+  size_t decomposed = 0;
+  for (const Twig& query : queries) {
+    if (!summary.Contains(query)) ++decomposed;
+  }
+  EXPECT_GT(decomposed, queries.size() / 2);
+  constexpr uint64_t kSpellings = 8;
+  FixedSizeDecompositionEstimator fixed(&summary);
+  std::vector<SelectivityEstimator*> estimators = {&fixed};
+  std::vector<std::unique_ptr<RecursiveDecompositionEstimator>> recursive;
+  for (const RecursiveDecompositionEstimator::Options& options :
+       OracleModes()) {
+    recursive.push_back(
+        std::make_unique<RecursiveDecompositionEstimator>(&summary, options));
+    estimators.push_back(recursive.back().get());
+  }
+  for (SelectivityEstimator* estimator : estimators) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Twig canonical = queries[q].Canonicalized();
+      Result<double> want = estimator->Estimate(canonical);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (uint64_t seed = 0; seed < kSpellings; ++seed) {
+        const Twig spelling =
+            ShuffledSpelling(queries[q], q * kSpellings + seed);
+        Result<double> got = estimator->Estimate(spelling);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, *want) << estimator->name() << " "
+                               << canonical.ToDebugString() << " seed "
+                               << seed;
+      }
+    }
+  }
 }
 
 TEST(CodeMemoTest, ResetSizesTheTableInUseForThisCall) {

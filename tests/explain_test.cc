@@ -9,6 +9,7 @@
 #include "core/decomposition_record.h"
 #include "datagen/random_tree.h"
 #include "mining/lattice_builder.h"
+#include "twig_spelling.h"
 #include "workload/workload.h"
 #include "xml/parser.h"
 
@@ -83,7 +84,7 @@ std::vector<int> Intersection(const std::vector<int>& a,
 /// `query` in `mode`: its root is the query and the estimate, bit for bit;
 /// every distinct subset appears once; every vote is T1 * T2 / overlap of
 /// the entries it names (0 when one is 0), over a split of its entry; and
-/// every decomposed entry is the mean or median of its votes.
+/// every decomposed entry is the mean or median of its sorted votes.
 void ExpectExplains(const DecompositionRecord& record, const Twig& query,
                     double estimate, const Options& mode,
                     const std::string& where) {
@@ -125,8 +126,8 @@ void ExpectExplains(const DecompositionRecord& record, const Twig& query,
       votes.push_back(vote.value);
     }
     double aggregate = 0.0;
+    std::sort(votes.begin(), votes.end());
     if (mode.voting && mode.aggregation == Agg::kMedian) {
-      std::sort(votes.begin(), votes.end());
       const size_t mid = votes.size() / 2;
       aggregate = votes.size() % 2 == 1 ? votes[mid]
                                         : 0.5 * (votes[mid - 1] + votes[mid]);
@@ -139,21 +140,13 @@ void ExpectExplains(const DecompositionRecord& record, const Twig& query,
 }
 
 /// A random 6-label document's 3-lattice, and distinct positive queries of
-/// sizes 5-8 in pairs: the workload's spelling and the one with every
-/// node's children reversed, taking turns at coming first.
+/// sizes 5-8 in pairs: the workload's spelling and a shuffled one, taking
+/// turns at coming first.
 struct Workload {
   Document doc;
   LatticeSummary summary;
   std::vector<Twig> queries;
 };
-
-void AddReversed(const Twig& twig, int node, int parent, Twig* out) {
-  const int added = out->AddNode(twig.label(node), parent);
-  const std::vector<int>& kids = twig.children(node);
-  for (auto kid = kids.rbegin(); kid != kids.rend(); ++kid) {
-    AddReversed(twig, *kid, added, out);
-  }
-}
 
 Document RandomDocument() {
   RandomTreeOptions tree;
@@ -178,11 +171,10 @@ Workload MakeWorkload() {
     EXPECT_TRUE(queries.ok()) << queries.status().ToString();
     if (!queries.ok()) continue;
     for (const Twig& query : *queries) {
-      Twig reversed;
-      AddReversed(query, query.root(), -1, &reversed);
-      const bool reversed_first = (w.queries.size() / 2) % 2 == 1;
-      w.queries.push_back(reversed_first ? reversed : query);
-      w.queries.push_back(reversed_first ? query : reversed);
+      const Twig shuffled = ShuffledSpelling(query, w.queries.size());
+      const bool shuffled_first = (w.queries.size() / 2) % 2 == 1;
+      w.queries.push_back(shuffled_first ? shuffled : query);
+      w.queries.push_back(shuffled_first ? query : shuffled);
     }
   }
   return w;
@@ -250,8 +242,8 @@ TEST(ExplainTest, RootEstimateMatchesEstimator) {
 }
 
 // Inside a batch every query's record explains its batched answer, which
-// can read sub-twig values that earlier queries computed, and so differ
-// from the query's lone answer. The second spelling of each pair is a
+// can read sub-twig values that earlier queries computed and still equals
+// the query's lone answer. The second spelling of each pair is a
 // duplicate: it runs as its first occurrence, whose record explains its
 // answer, and leaves its own record untouched.
 TEST(ExplainTest, RootEstimateMatchesBatchedEstimate) {
@@ -278,17 +270,16 @@ TEST(ExplainTest, RootEstimateMatchesBatchedEstimate) {
           EstimateRecorded(&batch, {queries[i]}, &alone_record)[0].estimate;
       if (alone != results[i].estimate) ++differ_alone;
     }
-    if (!mode.voting) {
-      EXPECT_GT(differ_alone, 0u);
-    }
+    EXPECT_EQ(differ_alone, 0u) << ModeName(mode);
   }
 }
 
-// A batch neighbour can change an answer (leaf pairs follow the query's
-// spelling, and the batch shares one value per shape). Here it does, in
-// the last digits under voting and by 4x without it, and each record
-// explains the answer of its own call.
-TEST(ExplainTest, BatchedAnswerThatDiffersFromItsLoneAnswerIsExplained) {
+// A batch neighbour cannot change an answer: the batch shares one value
+// per shape, and that value is a function of the shape. Here the
+// neighbour's spelling of a shared sub-twig once changed the query's
+// answer in the last digits under voting and by 4x without it; each
+// record explains the answer of its own call.
+TEST(ExplainTest, BatchedAnswerReadFromAnEarlierQueryIsItsLoneAnswer) {
   Document doc = RandomDocument();
   LatticeSummary summary = MustBuild(doc, 3);
   LabelDict* dict = &doc.mutable_dict();
@@ -312,13 +303,13 @@ TEST(ExplainTest, BatchedAnswerThatDiffersFromItsLoneAnswerIsExplained) {
     std::vector<EstimateResult> batched =
         EstimateRecorded(&batch, {neighbour, query}, &batch_records);
     ASSERT_TRUE(alone[0].status.ok() && batched[1].status.ok());
-    EXPECT_NE(alone[0].estimate, batched[1].estimate) << ModeName(c.mode);
+    EXPECT_EQ(alone[0].estimate, batched[1].estimate) << ModeName(c.mode);
     ExpectExplains(alone_records[0], query, alone[0].estimate, c.mode,
                    ModeName(c.mode) + " alone");
     ExpectExplains(batch_records[1], query, batched[1].estimate, c.mode,
                    ModeName(c.mode) + " batched");
-    // The batched record shows where the difference came from: a value
-    // the neighbour left in the batch memo.
+    // The batched record reads a value the neighbour left in the batch
+    // memo.
     const std::string text = batch_records[1].Render(query, *dict);
     EXPECT_NE(text.find("memo: from an earlier query of the batch]"),
               std::string::npos)

@@ -19,6 +19,8 @@
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "core/estimate_cache.h"
+#include "datagen/random_tree.h"
+#include "mining/lattice_builder.h"
 #include "obs/metrics.h"
 #include "serve/request_trace.h"
 #include "serve/server.h"
@@ -28,8 +30,10 @@
 #include "summary/summary_format.h"
 #include "temp_path.h"
 #include "twig/twig.h"
+#include "twig_spelling.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "workload/workload.h"
 #include "xml/label_dict.h"
 
 namespace treelattice {
@@ -729,6 +733,86 @@ TEST_F(ServerTest, RepeatedQueryServedFromCacheExactly) {
   Server::Stats stats = server.GetStats();
   EXPECT_EQ(stats.cache_hits, 2u);
   EXPECT_EQ(stats.cache_misses, 1u);
+}
+
+TEST(ServeSpellingTest, AnswerDoesNotDependOnWhichSpellingWasCachedFirst) {
+  // The cache keys on the canonical code, so a second spelling of a twig
+  // reads the first one's answer: that must be the answer it would have
+  // computed itself. Two spellings of each query go to a non-voting
+  // server in one order and to a fresh server in the other; all four
+  // answers agree bit for bit.
+  RandomTreeOptions tree;
+  tree.seed = 1;
+  tree.num_nodes = 2000;
+  tree.num_labels = 6;
+  Document doc = GenerateRandomTree(tree);
+  LatticeBuildOptions build;
+  build.max_level = 3;
+  Result<LatticeSummary> summary = BuildLattice(doc, build, nullptr);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  const ScopedTempPath path("tl_serve_spelling.tls");
+  ASSERT_TRUE(
+      SaveSummaryV2(*summary, &doc.dict(), Env::Default(), path.path()).ok());
+  SnapshotHolder snapshots;
+  ReloadOptions reload;
+  reload.backoff_millis = 0.0;
+  ASSERT_TRUE(
+      ReloadSummary(Env::Default(), path.path(), reload, &snapshots).ok());
+
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+  for (int size = 5; size <= 8; ++size) {
+    WorkloadOptions workload;
+    workload.seed = static_cast<uint64_t>(size);
+    workload.query_size = size;
+    workload.num_queries = 4;
+    workload.allow_duplicate_siblings = true;
+    Result<std::vector<Twig>> queries = GeneratePositiveWorkload(doc, workload);
+    ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+    for (const Twig& query : *queries) {
+      const uint64_t seed = 2 * first.size();
+      first.push_back(ShuffledSpelling(query, seed).ToString(doc.dict()));
+      second.push_back(ShuffledSpelling(query, seed + 1).ToString(doc.dict()));
+    }
+  }
+
+  // One worker answers in submission order; ids 2i + 1 and 2i + 2 are
+  // query i's two lines.
+  auto serve = [&](const std::vector<std::string>& a,
+                   const std::vector<std::string>& b) {
+    ServerOptions options;
+    options.workers = 1;
+    options.estimator.primary.voting = false;
+    ResponseCollector collector;
+    Server server(&snapshots, options, collector.Sink());
+    for (size_t i = 0; i < a.size(); ++i) {
+      for (const std::string* text : {&a[i], &b[i]}) {
+        ServeRequest request;
+        request.id = 2 * i + (text == &a[i] ? 1 : 2);
+        request.query = *text;
+        EXPECT_TRUE(server.Submit(Scalar(std::move(request))));
+      }
+    }
+    server.Shutdown();
+    return collector.ById();
+  };
+  std::map<uint64_t, ServeResponse> forward = serve(first, second);
+  std::map<uint64_t, ServeResponse> backward = serve(second, first);
+  ASSERT_EQ(forward.size(), 2 * first.size());
+  ASSERT_EQ(backward.size(), 2 * first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    const uint64_t a = 2 * i + 1;
+    const uint64_t b = 2 * i + 2;
+    ASSERT_TRUE(forward[a].ok && forward[b].ok && backward[a].ok &&
+                backward[b].ok)
+        << first[i];
+    // The second line of each order is the cache's answer.
+    EXPECT_TRUE(forward[b].cached && backward[b].cached) << first[i];
+    EXPECT_EQ(forward[a].estimate, backward[b].estimate) << first[i];
+    EXPECT_EQ(forward[b].estimate, backward[a].estimate) << second[i];
+    EXPECT_EQ(forward[a].estimate, backward[a].estimate)
+        << first[i] << " against " << second[i];
+  }
 }
 
 TEST_F(ServerTest, ReloadDropsEstimateCacheSoStaleCountsNeverServe) {

@@ -92,7 +92,7 @@ int Usage() {
                "[--estimator=voting|recursive|voting-median]\n"
                "      [--reload-attempts=3] [--reload-backoff-ms=10] "
                "[--worker-delay-ms=0]\n"
-               "      [--cache=1] [--cache-capacity=1024]\n"
+               "      [--cache-capacity=1024]\n"
                "      [--listen=<host:port>] [--max-conns=1024] "
                "[--max-frame-bytes=1048576]\n"
                "      [--idle-timeout-ms=300000] [--request-timeout-ms=30000] "
@@ -147,20 +147,21 @@ int Usage() {
                "estimate answers each query as a batch of one (DESIGN.md "
                "§14); --batch makes\nall of them one batch: whole-query "
                "dedup and a shared sub-twig memo — less\nwork, and the same "
-               "estimates for canonically spelled queries. --estimator=fixed\n"
-               "answers in either form. serve accepts the batch form too: "
-               "a JSON array\nrequest line (of query strings or request "
-               "envelopes) gets one JSON array\nresponse line, in order, "
-               "both on stdin and over --listen.\n"
+               "estimates. Every spelling of a twig (its children in\nany "
+               "order) gets one estimate. --estimator=fixed answers in either "
+               "form.\nserve accepts the batch form too: a JSON array request "
+               "line (of query\nstrings or request envelopes) gets one JSON "
+               "array response line, in\norder, both on stdin and over "
+               "--listen.\n"
                "\n"
                "Every numeric flag of build and serve, and --trace-flush-ms, "
                "must parse\ncompletely and lie in its range, or the command "
                "exits 2 naming the flag\nbefore it starts: --level from 2, "
                "--workers from 1 to 1024, --reload-attempts\nfrom 1 to 100, "
                "--net-fault-* from 0 to 1, --slow-log-size at most 65536,\n"
-               "and every other size, count or -ms flag non-negative. "
-               "--cache=0 or\n--cache-capacity=0 turns the estimate cache "
-               "off. --max-frame-bytes bounds a\nrequest line on stdin and "
+               "and every other size, count or -ms flag non-negative.\n"
+               "--cache-capacity=0 turns the estimate cache off. "
+               "--max-frame-bytes bounds a\nrequest line on stdin and "
                "over --listen alike. Unknown flags are ignored.\n");
   return 2;
 }
@@ -666,9 +667,7 @@ int RunServe(int argc, char** argv, const Flags& flags) {
   options.default_max_work_steps =
       count("max-steps", options.default_max_work_steps);
   options.worker_delay_millis = millis("worker-delay-ms", 0.0);
-  const uint64_t cache_capacity = count("cache-capacity", 1024);
-  options.estimate_cache_capacity =
-      count("cache", 1, 1) != 0 ? cache_capacity : 0;
+  options.estimate_cache_capacity = count("cache-capacity", 1024);
   serve::Transport::Options net;
   net.max_connections = static_cast<int>(count("max-conns", 1024, INT_MAX));
   net.max_frame_bytes = count("max-frame-bytes", 1 << 20);
