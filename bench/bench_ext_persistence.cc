@@ -10,8 +10,12 @@
 //
 // Flags: --scale=<n> (PSD records, default 2000), --level=<k> (default 4),
 //        --iters=<n> (timed repetitions, default 5), --seed=<n>.
+// Its two summary files live in $TMPDIR (default /tmp) and are removed.
+
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "datagen/datasets.h"
@@ -57,8 +61,12 @@ int Run(const Flags& flags) {
               HumanBytes(summary->MemoryBytes()).c_str());
 
   Env* env = Env::Default();
-  const std::string v2_path = "/tmp/tl_bench_persistence.tls";
-  const std::string v1_path = "/tmp/tl_bench_persistence.txt";
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string stem = std::string(tmpdir && *tmpdir ? tmpdir : "/tmp") +
+                           "/tl_bench_persistence." +
+                           std::to_string(getpid());
+  const std::string v2_path = stem + ".tls";
+  const std::string v1_path = stem + ".txt";
 
   // One untimed save of each format for the file-size report and so the
   // load benchmarks have a file to read.

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the library's hot paths: canonical
-// coding, match counting, lattice mining levels (the ablation DESIGN.md
-// calls out), decomposition, and the estimators.
+// coding, match counting, lattice mining levels, decomposition, and the
+// estimators.
 //
 // `--json=<path>` (the shared bench convention) is translated to
 // google-benchmark's own JSON reporter; the metrics-registry snapshot is
@@ -88,20 +88,6 @@ void BM_LatticeBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatticeBuild)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_LatticeBuildNoApriori(benchmark::State& state) {
-  DatasetOptions generate;
-  generate.scale = 100;
-  Document doc = GenerateXmark(generate);
-  LatticeBuildOptions options;
-  options.max_level = 4;
-  options.apriori_prune = false;
-  for (auto _ : state) {
-    auto summary = BuildLattice(doc, options);
-    benchmark::DoNotOptimize(summary.ok());
-  }
-}
-BENCHMARK(BM_LatticeBuildNoApriori)->Unit(benchmark::kMillisecond);
 
 void BM_LatticeBuildParallel(benchmark::State& state) {
   DatasetOptions generate;

@@ -1,5 +1,6 @@
 #include "core/estimate_cache.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/hash.h"
@@ -7,12 +8,6 @@
 namespace treelattice {
 
 namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 /// Records cache.probe_micros on every exit path of Get.
 class ProbeTimer {
@@ -34,18 +29,8 @@ class ProbeTimer {
 
 }  // namespace
 
-EstimateCache::EstimateCache(Options options) {
-  const size_t shard_count =
-      RoundUpPow2(options.shards > 0 ? static_cast<size_t>(options.shards) : 1);
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  shard_mask_ = shard_count - 1;
-  const size_t capacity = options.capacity > 0 ? options.capacity : 1;
-  per_shard_capacity_ = capacity / shard_count;
-  if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
-}
+EstimateCache::EstimateCache(size_t capacity)
+    : per_shard_capacity_(std::max<size_t>(1, capacity / kShards)) {}
 
 uint64_t EstimateCache::KeyFor(uint64_t code_hash) {
   return Mix64(code_hash);
@@ -55,7 +40,8 @@ EstimateCache::Shard& EstimateCache::ShardFor(uint64_t key) {
   // The index within a shard uses the key directly (unordered_map mixes
   // it again); shard selection uses the high bits so the two do not
   // correlate.
-  return *shards_[static_cast<size_t>(key >> 48) & shard_mask_];
+  static_assert((kShards & (kShards - 1)) == 0, "kShards is a power of two");
+  return shards_[static_cast<size_t>(key >> 48) & (kShards - 1)];
 }
 
 void EstimateCache::SyncShardVersion(Shard& shard, int64_t snapshot_version) {
@@ -124,24 +110,11 @@ void EstimateCache::Put(int64_t snapshot_version, uint64_t code_hash,
   shard.index.emplace(key, shard.lru.begin());
 }
 
-void EstimateCache::Invalidate() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (!shard->lru.empty()) {
-      shard->lru.clear();
-      shard->index.clear();
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
-      CacheMetrics::Get().invalidations->Increment();
-    }
-    shard->version = -1;
-  }
-}
-
 size_t EstimateCache::size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->lru.size();
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.lru.size();
   }
   return total;
 }

@@ -1,16 +1,16 @@
 #ifndef TREELATTICE_CORE_ESTIMATE_CACHE_H_
 #define TREELATTICE_CORE_ESTIMATE_CACHE_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/metric_names.h"
 #include "util/analysis_annotations.h"
@@ -71,14 +71,14 @@ struct CacheMetrics {
 /// hit, so hash collisions degrade to misses, never wrong answers.
 class EstimateCache {
  public:
-  struct Options {
-    /// Total entries across all shards (at least one per shard).
-    size_t capacity = 1024;
-    /// Shard count; rounded up to a power of two, at least 1.
-    int shards = 8;
-  };
+  /// Shards, each with its own mutex and LRU list: enough that workers
+  /// rarely contend on one shard lock. A key's shard is picked by the top
+  /// bits of its mixed hash.
+  static constexpr size_t kShards = 8;
 
-  explicit EstimateCache(Options options);
+  /// `capacity` entries in total, split evenly over the shards (at least
+  /// one per shard).
+  explicit EstimateCache(size_t capacity);
 
   EstimateCache(const EstimateCache&) = delete;
   EstimateCache& operator=(const EstimateCache&) = delete;
@@ -95,11 +95,6 @@ class EstimateCache {
   // (the cache must own its keys past the request's lifetime).
   TL_ALLOC_OK void Put(int64_t snapshot_version, uint64_t code_hash,
                        std::string_view code, double estimate);
-
-  /// Explicitly drops every entry (all shards), e.g. on shutdown paths
-  /// that want deterministic teardown. Snapshot swaps do NOT need this —
-  /// the version check already fences them.
-  void Invalidate();
 
   /// Live entries across all shards (test/diagnostic aid).
   size_t size() const;
@@ -138,9 +133,8 @@ class EstimateCache {
   void SyncShardVersion(Shard& shard, int64_t snapshot_version)
       TL_REQUIRES(shard.mu);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t shard_mask_ = 0;
-  size_t per_shard_capacity_ = 1;
+  std::array<Shard, kShards> shards_;
+  const size_t per_shard_capacity_;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

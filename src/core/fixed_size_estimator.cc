@@ -10,14 +10,7 @@ namespace treelattice {
 
 FixedSizeDecompositionEstimator::FixedSizeDecompositionEstimator(
     const LatticeSummary* summary)
-    : FixedSizeDecompositionEstimator(summary, Options()) {}
-
-FixedSizeDecompositionEstimator::FixedSizeDecompositionEstimator(
-    const LatticeSummary* summary, Options options)
-    : summary_(summary), options_(options), fallback_(summary) {
-  if (options_.k <= 0) options_.k = summary->max_level();
-  if (options_.k < 2) options_.k = 2;
-}
+    : summary_(summary), fallback_(summary) {}
 
 Result<double> FixedSizeDecompositionEstimator::LookupOrEstimate(
     const Twig& twig, CostGovernor& governor) {
@@ -57,7 +50,8 @@ Result<double> FixedSizeDecompositionEstimator::Estimate(
     metrics.exhaustive_zeros->Increment();
     return 0.0;
   }
-  if (query.size() <= options_.k) {
+  const int k = summary_->max_level();
+  if (query.size() <= k) {
     // Too small to cover with k-subtrees (a pruned pattern): recursive
     // fallback from strictly smaller pieces.
     return LookupOrEstimate(query, governor);
@@ -67,7 +61,7 @@ Result<double> FixedSizeDecompositionEstimator::Estimate(
   // query is covered by the same windows.
   std::vector<CoverStep> steps;
   TL_ASSIGN_OR_RETURN(steps,
-                      FixedSizeCover(query.Canonicalized(), options_.k));
+                      FixedSizeCover(query.Canonicalized(), k));
   metrics.decompositions->Increment();
   metrics.cover_steps->Record(steps.size());
 

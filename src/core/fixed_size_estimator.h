@@ -13,28 +13,23 @@ namespace treelattice {
 
 /// The fixed-size decomposition estimator (Section 3.3, Fig. 5).
 ///
-/// The query is covered by n-k+1 k-subtrees along a sweep of its canonical
-/// preorder (Lemma 2), so the estimate is a function of its canonical
-/// code; by Lemma 3
+/// Over a K-lattice, the query is covered by n-k+1 k-subtrees (k = K,
+/// the summary's max level) along a sweep of its canonical preorder
+/// (Lemma 2), so the estimate is a function of its canonical code; by
+/// Lemma 3
 ///   ŝ(Q) = s(T1) * Π_{i>=2} s(Tᵢ) / s(Tᵢ ∩ covered_{i-1}),
 /// where every factor is a summary lookup. On a pruned summary a missing
-/// basic twig falls back to recursive decomposition from smaller patterns
-/// (Lemma 5 keeps this lossless at δ = 0). A product past the largest
-/// double answers that double (estimator.saturations).
+/// basic twig falls back to the non-voting recursive decomposition from
+/// smaller patterns (Lemma 5 keeps this lossless at δ = 0 for a summary
+/// pruned for that recursion, as PruneOptions' default is). A product
+/// past the largest double answers that double (estimator.saturations).
 ///
 /// It is the degradation ladder's floor (core/degrading_estimator.h): on
 /// a path it computes MarkovPathEstimator's (k-1)-order formula, bit for
 /// bit (Lemma 4).
 class FixedSizeDecompositionEstimator : public SelectivityEstimator {
  public:
-  struct Options {
-    /// Cover subtree size; 0 means the summary's max level.
-    int k = 0;
-  };
-
   explicit FixedSizeDecompositionEstimator(const LatticeSummary* summary);
-  FixedSizeDecompositionEstimator(const LatticeSummary* summary,
-                                  Options options);
 
   using SelectivityEstimator::Estimate;
 
@@ -54,7 +49,6 @@ class FixedSizeDecompositionEstimator : public SelectivityEstimator {
   Result<double> LookupOrEstimate(const Twig& twig, CostGovernor& governor);
 
   const LatticeSummary* summary_;
-  Options options_;
   RecursiveDecompositionEstimator fallback_;
 };
 

@@ -3,14 +3,7 @@
 namespace treelattice {
 
 MarkovPathEstimator::MarkovPathEstimator(const LatticeSummary* summary)
-    : MarkovPathEstimator(summary, Options()) {}
-
-MarkovPathEstimator::MarkovPathEstimator(const LatticeSummary* summary,
-                                         Options options)
-    : summary_(summary), options_(options) {
-  if (options_.order <= 0) options_.order = summary->max_level();
-  if (options_.order < 2) options_.order = 2;
-}
+    : summary_(summary) {}
 
 double MarkovPathEstimator::WindowCount(const std::vector<LabelId>& labels,
                                         size_t begin, size_t len) const {
@@ -43,7 +36,7 @@ Result<double> MarkovPathEstimator::Estimate(const Twig& query,
   }
 
   const size_t n = labels.size();
-  const size_t m = static_cast<size_t>(options_.order);
+  const size_t m = static_cast<size_t>(summary_->max_level());
   if (n <= m) {
     return WindowCount(labels, 0, n);
   }

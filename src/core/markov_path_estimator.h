@@ -12,7 +12,7 @@ namespace treelattice {
 /// The classic Markov-model path selectivity estimator (Lore / Markov
 /// tables / XPathLearner), expressed over the lattice summary.
 ///
-/// For a path l1/l2/.../ln and summary order m (the lattice level),
+/// For a path l1/l2/.../ln and order m (the summary's max level K),
 ///   ŝ = f(l1..lm) * Π_{i=2}^{n-m+1} f(lᵢ..lᵢ₊ₘ₋₁) / f(lᵢ..lᵢ₊ₘ₋₂),
 /// where f() is the stored count of the corresponding path pattern. Lemma 4
 /// proves both decomposition estimators reduce to exactly this formula on
@@ -20,13 +20,7 @@ namespace treelattice {
 /// path-only baseline) so the equivalence is testable.
 class MarkovPathEstimator : public SelectivityEstimator {
  public:
-  struct Options {
-    /// Markov order (window size); 0 means the summary's max level.
-    int order = 0;
-  };
-
   explicit MarkovPathEstimator(const LatticeSummary* summary);
-  MarkovPathEstimator(const LatticeSummary* summary, Options options);
 
   using SelectivityEstimator::Estimate;
 
@@ -42,7 +36,6 @@ class MarkovPathEstimator : public SelectivityEstimator {
                      size_t len) const;
 
   const LatticeSummary* summary_;
-  Options options_;
 };
 
 }  // namespace treelattice

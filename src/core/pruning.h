@@ -15,8 +15,10 @@ struct PruneOptions {
   /// which by Lemma 5 leaves every estimate unchanged.
   double delta = 0.0;
 
-  /// Estimator configuration used to decide derivability. Must match the
-  /// configuration used at query time for the δ = 0 losslessness guarantee.
+  /// Estimator configuration used to decide derivability (non-voting by
+  /// default). The δ = 0 losslessness guarantee holds for this
+  /// configuration only: a summary pruned for the non-voting recursion
+  /// can change voting answers, and the reverse.
   RecursiveDecompositionEstimator::Options estimator;
 };
 

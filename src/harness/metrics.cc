@@ -39,16 +39,4 @@ double Percentile(std::vector<double> values, double pct) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-std::vector<CdfPoint> ErrorCdf(std::vector<double> errors) {
-  std::vector<CdfPoint> cdf;
-  if (errors.empty()) return cdf;
-  std::sort(errors.begin(), errors.end());
-  cdf.reserve(errors.size());
-  for (size_t i = 0; i < errors.size(); ++i) {
-    cdf.push_back({errors[i], 100.0 * static_cast<double>(i + 1) /
-                                  static_cast<double>(errors.size())});
-  }
-  return cdf;
-}
-
 }  // namespace treelattice

@@ -26,14 +26,6 @@ double Mean(const std::vector<double>& values);
 ///   - NaN pct or NaN values in the input -> NaN
 double Percentile(std::vector<double> values, double pct);
 
-/// Points of the cumulative distribution of `errors`: for each sorted error
-/// value e, the fraction (in percent) of queries with error <= e.
-struct CdfPoint {
-  double error_pct;
-  double cumulative_pct;
-};
-std::vector<CdfPoint> ErrorCdf(std::vector<double> errors);
-
 }  // namespace treelattice
 
 #endif  // TREELATTICE_HARNESS_METRICS_H_

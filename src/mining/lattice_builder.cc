@@ -120,7 +120,6 @@ Result<LatticeSummary> BuildLattice(const Document& doc,
   MiningMetrics::Get().patterns_inserted->Increment(current.size());
 
   const int num_threads = std::max(1, options.num_threads);
-  int complete_level = 1;
   for (int level = 2; level <= options.max_level; ++level) {
     obs::TraceSpan level_span("mining.level", "mining");
     level_span.SetArg("level", static_cast<uint64_t>(level));
@@ -143,8 +142,7 @@ Result<LatticeSummary> BuildLattice(const Document& doc,
           MiningMetrics::Get().candidates_generated->Increment();
           std::string code = candidate.CanonicalCode();
           if (!seen.insert(code).second) continue;
-          if (options.apriori_prune && level >= 3 &&
-              !PassesApriori(candidate, previous_codes)) {
+          if (level >= 3 && !PassesApriori(candidate, previous_codes)) {
             MiningMetrics::Get().candidates_pruned_apriori->Increment();
             continue;
           }
@@ -179,14 +177,8 @@ Result<LatticeSummary> BuildLattice(const Document& doc,
 
     // Phase 3: insert the survivors in generation order.
     std::vector<Twig> next;
-    bool truncated = false;
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (counts[i] == 0) continue;
-      if (options.max_patterns_per_level != 0 &&
-          next.size() >= options.max_patterns_per_level) {
-        truncated = true;
-        break;
-      }
       TL_RETURN_IF_ERROR(summary.Insert(candidates[i], counts[i]));
       next.push_back(std::move(candidates[i]));
     }
@@ -195,15 +187,10 @@ Result<LatticeSummary> BuildLattice(const Document& doc,
     MiningMetrics::Get().level_build_micros->Record(
         static_cast<uint64_t>(level_timer.ElapsedMicros()));
     current = std::move(next);
-    if (truncated) break;
-    complete_level = level;
-    if (current.empty()) {
-      complete_level = options.max_level;  // nothing larger can occur
-      break;
-    }
+    if (current.empty()) break;  // nothing larger can occur
   }
 
-  summary.set_complete_through_level(complete_level);
+  summary.set_complete_through_level(options.max_level);
   local_stats.build_seconds = timer.ElapsedSeconds();
   if (stats) *stats = local_stats;
   return summary;

@@ -16,18 +16,6 @@ struct LatticeBuildOptions {
   /// experiments use K = 4 by default.
   int max_level = 4;
 
-  /// Candidate-pruning Apriori check: a (k+1)-candidate is counted only if
-  /// all of its k-node sub-twigs obtained by removing a degree-1 node
-  /// occurred. Always sound (a match of the candidate restricts to a match
-  /// of every such sub-twig, so occurrence is monotone); disabling is
-  /// useful only for ablation.
-  bool apriori_prune = true;
-
-  /// Hard cap on patterns enumerated per level (0 = unbounded). A safety
-  /// valve against label alphabets whose pattern space explodes; when the
-  /// cap triggers, completeness is capped to the last full level.
-  size_t max_patterns_per_level = 0;
-
   /// Worker threads for candidate counting (the dominant cost). 1 =
   /// sequential; counting is read-only over the document so results are
   /// identical for any thread count.
@@ -44,7 +32,11 @@ struct LatticeBuildStats {
 
 /// Enumerates all occurring twig patterns of size <= options.max_level in
 /// `doc` (Freqt/TreeMiner-style level-wise extension with canonical-form
-/// deduplication) and returns the lattice summary with exact match counts.
+/// deduplication) and returns the lattice summary with exact match counts,
+/// complete through max_level. From level 3 on, a candidate is counted
+/// only if every sub-twig left by removing one of its degree-1 nodes
+/// occurred (the Apriori check: occurrence is monotone under that removal,
+/// so the check never drops an occurring pattern).
 Result<LatticeSummary> BuildLattice(const Document& doc,
                                     const LatticeBuildOptions& options = {},
                                     LatticeBuildStats* stats = nullptr);

@@ -168,7 +168,8 @@ struct Conn {
   /// connection once per wake.
   bool flush_due = false;
   /// Reading stopped because pending_out() crossed the high-water mark;
-  /// reads resume below the low-water mark (write backpressure).
+  /// reads resume below a quarter of it, or once it is 0 (write
+  /// backpressure).
   bool paused = false;
 
   /// Requests submitted to the Server whose responses have not yet come

@@ -15,10 +15,6 @@ namespace serve {
 
 namespace {
 
-/// Shards of the estimate cache: enough that workers rarely contend on
-/// one shard lock.
-constexpr int kEstimateCacheShards = 8;
-
 /// Labels a worker's dictionary may hold past its snapshot's before the
 /// worker copies the snapshot's afresh (DESIGN.md §9).
 constexpr size_t kMaxUnknownLabels = 4096;
@@ -226,10 +222,7 @@ Server::Server(SnapshotHolder* snapshots, ServerOptions options,
       options_(std::move(options)),
       sink_(std::move(sink)) {
   if (options_.estimate_cache_capacity > 0) {
-    EstimateCache::Options cache_options;
-    cache_options.capacity = options_.estimate_cache_capacity;
-    cache_options.shards = kEstimateCacheShards;
-    cache_ = std::make_unique<EstimateCache>(cache_options);
+    cache_ = std::make_unique<EstimateCache>(options_.estimate_cache_capacity);
   }
   const int workers = options_.workers > 0 ? options_.workers : 1;
   workers_.reserve(static_cast<size_t>(workers));

@@ -34,6 +34,12 @@ constexpr double kAdminIdleMillis = 10000.0;
 /// Largest admin request head we will buffer before answering 400.
 constexpr size_t kAdminMaxHeadBytes = 16384;
 
+/// Pending connections the kernel queues on the serving listener.
+constexpr int kListenBacklog = 128;
+
+/// Admin connections beyond this are refused at accept.
+constexpr size_t kMaxAdminConnections = 32;
+
 }  // namespace
 
 Transport::Transport(SnapshotHolder* snapshots, ServerOptions server_options,
@@ -81,7 +87,7 @@ Transport::~Transport() {
 
 Result<uint16_t> Transport::Listen() {
   if (listen_fd_ >= 0) return port_;
-  Result<int> fd = ListenTcp(options_.host, options_.port, options_.backlog);
+  Result<int> fd = ListenTcp(options_.host, options_.port, kListenBacklog);
   if (!fd.ok()) return fd.status();
   Result<uint16_t> port = BoundPort(*fd);
   if (!port.ok()) {
@@ -513,7 +519,11 @@ void Transport::FlushConn(Conn* conn) {
     conn->out.clear();
     conn->out_offset = 0;
   }
-  if (conn->paused && conn->pending_out() < options_.write_low_water) {
+  // Resume reading below the low-water mark, a quarter of the high one, or
+  // once everything has left: with a high-water mark under 4 bytes the low
+  // one is 0, which no backlog is below.
+  if (conn->paused && (conn->pending_out() < options_.write_high_water / 4 ||
+                       conn->pending_out() == 0)) {
     conn->paused = false;
   }
   if (conn->idle() &&
@@ -745,8 +755,7 @@ void Transport::AcceptAdmin() {
     NetIoResult accepted = io_.Accept(admin_listen_fd_);
     if (accepted.kind != NetIoResult::Kind::kOk) return;
     const int fd = accepted.fd;
-    if (static_cast<int>(admin_conns_.size()) >=
-        options_.max_admin_connections) {
+    if (admin_conns_.size() >= kMaxAdminConnections) {
       close(fd);  // no protocol courtesy: the admin plane is best-effort
       continue;
     }

@@ -37,8 +37,9 @@ namespace serve {
 ///     long enough to receive a ResourceExhausted turn-away line.
 ///   * write backpressure — a connection whose response backlog exceeds
 ///     `write_high_water` stops being read (its pipelined requests stay in
-///     its kernel socket buffer) and resumes below `write_low_water`, so a
-///     client that never reads cannot grow server memory without bound.
+///     its kernel socket buffer) and resumes once the backlog is below a
+///     quarter of that mark or empty, so a client that never reads cannot
+///     grow server memory without bound.
 ///   * idle + mid-frame timeouts — a connection with no traffic, or one
 ///     dribbling a frame byte-by-byte (slowloris), is closed.
 ///   * max frame size — an overlong line fails that request with a JSON
@@ -66,7 +67,6 @@ class Transport {
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;  // 0 = ephemeral (tests, benches)
-    int backlog = 128;
     /// Connections served concurrently; above this, accept + turn away.
     int max_connections = 1024;
     /// Longest accepted request line, newline excluded.
@@ -77,10 +77,9 @@ class Transport {
     /// Close a connection that holds a frame open (bytes buffered, no
     /// newline) for this long — the slowloris defense. <= 0 disables.
     double request_timeout_millis = 30000.0;
-    /// Stop reading a connection whose pending output exceeds high water;
-    /// resume below low water.
+    /// Stop reading a connection whose pending output exceeds this many
+    /// bytes; resume once it is below a quarter of them, or empty.
     size_t write_high_water = 1 << 20;
-    size_t write_low_water = 1 << 18;
     /// Soft drain budget on shutdown; see class comment.
     double drain_deadline_millis = 5000.0;
     /// Force the poll(2) backend even where epoll is available.
@@ -95,8 +94,6 @@ class Transport {
     bool admin_enabled = false;
     std::string admin_host = "127.0.0.1";
     uint16_t admin_port = 0;  // 0 = ephemeral
-    /// Admin connections beyond this are refused at accept.
-    int max_admin_connections = 32;
     /// Slow-query ring fed by request finalization and served by /slowz.
     /// Not owned; may be null (no slow-query logging). Must outlive Run.
     SlowQueryLog* slow_log = nullptr;

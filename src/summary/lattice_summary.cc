@@ -1,9 +1,7 @@
 #include "summary/lattice_summary.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "util/hash.h"
@@ -14,10 +12,9 @@ namespace {
 // Per-entry bookkeeping overhead charged by MemoryBytes().
 constexpr size_t kEntryOverhead = sizeof(uint64_t);
 // Initial slot-table size (power of two) and load-factor bound: the table
-// grows once live + tombstoned slots exceed 7/10 of capacity, keeping
-// linear-probe chains short.
+// grows once its entries exceed 7/10 of capacity, keeping linear-probe
+// chains short.
 constexpr size_t kInitialSlots = 16;
-constexpr size_t kNoFreeSlot = std::numeric_limits<size_t>::max();
 }  // namespace
 
 LatticeSummary::LatticeSummary(int max_level)
@@ -25,32 +22,15 @@ LatticeSummary::LatticeSummary(int max_level)
       complete_through_level_(0),
       level_codes_(static_cast<size_t>(max_level_) + 1) {}
 
-int LatticeSummary::LevelOfCode(const std::string& code) {
-  // A node in the canonical code is one run of decimal digits.
-  int nodes = 0;
-  bool in_digits = false;
-  for (char c : code) {
-    bool digit = (c >= '0' && c <= '9');
-    if (digit && !in_digits) ++nodes;
-    in_digits = digit;
-  }
-  return nodes;
-}
-
 size_t LatticeSummary::ProbeSlot(uint64_t hash, std::string_view code) const {
   // Linear probe from the mixed hash. Mix64 spreads FNV-1a's weak low bits
   // before masking; the full 64-bit hash stored per slot rejects nearly all
   // mismatches without touching the entry's string.
   size_t idx = static_cast<size_t>(Mix64(hash)) & slot_mask_;
-  size_t first_free = kNoFreeSlot;
   for (;;) {
     const Slot& slot = slots_[idx];
-    if (slot.id == kSlotEmpty) {
-      return first_free != kNoFreeSlot ? first_free : idx;
-    }
-    if (slot.id == kSlotTombstone) {
-      if (first_free == kNoFreeSlot) first_free = idx;
-    } else if (slot.hash == hash && entries_[slot.id].code == code) {
+    if (slot.entry == kSlotEmpty ||
+        (slot.hash == hash && entries_[slot.entry].code == code)) {
       return idx;
     }
     idx = (idx + 1) & slot_mask_;
@@ -60,14 +40,11 @@ size_t LatticeSummary::ProbeSlot(uint64_t hash, std::string_view code) const {
 void LatticeSummary::Rehash(size_t new_slot_count) {
   slots_.assign(new_slot_count, Slot{});
   slot_mask_ = new_slot_count - 1;
-  used_slots_ = 0;
-  for (size_t id = 0; id < entries_.size(); ++id) {
-    const Entry& entry = entries_[id];
-    if (entry.erased) continue;
-    size_t idx = static_cast<size_t>(Mix64(entry.hash)) & slot_mask_;
-    while (slots_[idx].id != kSlotEmpty) idx = (idx + 1) & slot_mask_;
-    slots_[idx] = Slot{entry.hash, static_cast<PatternId>(id)};
-    ++used_slots_;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const uint64_t hash = entries_[i].hash;
+    size_t idx = static_cast<size_t>(Mix64(hash)) & slot_mask_;
+    while (slots_[idx].entry != kSlotEmpty) idx = (idx + 1) & slot_mask_;
+    slots_[idx] = Slot{hash, static_cast<uint32_t>(i)};
   }
 }
 
@@ -82,24 +59,15 @@ Status LatticeSummary::Insert(const Twig& twig, uint64_t count) {
   const uint64_t hash = twig.CanonicalHash();
   if (slots_.empty()) Rehash(kInitialSlots);
   size_t idx = ProbeSlot(hash, code);
-  if (slots_[idx].id < kSlotTombstone) {
-    entries_[slots_[idx].id].count = count;  // overwrite existing
+  if (slots_[idx].entry != kSlotEmpty) {
+    entries_[slots_[idx].entry].count = count;  // overwrite existing
     return Status::OK();
   }
-  const PatternId id = static_cast<PatternId>(entries_.size());
-  Entry entry;
-  entry.code = code;
-  entry.hash = hash;
-  entry.count = count;
-  entry.level = twig.size();
-  entries_.push_back(std::move(entry));
-  const bool reused_tombstone = (slots_[idx].id == kSlotTombstone);
-  slots_[idx] = Slot{hash, id};
-  if (!reused_tombstone) ++used_slots_;
-  ++num_live_;
+  slots_[idx] = Slot{hash, static_cast<uint32_t>(entries_.size())};
+  entries_.push_back(Entry{code, hash, count});
   level_codes_[static_cast<size_t>(twig.size())].push_back(code);
   memory_bytes_ += code.size() + sizeof(uint64_t) + kEntryOverhead;
-  if (used_slots_ * 10 >= slots_.size() * 7) Rehash(slots_.size() * 2);
+  if (entries_.size() * 10 >= slots_.size() * 7) Rehash(slots_.size() * 2);
   return Status::OK();
 }
 
@@ -111,16 +79,9 @@ std::optional<uint64_t> LatticeSummary::LookupCode(
 std::optional<uint64_t> LatticeSummary::LookupHashed(
     uint64_t hash, std::string_view code) const {
   if (slots_.empty()) return std::nullopt;
-  size_t idx = ProbeSlot(hash, code);
-  if (slots_[idx].id >= kSlotTombstone) return std::nullopt;
-  return entries_[slots_[idx].id].count;
-}
-
-PatternId LatticeSummary::FindId(uint64_t hash, std::string_view code) const {
-  if (slots_.empty()) return kInvalidPatternId;
-  size_t idx = ProbeSlot(hash, code);
-  if (slots_[idx].id >= kSlotTombstone) return kInvalidPatternId;
-  return slots_[idx].id;
+  const Slot& slot = slots_[ProbeSlot(hash, code)];
+  if (slot.entry == kSlotEmpty) return std::nullopt;
+  return entries_[slot.entry].count;
 }
 
 const std::vector<std::string>& LatticeSummary::PatternsAtLevel(
@@ -131,30 +92,8 @@ const std::vector<std::string>& LatticeSummary::PatternsAtLevel(
 }
 
 size_t LatticeSummary::NumPatterns(int level) const {
-  if (level == 0) return num_live_;
+  if (level == 0) return entries_.size();
   return PatternsAtLevel(level).size();
-}
-
-Status LatticeSummary::Erase(const std::string& code) {
-  if (slots_.empty()) return Status::NotFound("pattern not in summary");
-  size_t idx = ProbeSlot(HashBytes(code), code);
-  if (slots_[idx].id >= kSlotTombstone) {
-    return Status::NotFound("pattern not in summary");
-  }
-  Entry& entry = entries_[slots_[idx].id];
-  const int level = entry.level;
-  if (level < 3) {
-    return Status::InvalidArgument(
-        "Erase: level 1-2 patterns anchor estimation and cannot be pruned");
-  }
-  entry.erased = true;
-  slots_[idx].id = kSlotTombstone;
-  --num_live_;
-  auto& codes = level_codes_[static_cast<size_t>(level)];
-  codes.erase(std::remove(codes.begin(), codes.end(), code), codes.end());
-  memory_bytes_ -= code.size() + sizeof(uint64_t) + kEntryOverhead;
-  if (complete_through_level_ >= level) complete_through_level_ = level - 1;
-  return Status::OK();
 }
 
 Status LatticeSummary::SaveToFileV1(const std::string& path) const {
@@ -162,7 +101,7 @@ Status LatticeSummary::SaveToFileV1(const std::string& path) const {
   if (!out) return Status::IOError("cannot open " + path + " for writing");
   out << "TLSUMMARY v1\n"
       << max_level_ << ' ' << complete_through_level_ << '\n'
-      << num_live_ << '\n';
+      << entries_.size() << '\n';
   for (int level = 1; level <= max_level_; ++level) {
     for (const std::string& code : level_codes_[static_cast<size_t>(level)]) {
       out << *LookupCode(code) << ' ' << code << '\n';

@@ -13,23 +13,17 @@
 
 namespace treelattice {
 
-/// Dense id a canonical pattern code is interned to on Insert. Stable for
-/// the lifetime of the summary (Erase retires an id, never reassigns it).
-using PatternId = uint32_t;
-
-constexpr PatternId kInvalidPatternId = static_cast<PatternId>(-1);
-
 /// The lattice summary: occurrence counts of all basic twigs ("patterns")
 /// of size <= max_level, keyed by canonical twig code (Section 4).
 ///
-/// Storage is split for the estimation hot path (RDF-3X style: intern the
-/// pattern key once, probe integers forever after): codes are interned into
-/// dense PatternIds whose entries live in an append-only array, and lookups
-/// go through an open-addressing table of (code hash, id) slots probed
-/// linearly — no node-based map, no per-probe allocation, and callers that
-/// already know the 64-bit code hash (a Twig with a warm cache) never
-/// re-hash the string. The string table is kept for persistence and
-/// level-ordered iteration only; the v1/v2 on-disk formats are unchanged.
+/// Storage is laid out for the estimation hot path: entries (code, hash,
+/// count) live in an append-only array, and lookups go through an
+/// open-addressing table of (code hash, entry index) slots probed linearly
+/// — no node-based map, no per-probe allocation, and callers that already
+/// know the 64-bit code hash (a Twig with a warm cache) never re-hash the
+/// string. Patterns are only ever inserted or overwritten, never removed
+/// (pruning builds a new summary), so the table needs no tombstones. The
+/// per-level code lists serve persistence and level-ordered iteration.
 ///
 /// `complete_through_level` records up to which level the summary is
 /// guaranteed to contain *every* occurring pattern: a fresh K-lattice is
@@ -68,14 +62,6 @@ class LatticeSummary {
   TL_HOT std::optional<uint64_t> LookupHashed(
       uint64_t hash, std::string_view code) const;
 
-  /// Interned id for a pattern code, or kInvalidPatternId when absent.
-  TL_HOT PatternId FindId(uint64_t hash, std::string_view code) const;
-
-  /// Count for a live interned id (id must come from FindId).
-  TL_HOT uint64_t CountOf(PatternId id) const { return entries_[id].count; }
-
-  bool Contains(const Twig& twig) const { return Lookup(twig).has_value(); }
-
   /// Canonical codes stored at `level` (1-based), in insertion order.
   const std::vector<std::string>& PatternsAtLevel(int level) const;
 
@@ -86,10 +72,6 @@ class LatticeSummary {
   /// the 8-byte count plus 8 bytes of table overhead. This is the figure
   /// reported as "summary size" in the experiments (Table 3, Fig. 10).
   size_t MemoryBytes() const { return memory_bytes_; }
-
-  /// Removes a pattern at levels >= 3 (levels 1-2 anchor every estimate and
-  /// are never prunable). Returns NotFound if absent.
-  Status Erase(const std::string& code);
 
   /// Serializes to the checksummed binary container ("TLSUMMARY v2", see
   /// summary_format.h), written atomically (temp file + fsync + rename) so
@@ -120,43 +102,35 @@ class LatticeSummary {
   static constexpr int kMaxLevelCap = Twig::kMaxQueryNodes;
 
  private:
-  /// Interned pattern: the code string is authoritative for persistence;
+  /// A stored pattern: the code string is authoritative for persistence;
   /// the hash is precomputed so rehashing the table never touches strings.
   struct Entry {
     std::string code;
     uint64_t hash = 0;
     uint64_t count = 0;
-    int32_t level = 0;
-    bool erased = false;
   };
 
   /// Open-addressing slot: full 64-bit hash for cheap mismatch rejection,
-  /// plus the entry id (or one of the sentinels below).
+  /// plus the index of its entry (kSlotEmpty when free).
   struct Slot {
     uint64_t hash = 0;
-    PatternId id = kSlotEmpty;
+    uint32_t entry = kSlotEmpty;
   };
 
-  static constexpr PatternId kSlotEmpty = static_cast<PatternId>(-1);
-  static constexpr PatternId kSlotTombstone = static_cast<PatternId>(-2);
+  static constexpr uint32_t kSlotEmpty = static_cast<uint32_t>(-1);
 
-  static int LevelOfCode(const std::string& code);
-
-  /// Index of the slot holding (hash, code), or of the first insertable
-  /// slot (empty or tombstone) when absent. Table must be non-empty.
+  /// Index of the slot holding (hash, code), or of the empty slot that
+  /// ends its probe chain when absent. Table must be non-empty.
   size_t ProbeSlot(uint64_t hash, std::string_view code) const;
 
-  /// Grows/rebuilds the slot table to `new_slot_count` (a power of two),
-  /// dropping tombstones.
+  /// Grows/rebuilds the slot table to `new_slot_count` (a power of two).
   void Rehash(size_t new_slot_count);
 
   int max_level_;
   int complete_through_level_;
-  std::vector<Entry> entries_;          // append-only; ids index this
+  std::vector<Entry> entries_;          // append-only; slots index this
   std::vector<Slot> slots_;             // open-addressing index over entries_
   size_t slot_mask_ = 0;                // slots_.size() - 1 (power of two)
-  size_t used_slots_ = 0;               // live + tombstoned slots
-  size_t num_live_ = 0;                 // entries not erased
   std::vector<std::vector<std::string>> level_codes_;  // [level] -> codes
   size_t memory_bytes_ = 0;
 };

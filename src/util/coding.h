@@ -70,12 +70,6 @@ class ByteReader {
     return true;
   }
 
-  bool Skip(size_t n) {
-    if (remaining() < n) return false;
-    pos_ += n;
-    return true;
-  }
-
  private:
   std::string_view data_;
   size_t pos_ = 0;

@@ -16,17 +16,6 @@ uint32_t Extend(uint32_t crc, std::string_view data);
 /// CRC-32C of `data` in one shot.
 inline uint32_t Value(std::string_view data) { return Extend(0, data); }
 
-/// CRCs stored inside files that are themselves hashed by outer layers are
-/// conventionally masked so that a CRC over bytes that contain a CRC does
-/// not degenerate. Same rotation+constant as LevelDB.
-inline uint32_t Mask(uint32_t crc) {
-  return ((crc >> 15) | (crc << 17)) + 0xa282ead8u;
-}
-inline uint32_t Unmask(uint32_t masked) {
-  uint32_t rot = masked - 0xa282ead8u;
-  return (rot >> 17) | (rot << 15);
-}
-
 }  // namespace crc32c
 }  // namespace treelattice
 

@@ -138,13 +138,6 @@ class CostGovernor {
   /// True once any limit has been hit; Charge keeps failing from then on.
   bool tripped() const { return tripped_; }
 
-  /// True when `code` is one of the budget-trip codes a governor emits.
-  static bool IsBudgetError(StatusCode code) {
-    return code == StatusCode::kDeadlineExceeded ||
-           code == StatusCode::kResourceExhausted ||
-           code == StatusCode::kCancelled;
-  }
-
  private:
   Status Trip(Status status) {
     tripped_ = true;

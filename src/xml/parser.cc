@@ -113,9 +113,7 @@ Status ParseAttributes(Scanner& scanner, std::vector<std::string>* names) {
 
 Result<Document> ParseXmlString(std::string_view xml,
                                 const XmlParseOptions& options) {
-  std::shared_ptr<LabelDict> dict =
-      options.dict ? options.dict : std::make_shared<LabelDict>();
-  Document doc(dict);
+  Document doc;
   Scanner scanner(xml);
   std::vector<NodeId> stack;           // open elements
   std::vector<std::string> open_tags;  // their tag names, for matching

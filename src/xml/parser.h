@@ -1,7 +1,6 @@
 #ifndef TREELATTICE_XML_PARSER_H_
 #define TREELATTICE_XML_PARSER_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -26,13 +25,10 @@ struct XmlParseOptions {
   /// Bucket count for model_values. Must match the bucket count used when
   /// compiling value-predicate queries.
   int value_buckets = 64;
-
-  /// Dictionary to intern labels into; a fresh one is created when null so
-  /// that the resulting document is self-contained.
-  std::shared_ptr<LabelDict> dict;
 };
 
-/// Parses an XML document's element structure into a labeled tree.
+/// Parses an XML document's element structure into a labeled tree, whose
+/// labels are interned into a dictionary of its own.
 ///
 /// This is a from-scratch non-validating parser covering the subset needed
 /// for dataset ingestion: prolog, comments, DOCTYPE (skipped), CDATA

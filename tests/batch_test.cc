@@ -317,7 +317,7 @@ TEST_F(BatchEstimatorTest, UngovernedWorkStepsAreTheSubTwigVisits) {
            metrics.summary_misses->value() + metrics.exhaustive_zeros->value();
   };
   std::vector<Twig> queries = ParseAll({"a(t0,t1,t2)", "a(t2,t1,t0)"}, &dict_);
-  EstimateCache cache(EstimateCache::Options{});
+  EstimateCache cache(1024);
   BatchEstimator batch(summary_.get(), Voting(), &cache);
   std::vector<EstimateResult> results(queries.size());
   const uint64_t before = visits();
@@ -407,7 +407,7 @@ TEST_F(BatchEstimatorTest, CacheHoldsEveryPrimaryAnswer) {
   budgets[2].max_work_steps = 100000000;
   budgets[3].max_work_steps = kTightSteps;
   budgets[4].cancel = &cancel;
-  EstimateCache cache(EstimateCache::Options{});
+  EstimateCache cache(1024);
   constexpr int64_t kVersion = 3;
   BatchEstimator batch(summary_.get(), Voting(), &cache, kVersion);
   std::vector<EstimateResult> results(queries.size());

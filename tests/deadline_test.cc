@@ -116,15 +116,6 @@ TEST(CostGovernorTest, CancellationTripsAndIsPreferred) {
   EXPECT_TRUE(governor.tripped());
 }
 
-TEST(CostGovernorTest, IsBudgetErrorCoversExactlyTheTripCodes) {
-  EXPECT_TRUE(CostGovernor::IsBudgetError(StatusCode::kDeadlineExceeded));
-  EXPECT_TRUE(CostGovernor::IsBudgetError(StatusCode::kResourceExhausted));
-  EXPECT_TRUE(CostGovernor::IsBudgetError(StatusCode::kCancelled));
-  EXPECT_FALSE(CostGovernor::IsBudgetError(StatusCode::kOk));
-  EXPECT_FALSE(CostGovernor::IsBudgetError(StatusCode::kInvalidArgument));
-  EXPECT_FALSE(CostGovernor::IsBudgetError(StatusCode::kInternal));
-}
-
 // --- estimator-level governance ------------------------------------------
 
 /// A summary whose level-2 knowledge covers a wide star query: the voting

@@ -97,7 +97,7 @@ TEST(RecursiveEstimatorTest, ExactUnderConditionalIndependence) {
   RecursiveDecompositionEstimator estimator(&summary);
 
   Twig query = MustParse("x(y(w),z)", dict);
-  ASSERT_FALSE(summary.Contains(query));  // size 4 > 3-lattice
+  ASSERT_FALSE(summary.Lookup(query).has_value());  // size 4 > 3-lattice
   auto estimate = estimator.Estimate(query);
   ASSERT_TRUE(estimate.ok());
   EXPECT_NEAR(*estimate, static_cast<double>(counter.Count(query)), 1e-9);
@@ -452,7 +452,7 @@ TEST(VotingTest, MedianAggregationDiffersAndIsFinite) {
     if (std::abs(*a - *b) > 1e-9) ++different;
     // In-lattice sub-twigs anchor both, so on in-lattice queries they
     // coincide exactly.
-    if (summary.Contains(q)) {
+    if (summary.Lookup(q).has_value()) {
       EXPECT_DOUBLE_EQ(*a, *b);
     }
   }
@@ -503,9 +503,7 @@ TEST(EstimateScratchTest, ExplicitSharedAndImplicitScratchAgreeBitwise) {
   RecursiveDecompositionEstimator::Options voting_options;
   voting_options.voting = true;
   RecursiveDecompositionEstimator voting(&summary, voting_options);
-  FixedSizeDecompositionEstimator::Options fixed_options;
-  fixed_options.k = 3;
-  FixedSizeDecompositionEstimator fixed(&summary, fixed_options);
+  FixedSizeDecompositionEstimator fixed(&summary);
 
   std::vector<Twig> queries;
   for (const char* q :
@@ -777,7 +775,7 @@ TEST(SpellingTest, SiblingOrderNeverChangesAnEstimate) {
   ASSERT_EQ(queries.size(), 41u);
   size_t decomposed = 0;
   for (const Twig& query : queries) {
-    if (!summary.Contains(query)) ++decomposed;
+    if (!summary.Lookup(query).has_value()) ++decomposed;
   }
   EXPECT_GT(decomposed, queries.size() / 2);
   constexpr uint64_t kSpellings = 8;

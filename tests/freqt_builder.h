@@ -34,8 +34,8 @@ struct FreqtBuildStats {
 /// production miner: at benchmark scale it runs many times slower than
 /// BuildLattice (EXPERIMENTS.md), and its occurrence lists take memory
 /// proportional to embedding path volume.
-/// options.apriori_prune and num_threads are ignored (inapplicable: the
-/// rightmost-extension enumeration subsumes Apriori).
+/// options.num_threads is ignored (the rightmost-extension enumeration
+/// counts as it enumerates).
 Result<LatticeSummary> BuildLatticeFreqt(const Document& doc,
                                          const LatticeBuildOptions& options,
                                          FreqtBuildStats* stats = nullptr);

@@ -63,18 +63,6 @@ TEST(MetricsTest, PercentileNanPropagates) {
   EXPECT_TRUE(std::isnan(Percentile({1.0, nan, 3.0}, 50.0)));
 }
 
-TEST(MetricsTest, ErrorCdfIsMonotone) {
-  auto cdf = ErrorCdf({5.0, 1.0, 3.0});
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].error_pct, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.back().cumulative_pct, 100.0);
-  for (size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].error_pct, cdf[i - 1].error_pct);
-    EXPECT_GT(cdf[i].cumulative_pct, cdf[i - 1].cumulative_pct);
-  }
-  EXPECT_TRUE(ErrorCdf({}).empty());
-}
-
 TEST(TextTableTest, RendersAlignedColumns) {
   TextTable table;
   table.SetHeader({"name", "value"});

@@ -33,12 +33,6 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   EXPECT_EQ(split, crc32c::Value(data));
 }
 
-TEST(Crc32cTest, MaskRoundTrips) {
-  uint32_t crc = crc32c::Value("payload");
-  EXPECT_NE(crc32c::Mask(crc), crc);
-  EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
-}
-
 TEST(CodingTest, FixedWidthRoundTrip) {
   std::string buf;
   PutFixed32(&buf, 0xdeadbeefu);

@@ -70,14 +70,17 @@ TEST(PruningTest, IndependentDocumentPrunesDistinctLabelPatterns) {
   LabelDict* dict = &doc->mutable_dict();
   Result<Twig> rxx = Twig::Parse("r(x,x)", dict);
   ASSERT_TRUE(rxx.ok());
-  EXPECT_TRUE(pruned->Contains(*rxx));
+  EXPECT_TRUE(pruned->Lookup(*rxx).has_value());
   EXPECT_LT(stats.bytes_after, stats.bytes_before);
   EXPECT_EQ(stats.patterns_before, summary.NumPatterns());
   EXPECT_EQ(stats.patterns_after, pruned->NumPatterns());
   EXPECT_EQ(pruned->complete_through_level(), 2);
 }
 
-// Lemma 5: removing 0-derivable patterns leaves every estimate unchanged.
+// Lemma 5: removing 0-derivable patterns leaves every estimate unchanged
+// for the estimator configuration that judged derivability. Each of the
+// three configurations serve and the benches run (no voting, voting mean,
+// voting median) prunes for itself and then estimates.
 class Lemma5Property : public testing::TestWithParam<int> {};
 
 TEST_P(Lemma5Property, ZeroDeltaPruningIsLossless) {
@@ -88,24 +91,36 @@ TEST_P(Lemma5Property, ZeroDeltaPruningIsLossless) {
   tree.num_labels = 4;
   Document doc = GenerateRandomTree(tree);
   LatticeSummary summary = MustBuild(doc, 4);
-  auto pruned = PruneDerivablePatterns(summary);
-  ASSERT_TRUE(pruned.ok());
 
-  RecursiveDecompositionEstimator full(&summary);
-  RecursiveDecompositionEstimator compact(&*pruned);
+  using Aggregation = RecursiveDecompositionEstimator::VoteAggregation;
+  RecursiveDecompositionEstimator::Options configurations[3];
+  configurations[1].voting = true;
+  configurations[2].voting = true;
+  configurations[2].aggregation = Aggregation::kMedian;
+  for (const RecursiveDecompositionEstimator::Options& config :
+       configurations) {
+    PruneOptions prune;
+    prune.estimator = config;
+    auto pruned = PruneDerivablePatterns(summary, prune);
+    ASSERT_TRUE(pruned.ok());
 
-  WorkloadOptions wl;
-  wl.seed = seed;
-  wl.num_queries = 20;
-  for (int size = 3; size <= 7; ++size) {
-    wl.query_size = size;
-    auto queries = GeneratePositiveWorkload(doc, wl);
-    ASSERT_TRUE(queries.ok());
-    for (const Twig& q : *queries) {
-      auto a = full.Estimate(q);
-      auto b = compact.Estimate(q);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_NEAR(*a, *b, 1e-6 * (1.0 + *a)) << q.ToDebugString();
+    RecursiveDecompositionEstimator full(&summary, config);
+    RecursiveDecompositionEstimator compact(&*pruned, config);
+
+    WorkloadOptions wl;
+    wl.seed = seed;
+    wl.num_queries = 20;
+    for (int size = 3; size <= 7; ++size) {
+      wl.query_size = size;
+      auto queries = GeneratePositiveWorkload(doc, wl);
+      ASSERT_TRUE(queries.ok());
+      for (const Twig& q : *queries) {
+        auto a = full.Estimate(q);
+        auto b = compact.Estimate(q);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_NEAR(*a, *b, 1e-6 * (1.0 + *a))
+            << full.name() << ": " << q.ToDebugString();
+      }
     }
   }
 }

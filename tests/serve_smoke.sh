@@ -460,4 +460,47 @@ else
   echo "python3 not found; skipping TCP soak leg" >&2
 fi
 
+# --- phase 5: a write high-water mark under 4 bytes -------------------------
+# Its low mark, a quarter of it, is 0: reading must still resume once each
+# answer has left, so three sequential exchanges on one connection are all
+# answered (not only the first, with the rest waiting for the idle timeout).
+
+if command -v python3 > /dev/null 2>&1; then
+  "$CLI" serve "$WORKDIR/doc.summary.good" --listen=127.0.0.1:0 \
+      --write-high-water=0 > /dev/null 2> "$WORKDIR/hw.err" &
+  HW_PID=$!
+  RC=0
+  python3 - "$WORKDIR/hw.err" <<'PYEOF' || RC=$?
+import re, socket, sys, time
+
+port = None
+deadline = time.time() + 10
+while time.time() < deadline and port is None:
+    try:
+        with open(sys.argv[1]) as f:
+            m = re.search(r"listening on [\d.]+:(\d+)", f.read())
+        if m:
+            port = int(m.group(1))
+    except FileNotFoundError:
+        pass
+    time.sleep(0.05)
+assert port is not None, "server never printed its port"
+# Each answer must arrive within 3 s; socket.timeout fails the phase.
+sock = socket.create_connection(("127.0.0.1", port), timeout=3)
+buf = b""
+for i in range(3):
+    sock.sendall(b"item(name)\n")
+    while b"\n" not in buf:
+        chunk = sock.recv(4096)
+        assert chunk, f"connection closed before answer {i + 1}"
+        buf += chunk
+    buf = buf.split(b"\n", 1)[1]
+sock.close()
+print("write-high-water=0: 3 of 3 sequential exchanges answered")
+PYEOF
+  kill -TERM "$HW_PID"
+  wait "$HW_PID" || true
+  test "$RC" -eq 0
+fi
+
 echo "serve smoke test passed"

@@ -655,7 +655,7 @@ TEST_F(ServerTest, WorkersPickUpHotSwappedSnapshot) {
 }
 
 TEST(EstimateCacheTest, VersionFenceDropsStaleEntries) {
-  EstimateCache cache(EstimateCache::Options{});
+  EstimateCache cache(1024);
   const std::string code = "0(1)";
   const uint64_t hash = HashBytes(code);
 
@@ -673,12 +673,20 @@ TEST(EstimateCacheTest, VersionFenceDropsStaleEntries) {
 }
 
 TEST(EstimateCacheTest, LruEvictsOldestWithinCapacity) {
-  EstimateCache::Options options;
-  options.capacity = 4;
-  options.shards = 1;  // one shard so the LRU order is fully observable
-  EstimateCache cache(options);
-
-  std::vector<std::string> codes = {"0(1)", "0(2)", "0(3)", "0(4)", "0(5)"};
+  // Four entries per shard, and five codes that share the first one's
+  // shard (the top bits of the mixed hash pick it), so the LRU order of
+  // that shard is fully observable.
+  EstimateCache cache(4 * EstimateCache::kShards);
+  auto shard_of = [](const std::string& code) {
+    return (Mix64(HashBytes(code)) >> 48) & (EstimateCache::kShards - 1);
+  };
+  std::vector<std::string> codes;
+  for (int i = 1; codes.size() < 5; ++i) {
+    std::string code = "0(" + std::to_string(i) + ")";
+    if (codes.empty() || shard_of(code) == shard_of(codes[0])) {
+      codes.push_back(std::move(code));
+    }
+  }
   for (size_t i = 0; i < 4; ++i) {
     cache.Put(1, HashBytes(codes[i]), codes[i], static_cast<double>(i));
   }
@@ -691,19 +699,6 @@ TEST(EstimateCacheTest, LruEvictsOldestWithinCapacity) {
   EXPECT_TRUE(cache.Get(1, HashBytes(codes[4]), codes[4]).has_value());
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.GetStats().evictions, 1u);
-}
-
-TEST(EstimateCacheTest, InvalidateEmptiesEveryShard) {
-  EstimateCache cache(EstimateCache::Options{});
-  for (int i = 0; i < 32; ++i) {
-    const std::string code = "0(" + std::to_string(i + 1) + ")";
-    cache.Put(1, HashBytes(code), code, static_cast<double>(i));
-  }
-  EXPECT_GT(cache.size(), 0u);
-  cache.Invalidate();
-  EXPECT_EQ(cache.size(), 0u);
-  const std::string probe = "0(1)";
-  EXPECT_FALSE(cache.Get(1, HashBytes(probe), probe).has_value());
 }
 
 TEST_F(ServerTest, RepeatedQueryServedFromCacheExactly) {

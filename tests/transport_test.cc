@@ -464,7 +464,6 @@ TEST(TransportTest, BackpressurePausesAndResumesUnderEagainStorm) {
   options.faults.seed = 99;
   options.faults.eagain = 0.9;
   options.write_high_water = 512;
-  options.write_low_water = 128;
   TestTransport server(options);
   Client client(server.port());
   std::string burst;
@@ -477,6 +476,24 @@ TEST(TransportTest, BackpressurePausesAndResumesUnderEagainStorm) {
   Transport::Stats stats = server.transport().GetStats();
   EXPECT_EQ(stats.responses_delivered, 50u);
   EXPECT_GE(stats.backpressure_stalls, 1u);
+}
+
+TEST(TransportTest, ZeroHighWaterStillAnswersEverySequentialExchange) {
+  // A high-water mark of 0 pauses reading after every answer, and its low
+  // mark (a quarter of it) is 0, which no backlog is below: reading must
+  // resume once the answer has left, or the next request is never read.
+  Transport::Options options;
+  options.write_high_water = 0;
+  TestTransport server(options);
+  Client client(server.port());
+  for (uint64_t id = 1; id <= 5; ++id) {
+    client.Send(RequestLine(id));
+    ASSERT_TRUE(client.NextLine(3000).has_value()) << "response " << id;
+  }
+  server.Stop();
+  Transport::Stats stats = server.transport().GetStats();
+  EXPECT_EQ(stats.responses_delivered, 5u);
+  EXPECT_GE(stats.backpressure_stalls, 5u);
 }
 
 TEST(TransportTest, PollFallbackServesTheSameProtocol) {

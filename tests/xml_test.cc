@@ -124,17 +124,6 @@ TEST(XmlParserTest, AttributesModeledWhenRequested) {
   EXPECT_EQ(result->dict().Find("@x"), 1);
 }
 
-TEST(XmlParserTest, SharedDictionary) {
-  auto dict = std::make_shared<LabelDict>();
-  dict->Intern("preexisting");
-  XmlParseOptions options;
-  options.dict = dict;
-  auto result = ParseXmlString("<a/>", options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(dict->Find("a"), 1);
-  EXPECT_EQ(result->shared_dict().get(), dict.get());
-}
-
 TEST(XmlParserTest, RejectsMismatchedTags) {
   auto result = ParseXmlString("<a><b></a></b>");
   ASSERT_FALSE(result.ok());

@@ -1,7 +1,9 @@
 // treelattice — command-line front end for the library.
 //
 //   treelattice build <doc.xml> --out=<summary> [--level=4]
-//       [--prune-delta=<d>]        mine a K-lattice summary from XML
+//       [--prune-delta=<d>]        mine a K-lattice summary from XML,
+//                                  dropping patterns the non-voting
+//                                  recursion derives within d
 //   treelattice stats <summary>    print per-level pattern counts & size
 //   treelattice verify <summary>   check checksums, print per-level integrity
 //   treelattice estimate <summary> <query>... [--estimator=recursive|
@@ -104,6 +106,12 @@ int Usage() {
                "      [--admin=<host:port>] [--slow-threshold-ms=250] "
                "[--slow-log-size=128]\n"
                "      [--trace-flush-ms=1000]\n"
+               "\n"
+               "build --prune-delta=<d> drops every level-3+ pattern that the "
+               "non-voting\nrecursion estimates within relative error d from "
+               "the patterns kept. At d=0\nthat recursion's answers "
+               "(--estimator=recursive) stay unchanged; voting\nanswers, "
+               "serve's default, may change.\n"
                "\n"
                "serve reads one request per line from stdin — a bare query, "
                "or a JSON\nenvelope {\"query\":...,\"deadline_ms\":...,"
@@ -586,7 +594,6 @@ int RunServeTcp(const std::string& listen, serve::ServerOptions options,
 
   net.host = host_port->host;
   net.port = host_port->port;
-  net.write_low_water = net.write_high_water / 4;
   net.slow_log = slow_log;
   if (std::string admin = flags.GetString("admin", ""); !admin.empty()) {
     Result<HostPort> admin_host_port = ParseHostPort(admin);
